@@ -307,6 +307,18 @@ class CallGraph:
             func = expr.func
             if isinstance(func, ast.Name) and func.id in self.classes:
                 return (self.lookup_class(func.id, near=info.source), None)
+            # a project factory annotated to return an executor (e.g.
+            # ``def process_pool(...) -> ProcessPoolExecutor``) makes one;
+            # plain names only: receiver inference would recurse here
+            targets = (
+                self.resolve_call(expr, info) if isinstance(func, ast.Name) else []
+            )
+            for target in targets:
+                returns = getattr(target.node, "returns", None)
+                if returns is not None:
+                    _, ctor = self._origin_of_annotation(returns, target)
+                    if ctor is not None:
+                        return (None, ctor)
             dotted = resolve_name(func, table)
             if dotted is not None:
                 tail = dotted.rsplit(".", 1)[-1]
@@ -513,8 +525,12 @@ class CallGraph:
     def resolve_callable_ref(
         self, expr: ast.expr, info: FunctionInfo
     ) -> Optional[FunctionInfo]:
-        """A *reference* to a callable (submit targets, initializers)."""
+        """A *reference* to a callable (submit targets, initializers);
+        a ``functools.partial`` refers to the callable it binds."""
         table = self.table(info.source)
+        bound = partial_parts(expr, table)
+        if bound is not None:
+            return self.resolve_callable_ref(bound[0], info)
         if isinstance(expr, ast.Name):
             local = self._module_functions.get(
                 module_key(info.source.path), {}
@@ -619,6 +635,20 @@ class CallGraph:
                     reverse.setdefault(edge.callee, []).append(edge)
             self._reverse_edges: Dict[str, List[CallEdge]] = reverse
         return reverse.get(qualname, [])
+
+
+def partial_parts(
+    expr: ast.expr, table: Dict[str, str]
+) -> Optional[Tuple[ast.expr, List[ast.expr]]]:
+    """``(callable, bound arguments)`` of a ``functools.partial(...)``
+    expression — what a process pool really receives — else ``None``."""
+    if (
+        isinstance(expr, ast.Call)
+        and expr.args
+        and resolve_name(expr.func, table) == "functools.partial"
+    ):
+        return expr.args[0], expr.args[1:] + [kw.value for kw in expr.keywords]
+    return None
 
 
 def walk_in_function(func: ast.AST) -> Iterator[ast.AST]:

@@ -55,6 +55,7 @@ from repro.analysis.callgraph import (
     FunctionInfo,
     callgraph,
     module_key,
+    partial_parts,
     walk_in_function,
 )
 from repro.analysis.protocol_model import check_protocol, extract_protocol
@@ -754,6 +755,9 @@ class PickleBoundaryRule(Rule):
         payload: Sequence[ast.expr],
         tainted: Dict[int, Tuple[ClassInfo, str]],
     ) -> Iterator[Finding]:
+        bound = partial_parts(callable_ref, graph.table(info.source))
+        if bound is not None:  # the partial's arguments cross too
+            callable_ref, payload = bound[0], [*bound[1], *payload]
         if isinstance(callable_ref, ast.Attribute):
             receiver, _ = graph.value_origin(callable_ref.value, info)
             if receiver is not None and id(receiver) in tainted:

@@ -33,6 +33,12 @@ concerns of large heterogeneous suites:
   (``BatchItem.cached``), and cold circuits persist their artefacts
   for the next run.
 
+The module is also the execution spine the service and the fleet run
+on: :func:`execute_one` turns one circuit into an :class:`Outcome`, and
+:func:`process_pool` builds the one kind of pool it runs in — workers
+keep SIGINT under ``run_many`` (Ctrl-C aborts a batch) and ignore it
+under the service and fleet workers (Ctrl-C drains).
+
 :func:`sweep` expands one base config over parameter grids into a
 single ``run_many`` batch that shares the store, with a manifest
 recording the grid — the repo's config-sweep front door.
@@ -55,6 +61,7 @@ import warnings
 import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
@@ -92,6 +99,54 @@ class BatchItem:
     @property
     def ok(self) -> bool:
         return self.error is None and self.result is not None
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """What running one circuit produced — the only outcome shape.
+
+    :func:`execute_one` returns it, :func:`run_many` copies it onto a
+    :class:`BatchItem`, the service's execution backends return it for
+    a :class:`repro.serve.service.Job`, and the fleet coordinator
+    resolves each job's future with it.  ``result`` is the
+    :class:`FlowResult` (inside the fleet, its wire record until
+    :class:`repro.fleet.FleetBackend` decodes it); ``error`` is the
+    failure text, its first line naming the failure.
+    """
+
+    result: Any = None
+    error: Optional[str] = None
+    runtime_s: float = 0.0
+    cached: bool = False  # served whole from the persistent store
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None and self.result is not None
+
+    @classmethod
+    def from_exception(cls, exc: BaseException, context: str = "") -> "Outcome":
+        """A failure raised *around* :func:`execute_one` (a broken pool,
+        an undecodable fleet job, a lost backend) rather than inside it."""
+        return cls(error=f"{context}{type(exc).__name__}: {exc}")
+
+
+def notify_progress(
+    progress: Optional[ProgressCallback], done: int, total: int, item: BatchItem
+) -> None:
+    """Fire one progress callback, isolated: a raising subscriber (e.g.
+    a disconnected stream consumer) becomes a ``RuntimeWarning`` and
+    cannot abort the batch or the service that is reporting."""
+    if progress is None:
+        return
+    try:
+        progress(done, total, item)
+    except Exception as exc:  # noqa: BLE001 — isolation is the point
+        warnings.warn(
+            f"progress callback failed on {item.name!r} "
+            f"({type(exc).__name__}: {exc}); continuing",
+            RuntimeWarning,
+            stacklevel=4,  # run_many's caller, past finish() and run_many()
+        )
 
 
 @dataclass
@@ -373,16 +428,16 @@ def execute_one(
     *,
     store: Optional["ArtifactStore"] = None,  # noqa: F821
     timeout_s: Optional[float] = None,
-) -> tuple:
+) -> Outcome:
     """Run the flow on one described circuit, with error isolation.
 
-    The single-item execution path shared by the :func:`run_many`
-    workers and the async service (:mod:`repro.serve`).  Returns
-    ``(FlowResult | None, error | None, runtime_s, cached)``.  Any
-    circuit failure — a timeout included — becomes the error string
-    instead of raising, so one bad circuit cannot take down a batch or
-    a service worker; KeyboardInterrupt and other non-``Exception``
-    exits still propagate so an inline batch can actually be aborted.
+    The single-item execution path of :func:`run_many`, the async
+    service (:mod:`repro.serve`) and fleet workers (:mod:`repro.fleet`).
+    Any circuit failure — a timeout included — becomes the
+    :class:`Outcome` error instead of raising, so one bad circuit cannot
+    take down a batch or a service worker; KeyboardInterrupt and other
+    non-``Exception`` exits still propagate so an inline batch can
+    actually be aborted.
     """
     if timeout_s and config.resolved_stage_jobs() > 1:
         # The guard interrupts *this* thread; hung work in a stage
@@ -404,13 +459,15 @@ def execute_one(
             start = time.perf_counter()
             run = Pipeline(config, store=store).run(network)
             cached = all(s.cached or s.skipped for s in run.stages)
-            return (run.flow, None, time.perf_counter() - start, cached)
+            return Outcome(run.flow, None, time.perf_counter() - start, cached)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             detail = "".join(
                 traceback.format_exception_only(type(exc), exc)
             ).strip()
             tb = traceback.format_exc()
-            return (None, f"{detail}\n{tb}", time.perf_counter() - start, False)
+            return Outcome(
+                error=f"{detail}\n{tb}", runtime_s=time.perf_counter() - start
+            )
         finally:
             _disarm_quietly(disarm)
     except ItemTimeout as exc:
@@ -421,7 +478,7 @@ def execute_one(
         detail = "".join(
             traceback.format_exception_only(type(exc), exc)
         ).strip()
-        return (None, detail, time.perf_counter() - start, False)
+        return Outcome(error=detail, runtime_s=time.perf_counter() - start)
 
 
 def mark_pool_worker() -> None:
@@ -434,18 +491,33 @@ def mark_pool_worker() -> None:
     os.environ[POOL_WORKER_ENV] = "1"
 
 
-def _pool_worker_init() -> None:
-    """`run_many`` worker-process initializer."""
+def _init_pool_worker(ignore_sigint: bool) -> None:
+    """Initializer of every worker process :func:`process_pool` starts.
+
+    A terminal Ctrl-C delivers SIGINT to the whole foreground process
+    group, workers included.  ``run_many`` workers keep the default
+    handler, so Ctrl-C aborts the batch; service and fleet workers
+    ignore SIGINT, because their parent turns it into a graceful drain
+    that the workers must survive to finish the in-flight circuits.
+    """
     mark_pool_worker()
+    if ignore_sigint:
+        try:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+        except (ValueError, OSError):  # pragma: no cover — exotic platforms
+            pass
 
 
-def _execute_job(job: tuple):
-    """Worker entry point: :func:`execute_one` plus the batch index."""
-    index, kind, payload, name, config, store, timeout_s = job
-    result, error, runtime_s, cached = execute_one(
-        kind, payload, config, store=store, timeout_s=timeout_s
+def process_pool(workers: int, *, ignore_sigint: bool) -> ProcessPoolExecutor:
+    """The process pool :func:`run_many`, the service's local backend
+    and fleet workers run :func:`execute_one` in, bound with
+    :func:`functools.partial` (``run_in_executor`` passes no keywords).
+    ``ignore_sigint`` is the SIGINT policy of its workers."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_init_pool_worker,
+        initargs=(ignore_sigint,),
     )
-    return (index, result, error, runtime_s, cached)
 
 
 def default_jobs() -> int:
@@ -543,7 +615,7 @@ def run_many(
     if timeout_s is not None and timeout_s <= 0:
         raise BatchError(f"timeout_s must be positive, got {timeout_s}")
 
-    jobs_list: List[tuple] = []
+    described: List[tuple] = []
     items: List[BatchItem] = []
     for index, circuit in enumerate(circuits):
         kind, payload, name = _describe(circuit)
@@ -552,61 +624,48 @@ def run_many(
             item_config = item_config.replace(seed=derive_seed(item_config.seed, name))
         if stage_jobs is not None and item_config.stage_jobs != stage_jobs:
             item_config = item_config.replace(stage_jobs=stage_jobs)
-        jobs_list.append((index, kind, payload, name, item_config, store, timeout_s))
+        described.append((index, kind, payload, item_config))
         items.append(BatchItem(index=index, name=name, config=item_config))
 
     if order == "cost":
         # stable sort: equal-cost circuits keep input order
-        jobs_list.sort(key=lambda job: -predicted_cost(job[1], job[2]))
+        described.sort(key=lambda job: -predicted_cost(job[1], job[2]))
+    calls = [
+        (i, partial(execute_one, kind, payload, cfg, store=store, timeout_s=timeout_s))
+        for i, kind, payload, cfg in described
+    ]
 
-    total = len(jobs_list)
+    total = len(calls)
     started = time.perf_counter()
 
-    def finish(outcome: tuple, done: int) -> None:
-        index, result, error, runtime_s, cached = outcome
+    def finish(index: int, outcome: Outcome, done: int) -> None:
         item = items[index]
-        item.result = result
-        item.error = error
-        item.runtime_s = runtime_s
-        item.cached = cached
-        if progress is not None:
-            # one bad subscriber (e.g. a disconnected stream consumer)
-            # must not abort a batch with workers still running
-            try:
-                progress(done, total, item)
-            except Exception as exc:  # noqa: BLE001 — isolation again
-                warnings.warn(
-                    f"batch progress callback failed on {item.name!r} "
-                    f"({type(exc).__name__}: {exc}); continuing the batch",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
+        item.result = outcome.result
+        item.error = outcome.error
+        item.runtime_s = outcome.runtime_s
+        item.cached = outcome.cached
+        notify_progress(progress, done, total, item)
 
     if jobs == 1 or total <= 1:
-        for done, job in enumerate(jobs_list, start=1):
-            finish(_execute_job(job), done)
+        for done, (index, call) in enumerate(calls, start=1):
+            finish(index, call(), done)
     else:
-        workers = min(jobs, max(total, 1))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_pool_worker_init
-        ) as pool:
-            pending = {pool.submit(_execute_job, job): job for job in jobs_list}
+        with process_pool(min(jobs, total), ignore_sigint=False) as pool:
+            pending = {pool.submit(call): index for index, call in calls}
             done = 0
             while pending:
                 completed, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in completed:
-                    job = pending.pop(future)
+                    index = pending.pop(future)
                     exc = future.exception()
                     done += 1
-                    if exc is not None:
-                        # pool-level failure (e.g. unpicklable payload,
-                        # killed worker) — isolate it to this item too
-                        finish(
-                            (job[0], None, f"{type(exc).__name__}: {exc}", 0.0, False),
-                            done,
-                        )
-                    else:
-                        finish(future.result(), done)
+                    # a pool-level failure (unpicklable payload, killed
+                    # worker) is isolated to this item too
+                    finish(
+                        index,
+                        future.result() if exc is None else Outcome.from_exception(exc),
+                        done,
+                    )
 
     return BatchResult(items=items, jobs=jobs, runtime_s=time.perf_counter() - started)
 

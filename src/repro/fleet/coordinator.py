@@ -30,7 +30,11 @@ actor tree (monitor the children, restart the work not the process):
 :class:`FleetBackend` adapts the coordinator to the
 :class:`repro.serve.service.ExecutionBackend` interface, which is how
 ``repro-domino fleet coordinator`` serves the exact HTTP surface of
-``repro-domino serve`` with a fleet doing the synthesis.
+``repro-domino serve`` with a fleet doing the synthesis.  Every fleet
+job resolves to the spine's :class:`~repro.core.batch.Outcome` —
+whose ``result`` is the wire flow record until :class:`FleetBackend`
+decodes it — so the service sees one outcome shape whichever backend
+ran the circuit.
 """
 
 from __future__ import annotations
@@ -40,10 +44,11 @@ import itertools
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError, ProtocolError
+from repro.core.batch import Outcome
 from repro.core.config import FlowConfig
 from repro.fleet.protocol import (
     Goodbye,
@@ -62,6 +67,7 @@ from repro.fleet.protocol import (
     encode_work,
     recv_message,
     send_message,
+    work_fingerprint,
 )
 
 logger = logging.getLogger(__name__)
@@ -74,6 +80,9 @@ WORKER_STATES = ("idle", "busy", "quarantined", "dead")
 
 #: Default TCP port of the worker bus (the HTTP front-end is separate).
 DEFAULT_FLEET_PORT = 7070
+
+#: What a cancelled fleet job resolves to.
+_CANCELLED = Outcome(error="cancelled on coordinator")
 
 
 @dataclass
@@ -240,7 +249,7 @@ class Coordinator:
                 pass
         for job in list(self.jobs.values()):
             if not job.finished:
-                self._resolve(job, error="coordinator stopped")
+                self._resolve(job, Outcome(error="coordinator stopped"))
         logger.info("coordinator stopped")
 
     async def __aenter__(self) -> "Coordinator":
@@ -278,9 +287,9 @@ class Coordinator:
         await self._dispatch()
         return job.job_id
 
-    async def outcome(self, job_id: str) -> Tuple:
-        """Await one job's terminal outcome:
-        ``(flow_record | None, error | None, runtime_s, cached)``."""
+    async def outcome(self, job_id: str) -> Outcome:
+        """Await one job's terminal :class:`Outcome`; its ``result`` is
+        the worker's wire flow record."""
         try:
             job = self.jobs[job_id]
         except KeyError:
@@ -302,7 +311,7 @@ class Coordinator:
             raise FleetError(f"unknown fleet job id {job_id!r}") from None
         if job.state == "pending":
             self._pending.remove(job.job_id)
-            self._resolve(job, state="cancelled")
+            self._resolve(job, _CANCELLED, state="cancelled")
             return True
         if job.state == "leased":
             worker = self.workers.get(job.assigned_to)
@@ -310,7 +319,7 @@ class Coordinator:
                 worker.inflight.pop(job.job_id, None)
                 worker.refresh_state()
                 await self._send(worker, JobCancel(job_id=job.job_id))
-            self._resolve(job, state="cancelled")
+            self._resolve(job, _CANCELLED, state="cancelled")
             return True
         return False
 
@@ -503,7 +512,7 @@ class Coordinator:
             " (cached)" if msg.cached else "",
         )
         self._resolve(
-            job, flow=msg.flow, runtime_s=msg.runtime_s, cached=msg.cached
+            job, Outcome(msg.flow, runtime_s=msg.runtime_s, cached=msg.cached)
         )
 
     async def _job_failed(self, worker: WorkerHandle, msg: JobFailed) -> None:
@@ -524,7 +533,7 @@ class Coordinator:
         )
         # deterministic flow failures surface exactly like the local
         # pool's — no retry — but they count against the worker
-        self._resolve(job, error=msg.error, runtime_s=msg.runtime_s)
+        self._resolve(job, Outcome(error=msg.error, runtime_s=msg.runtime_s))
         if (
             worker.failure_streak >= self.quarantine_after
             and worker.state != "quarantined"
@@ -609,8 +618,8 @@ class Coordinator:
             if job.attempts > self.max_requeues:
                 self._resolve(
                     job,
-                    error=(
-                        f"job lost with worker {worker.worker_id} ({reason}); "
+                    Outcome(
+                        error=f"job lost with worker {worker.worker_id} ({reason}); "
                         f"gave up after {job.attempts} attempt(s) "
                         f"(max_requeues={self.max_requeues})"
                     ),
@@ -711,26 +720,14 @@ class Coordinator:
     # resolution
 
     def _resolve(
-        self,
-        job: FleetJob,
-        *,
-        flow: Optional[Dict[str, Any]] = None,
-        error: Optional[str] = None,
-        runtime_s: float = 0.0,
-        cached: bool = False,
-        state: Optional[str] = None,
+        self, job: FleetJob, outcome: Outcome, *, state: Optional[str] = None
     ) -> None:
         """First terminal transition wins; later results are discarded."""
         if job.finished:
             return
-        job.state = state or ("failed" if error is not None else "done")
+        job.state = state or ("failed" if outcome.error is not None else "done")
         if job.future is not None and not job.future.done():
-            if job.state == "cancelled":
-                job.future.set_result(
-                    (None, "cancelled on coordinator", 0.0, False)
-                )
-            else:
-                job.future.set_result((flow, error, runtime_s, cached))
+            job.future.set_result(outcome)
 
 
 class FleetBackend:
@@ -741,8 +738,9 @@ class FleetBackend:
     fleet at once (dispatcher tasks service-side); actual execution
     concurrency is whatever the registered workers lease.  Results
     cross the wire as :func:`repro.report.flow_result_to_dict` records
-    and are decoded back to :class:`FlowResult` here, so service
-    consumers see byte-identical payloads to the local-pool backend.
+    and are decoded back to :class:`FlowResult` in the
+    :class:`Outcome` here, so service consumers see byte-identical
+    payloads to the local-pool backend.
     """
 
     def __init__(self, coordinator: Coordinator, *, max_inflight: int = 32) -> None:
@@ -769,14 +767,16 @@ class FleetBackend:
             if job is not None and not job.finished:
                 coordinator._pending.remove(job_id)
                 coordinator._resolve(
-                    job, error="service aborted before any worker picked this up"
+                    job,
+                    Outcome(error="service aborted before any worker picked this up"),
                 )
 
-    async def execute(self, job) -> tuple:
+    async def execute(self, job) -> Outcome:
         kind, payload = job.work
         loop = asyncio.get_running_loop()
+        # encoding and fingerprinting build the network: keep them off-loop
         work, fingerprint = await loop.run_in_executor(
-            None, _encode_with_fingerprint, kind, payload
+            None, lambda: (encode_work(kind, payload), work_fingerprint(kind, payload))
         )
         job_id = await self.coordinator.submit(
             work,
@@ -785,31 +785,13 @@ class FleetBackend:
             timeout_s=job.timeout_s,
             fingerprint=fingerprint,
         )
-        flow_record, error, runtime_s, cached = await self.coordinator.outcome(
-            job_id
-        )
-        result = None
-        if flow_record is not None:
-            from repro.report import flow_result_from_dict
+        outcome = await self.coordinator.outcome(job_id)
+        if outcome.result is None:
+            return outcome
+        from repro.report import flow_result_from_dict
 
-            result = await loop.run_in_executor(
-                None, flow_result_from_dict, flow_record
-            )
-        return (result, error, runtime_s, cached)
+        result = await loop.run_in_executor(None, flow_result_from_dict, outcome.result)
+        return replace(outcome, result=result)
 
     def stats(self) -> Dict[str, Any]:
         return self.coordinator.stats()
-
-
-def _encode_with_fingerprint(kind: str, payload) -> Tuple[Dict[str, Any], Optional[str]]:
-    """Wire-encode one work description plus its network fingerprint
-    (the affinity-routing key).  Fingerprinting needs the materialized
-    network; failures degrade to no-affinity rather than failing the
-    submission (the worker will surface the real error)."""
-    work = encode_work(kind, payload)
-    try:
-        from repro.core.batch import materialize
-
-        return work, materialize(kind, payload).fingerprint()
-    except Exception:  # noqa: BLE001 — affinity is best-effort
-        return work, None

@@ -410,6 +410,18 @@ def encode_work(kind: str, payload) -> Dict[str, Any]:
     raise ProtocolError(f"cannot encode work of kind {kind!r}")
 
 
+def work_fingerprint(kind: str, payload) -> Optional[str]:
+    """Network fingerprint of one work description — the affinity
+    routing key — or ``None`` when the circuit cannot be built here:
+    affinity is best-effort, and the worker surfaces the real error."""
+    try:
+        from repro.core.batch import materialize
+
+        return materialize(kind, payload).fingerprint()
+    except Exception:  # noqa: BLE001 — affinity is best-effort
+        return None
+
+
 def decode_work(work: Dict[str, Any]) -> Tuple[str, Any]:
     """Inverse of :func:`encode_work`: ``(kind, payload)`` ready for
     :func:`repro.core.batch.execute_one`."""

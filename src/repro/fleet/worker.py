@@ -5,11 +5,14 @@ the fingerprints its local :class:`~repro.store.artifacts.ArtifactStore`
 is already warm for), heartbeats on the contract the
 :class:`~repro.fleet.protocol.Registered` ack carries, and opens one
 :class:`~repro.fleet.protocol.Lease` per free slot.  Each
-:class:`~repro.fleet.protocol.JobAssign` runs through the exact same
-:func:`repro.core.batch.execute_one` path the local pool uses — same
-config, same store layering, same per-job timeout and error isolation —
-in a process pool so the asyncio connection (heartbeats included) stays
-live while gates are being flipped.
+:class:`~repro.fleet.protocol.JobAssign` is decoded and runs through the
+exact same :func:`repro.core.batch.execute_one` path the local pool
+uses — same config, same store layering, same per-job timeout and error
+isolation — in the same :func:`repro.core.batch.process_pool`, so the
+asyncio connection (heartbeats included) stays live while gates are
+being flipped.  The pool's workers ignore SIGINT: Ctrl-C drains the
+worker instead of killing its flows.  The :class:`~repro.core.batch.Outcome`
+that comes back becomes the wire frame.
 
 Failure semantics mirror the local pool: a flow error comes back as
 :class:`~repro.fleet.protocol.JobFailed` (surfaced, not retried); only
@@ -29,9 +32,10 @@ import signal
 import socket
 import uuid
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Optional, Set, Tuple
+from functools import partial
+from typing import Dict, Optional, Set
 
-from repro.core.batch import default_jobs, execute_one
+from repro.core.batch import Outcome, default_jobs, execute_one, process_pool
 from repro.core.config import FlowConfig
 from repro.errors import FleetError, ProtocolError
 from repro.fleet.protocol import (
@@ -50,51 +54,15 @@ from repro.fleet.protocol import (
     decode_work,
     recv_message,
     send_message,
+    work_fingerprint,
 )
+from repro.report import flow_result_to_dict
 from repro.store.artifacts import ArtifactStore
 
 logger = logging.getLogger(__name__)
 
 #: Reconnect backoff: start fast, cap well under a heartbeat miss window.
 RECONNECT_BACKOFF_S = (0.2, 0.5, 1.0, 2.0, 5.0)
-
-
-def _fleet_execute(
-    work: Dict[str, Any],
-    config_dict: Dict[str, Any],
-    store: Optional[ArtifactStore],
-    timeout_s: Optional[float],
-    fingerprint: Optional[str],
-) -> Tuple[Optional[Dict[str, Any]], Optional[str], float, bool, Optional[str]]:
-    """Pool-process entry point: decode the wire job, run the flow.
-
-    Returns ``(flow_record | None, error | None, runtime_s, cached,
-    fingerprint)`` with everything JSON-safe, ready to go straight into
-    a :class:`JobResult`/:class:`JobFailed` frame.  Decode errors are
-    reported as job failures (the submitter's payload is at fault, not
-    this worker's health — though repeated ones still build the
-    coordinator-side failure streak).
-    """
-    try:
-        kind, payload = decode_work(work)
-        config = FlowConfig.from_dict(config_dict)
-    except Exception as exc:  # noqa: BLE001 — report, don't kill the slot
-        return (None, f"undecodable job: {type(exc).__name__}: {exc}", 0.0, False, None)
-    result, error, runtime_s, cached = execute_one(
-        kind, payload, config, store=store, timeout_s=timeout_s
-    )
-    if result is None:
-        return (None, error, runtime_s, False, fingerprint)
-    from repro.report import flow_result_to_dict
-
-    if fingerprint is None:
-        try:
-            from repro.core.batch import materialize
-
-            fingerprint = materialize(kind, payload).fingerprint()
-        except Exception:  # noqa: BLE001 — affinity is best-effort
-            fingerprint = None
-    return (flow_result_to_dict(result), None, runtime_s, cached, fingerprint)
 
 
 class Worker:
@@ -156,11 +124,7 @@ class Worker:
     async def run(self) -> None:
         """Serve until :meth:`drain`; reconnects across coordinator
         restarts and network blips with capped backoff."""
-        from repro.serve.service import _worker_init
-
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.slots, initializer=_worker_init
-        )
+        self._pool = process_pool(self.slots, ignore_sigint=True)
         try:
             backoff = 0
             while not self._stop.is_set():
@@ -355,36 +319,45 @@ class Worker:
                 assign.attempt,
             )
             loop = asyncio.get_running_loop()
+            # decoding here costs about what parsing the frame already did
             try:
-                flow, error, runtime_s, cached, fingerprint = (
-                    await loop.run_in_executor(
+                kind, payload = decode_work(assign.work)
+                config = FlowConfig.from_dict(assign.config)
+            except Exception as exc:  # noqa: BLE001 — report, don't kill the slot
+                # the submitter's payload is at fault, not this worker's
+                # health — though repeated ones still build the
+                # coordinator-side failure streak
+                outcome = Outcome.from_exception(exc, "undecodable job: ")
+            else:
+                try:
+                    outcome = await loop.run_in_executor(
                         self._pool,
-                        _fleet_execute,
-                        assign.work,
-                        assign.config,
                         # the store pickles its backend configuration, so
                         # a shared/tiered store stays shared in the pool
-                        self.store,
-                        assign.timeout_s,
-                        assign.fingerprint,
+                        partial(
+                            execute_one,
+                            kind,
+                            payload,
+                            config,
+                            store=self.store,
+                            timeout_s=assign.timeout_s,
+                        ),
                     )
-                )
-            except Exception as exc:  # noqa: BLE001 — pool breakage
-                flow, error, runtime_s, cached, fingerprint = (
-                    None,
-                    f"worker execution error: {type(exc).__name__}: {exc}",
-                    0.0,
-                    False,
-                    None,
-                )
-            if flow is not None:
+                except Exception as exc:  # noqa: BLE001 — pool breakage
+                    outcome = Outcome.from_exception(exc, "worker execution error: ")
+            if outcome.ok:
                 self.jobs_done += 1
+                fingerprint = assign.fingerprint
+                if fingerprint is None:  # parsing may touch disk: off-loop
+                    fingerprint = await loop.run_in_executor(
+                        None, work_fingerprint, kind, payload
+                    )
                 await self._send(
                     JobResult(
                         job_id=assign.job_id,
-                        flow=flow,
-                        runtime_s=runtime_s,
-                        cached=cached,
+                        flow=flow_result_to_dict(outcome.result),
+                        runtime_s=outcome.runtime_s,
+                        cached=outcome.cached,
                         fingerprint=fingerprint,
                     )
                 )
@@ -393,8 +366,8 @@ class Worker:
                 await self._send(
                     JobFailed(
                         job_id=assign.job_id,
-                        error=error or "unknown failure",
-                        runtime_s=runtime_s,
+                        error=outcome.error or "unknown failure",
+                        runtime_s=outcome.runtime_s,
                     )
                 )
         except (ConnectionError, OSError):

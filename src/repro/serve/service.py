@@ -2,10 +2,9 @@
 
 :class:`Service` turns the repo's batch machinery into a long-lived
 server: submissions become jobs with ids, a bounded queue applies
-backpressure, synthesis runs in a ``ProcessPoolExecutor`` driven from
-the event loop (the loop never blocks on flow work), and every job
-exposes status snapshots plus an ordered event stream for progress
-consumers.
+backpressure, synthesis runs in a process pool driven from the event
+loop (the loop never blocks on flow work), and every job exposes
+status snapshots plus an ordered event stream for progress consumers.
 
 Lifecycle of one job::
 
@@ -27,16 +26,21 @@ Lifecycle of one job::
 * **Progress** — the service-level ``progress`` callback has the exact
   :data:`repro.core.batch.ProgressCallback` shape ``run_many`` uses,
   fed with :class:`repro.core.batch.BatchItem` records as jobs finish,
-  and is isolated the same way (one bad subscriber cannot take the
-  service down).
+  and is isolated by the same helper
+  (:func:`repro.core.batch.notify_progress`: a raising subscriber
+  becomes a ``RuntimeWarning``, never a dead service).
 * **Graceful shutdown** — ``shutdown(drain=True)`` refuses new
   submissions and completes queued + in-flight work before joining the
   worker processes; ``drain=False`` cancels queued jobs first.  Either
   way the pool is joined: no orphaned workers.
 
 The synchronous flow entry points stay untouched: the service is a
-layer over :func:`repro.core.batch.execute_one`, the same single-item
-path ``run_many`` workers use.
+layer over the execution spine of :mod:`repro.core.batch`.  Its local
+backend runs :func:`~repro.core.batch.execute_one` in a
+:func:`~repro.core.batch.process_pool` whose workers ignore SIGINT (so
+Ctrl-C drains instead of killing flows mid-stage), and every backend
+hands back the same :class:`~repro.core.batch.Outcome` ``run_many``
+records.
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from __future__ import annotations
 import asyncio
 import itertools
 import logging
-import signal
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, AsyncIterator, Deque, Dict, List, Optional
 
 logger = logging.getLogger(__name__)
@@ -62,11 +66,14 @@ from repro.errors import (
 from repro.core.batch import (
     BatchItem,
     CircuitLike,
+    Outcome,
     ProgressCallback,
     _describe,
     default_jobs,
     execute_one,
     materialize,
+    notify_progress,
+    process_pool,
 )
 from repro.core.config import FlowConfig
 from repro.core.flow import FlowResult
@@ -84,40 +91,18 @@ _STOP = object()
 DEFAULT_MAX_HISTORY = 1024
 
 
-def _worker_init() -> None:
-    """Worker-process initializer: ignore SIGINT, mark as pool worker.
-
-    A terminal Ctrl-C delivers SIGINT to the whole foreground process
-    group — workers included.  The parent turns it into a graceful
-    drain; the workers must keep running through that drain instead of
-    dying mid-flow and breaking the pool.
-
-    The pool-worker mark makes ``FlowConfig.stage_jobs=0`` (auto)
-    resolve to sequential stages inside each worker — the pool already
-    owns the host's cores, so per-worker stage threads would only
-    oversubscribe (an explicit ``stage_jobs>1`` is still honoured).
-    """
-    from repro.core.batch import mark_pool_worker
-
-    mark_pool_worker()
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover — exotic platforms
-        pass
-
-
 class ExecutionBackend:
     """Strategy interface deciding *where* a job's circuit runs.
 
     The :class:`Service` owns submissions, the queue, job states, and
     events; the backend owns execution.  Two implementations ship:
-    :class:`LocalPoolBackend` (a ``ProcessPoolExecutor`` on this host —
-    the historical behaviour and the default) and
+    :class:`LocalPoolBackend` (a process pool on this host — the
+    historical behaviour and the default) and
     :class:`repro.fleet.FleetBackend` (a coordinator leasing jobs to a
-    fleet of remote workers).  Both return the same
-    ``(result, error, runtime_s, cached)`` outcome tuple from
-    :meth:`execute`, so the service surface — submit/status/events/
-    cancel/healthz — is byte-identical whichever backend runs the flow.
+    fleet of remote workers).  Both return an
+    :class:`~repro.core.batch.Outcome` from :meth:`execute`, so the
+    service surface — submit/status/events/cancel/healthz — is
+    byte-identical whichever backend runs the flow.
     """
 
     #: Concurrent executions the backend can absorb — the service runs
@@ -135,9 +120,8 @@ class ExecutionBackend:
         non-draining shutdown so dispatchers cannot wait forever on
         work no one will ever pick up).  Default: nothing held."""
 
-    async def execute(self, job: "Job") -> tuple:
-        """Run one job's circuit; returns
-        ``(FlowResult | None, error | None, runtime_s, cached)``."""
+    async def execute(self, job: "Job") -> Outcome:
+        """Run one job's circuit to its :class:`Outcome`."""
         raise NotImplementedError
 
     def stats(self) -> Dict[str, Any]:
@@ -146,7 +130,8 @@ class ExecutionBackend:
 
 
 class LocalPoolBackend(ExecutionBackend):
-    """Execute jobs in a local ``ProcessPoolExecutor`` (one host)."""
+    """Execute jobs in a local :func:`~repro.core.batch.process_pool`
+    (one host) whose workers ignore SIGINT."""
 
     def __init__(
         self,
@@ -160,9 +145,7 @@ class LocalPoolBackend(ExecutionBackend):
         self._pool: Optional[ProcessPoolExecutor] = None
 
     async def start(self) -> None:
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.slots, initializer=_worker_init
-        )
+        self._pool = process_pool(self.slots, ignore_sigint=True)
 
     async def shutdown(self) -> None:
         if self._pool is not None:
@@ -171,16 +154,18 @@ class LocalPoolBackend(ExecutionBackend):
             self._pool.shutdown(wait=True)
             self._pool = None
 
-    async def execute(self, job: "Job") -> tuple:
+    async def execute(self, job: "Job") -> Outcome:
         kind, payload = job.work
         return await asyncio.get_running_loop().run_in_executor(
             self._pool,
-            _pool_execute,
-            kind,
-            payload,
-            job.config,
-            self.store,
-            job.timeout_s,
+            partial(
+                execute_one,
+                kind,
+                payload,
+                job.config,
+                store=self.store,
+                timeout_s=job.timeout_s,
+            ),
         )
 
     def stats(self) -> Dict[str, Any]:
@@ -270,8 +255,8 @@ class Service:
     progress:
         Optional :data:`ProgressCallback` fired (isolated) as each job
         reaches a terminal state, with a :class:`BatchItem` view of the
-        job; ``done`` counts finished jobs, ``total`` counts
-        submissions so far.
+        job; ``done`` counts finished jobs, ``total`` counts accepted
+        submissions so far (rejected ones excluded, evicted ones kept).
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`shutdown` explicitly::
@@ -316,6 +301,7 @@ class Service:
         self._queue: Optional[asyncio.Queue] = None
         self._dispatchers: List[asyncio.Task] = []
         self._changed: Optional[asyncio.Condition] = None
+        self._n_accepted = 0
         self._n_finished = 0
 
     @property
@@ -444,6 +430,7 @@ class Service:
                 logger.info(
                     "%s %s served from store (dedup)", job.job_id, job.name
                 )
+                self._n_accepted += 1
                 await self._finish(job, "done")
                 return job.job_id
             if self.state != "running":
@@ -462,6 +449,7 @@ class Service:
             raise QueueFullError(
                 f"job queue is full ({self.queue_size} queued); retry later"
             ) from None
+        self._n_accepted += 1
         logger.info(
             "%s %s queued (%d waiting)", job.job_id, job.name, self._queue.qsize()
         )
@@ -607,22 +595,17 @@ class Service:
         logger.info("%s %s started", job.job_id, job.name)
         await self._emit(job)
         try:
-            result, error, runtime_s, cached = await self._backend.execute(job)
+            outcome = await self._backend.execute(job)
         except asyncio.CancelledError:  # pragma: no cover — shutdown race
             await self._finish_cancelled(job)
             return
         except Exception as exc:  # noqa: BLE001 — backend-level failure
-            result, error, runtime_s, cached = (
-                None,
-                f"{type(exc).__name__}: {exc}",
-                0.0,
-                False,
-            )
-        job.result = result
-        job.error = error
-        job.runtime_s = runtime_s
-        job.cached = cached
-        await self._finish(job, "done" if error is None else "failed")
+            outcome = Outcome.from_exception(exc)
+        job.result = outcome.result
+        job.error = outcome.error
+        job.runtime_s = outcome.runtime_s
+        job.cached = outcome.cached
+        await self._finish(job, "done" if outcome.error is None else "failed")
 
     async def _finish_cancelled(self, job: Job) -> None:
         await self._finish(job, "cancelled")
@@ -667,10 +650,9 @@ class Service:
                 runtime_s=job.runtime_s,
                 cached=job.cached,
             )
-            try:
-                self.progress(self._n_finished, len(self._jobs), item)
-            except Exception:  # noqa: BLE001 — same isolation as run_many
-                pass
+            # total counts accepted submissions, not retained records:
+            # max_history eviction must never make done exceed total
+            notify_progress(self.progress, self._n_finished, self._n_accepted, item)
 
     async def _emit(self, job: Job, **extra: Any) -> None:
         event: Dict[str, Any] = {
@@ -689,9 +671,3 @@ class Service:
         job.events.append(event)
         async with self._changed:
             self._changed.notify_all()
-
-
-def _pool_execute(kind, payload, config, store, timeout_s):
-    """Picklable worker shim: :func:`execute_one` with keywords applied
-    (``ProcessPoolExecutor`` submits positional args only)."""
-    return execute_one(kind, payload, config, store=store, timeout_s=timeout_s)

@@ -150,6 +150,9 @@ class TieredBackend(StoreBackend):
         )
 
     def delete(self, kind: str, fingerprint: str, digest: str) -> bool:
+        # a queued write-back of this entry would land after the delete
+        # and resurrect it in the shared tier
+        self.flush()
         removed_local = self.local.delete(kind, fingerprint, digest)
         removed_shared = self.shared.delete(kind, fingerprint, digest)
         return removed_local or removed_shared

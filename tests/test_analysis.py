@@ -718,6 +718,47 @@ def test_pickle_boundary_flags_tainted_bound_methods():
     assert "bound method" in findings[0].message
 
 
+def test_pickle_boundary_sees_through_pool_factories_and_partial():
+    """A pool from a factory annotated to return an executor, fed a
+    ``functools.partial`` (``run_in_executor`` passes no keywords): the
+    bound arguments still cross the boundary, and the call graph still
+    records the off-thread hand-off to the bound function."""
+    project = _project(
+        {
+            "spine.py": (
+                "import threading\n"
+                "from concurrent.futures import ProcessPoolExecutor\n"
+                "from functools import partial\n"
+                "\n"
+                "\n"
+                "class Holder:\n"
+                "    def __init__(self):\n"
+                "        self._lock = threading.Lock()\n"
+                "\n"
+                "\n"
+                "def task(x, holder=None):\n"
+                "    return x\n"
+                "\n"
+                "\n"
+                "def make_pool(n) -> ProcessPoolExecutor:\n"
+                "    return ProcessPoolExecutor(max_workers=n)\n"
+                "\n"
+                "\n"
+                "async def run(loop, holder: Holder):\n"
+                "    with make_pool(2) as pool:\n"
+                "        return await loop.run_in_executor(\n"
+                "            pool, partial(task, 1, holder=holder)\n"
+                "        )\n"
+            ),
+        }
+    )
+    findings = lint_sources(project.files, select=["pickle-boundary"])
+    assert len(findings) == 1
+    assert "argument holder" in findings[0].message
+    edges = callgraph(project).callees("spine::run")
+    assert ("spine::task", True) in [(e.callee, e.offthread) for e in edges]
+
+
 # ---------------------------------------------------------------------------
 # protocol-liveness: the model and the seeded-defect drill
 

@@ -1,0 +1,138 @@
+"""The execution spine: one :class:`Outcome` shape and one process-pool
+path from :func:`execute_one` up through ``run_many``, the service's
+local pool and the fleet.
+
+Every layer must report the same thing for the same circuit, and each
+pool owner must apply its SIGINT policy: Ctrl-C aborts a batch but
+drains a service or a fleet worker."""
+
+import asyncio
+import dataclasses
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from repro.bench.generators import GeneratorConfig, random_control_network
+from repro.core import batch as batch_mod
+from repro.core.batch import Outcome, execute_one, run_many
+from repro.core.config import FlowConfig
+from repro.fleet import Coordinator, FleetBackend, Worker
+from repro.serve import Service
+
+FAST = FlowConfig(n_vectors=256)
+
+
+def tiny_network(name="spine", seed=7):
+    cfg = GeneratorConfig(n_inputs=10, n_outputs=4, n_gates=28, seed=seed)
+    return random_control_network(name, cfg)
+
+
+async def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition never became true")
+        await asyncio.sleep(0.02)
+
+
+def summary(record):
+    """What every layer must agree on: ok, row, first error line, cached."""
+    first_error = (record.error or "").splitlines()[:1]
+    row = record.result.row() if record.result is not None else None
+    return (record.ok, row, first_error, record.cached)
+
+
+class TestOutcome:
+    def test_ok_needs_a_result_and_no_error(self):
+        assert Outcome(result=object()).ok
+        assert not Outcome().ok
+        assert not Outcome(result=object(), error="boom").ok
+
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Outcome().error = "late"
+
+    def test_from_exception_names_the_failure(self):
+        outcome = Outcome.from_exception(OSError("pool died"), "worker: ")
+        assert outcome.error == "worker: OSError: pool died"
+        assert (outcome.result, outcome.runtime_s, outcome.cached) == (None, 0.0, False)
+
+
+class TestLayerParity:
+    def test_every_layer_reports_the_same_outcome(self, tmp_path):
+        """A good circuit and a missing BLIF through execute_one inline,
+        run_many on a pool, Service on the local pool, and Service on a
+        one-worker loopback fleet: identical ok, row, first error line
+        and cached at every layer."""
+        circuits = [tiny_network(), str(tmp_path / "missing.blif")]
+
+        inline = [
+            execute_one("network", circuits[0], FAST),
+            execute_one("blif", circuits[1], FAST),
+        ]
+        batch = run_many(circuits, FAST, jobs=2)
+
+        async def through(service):
+            async with service as svc:
+                job_ids = [await svc.submit(circuit) for circuit in circuits]
+                return [await svc.result(job_id, timeout=240) for job_id in job_ids]
+
+        async def through_fleet():
+            coord = Coordinator(port=0, heartbeat_interval_s=0.2)
+            service = Service(FAST, backend=FleetBackend(coord, max_inflight=4))
+            async with service as svc:
+                worker = Worker("127.0.0.1", coord.port, slots=1, worker_id="spine")
+                task = asyncio.create_task(worker.run())
+                await wait_until(lambda: "spine" in coord.workers)
+                job_ids = [await svc.submit(circuit) for circuit in circuits]
+                jobs = [await svc.result(job_id, timeout=240) for job_id in job_ids]
+                worker.drain()
+                await asyncio.wait_for(task, 60)
+            return jobs
+
+        layers = {
+            "execute_one": inline,
+            "run_many": batch.items,
+            "service": asyncio.run(through(Service(FAST, jobs=1))),
+            "fleet": asyncio.run(through_fleet()),
+        }
+        reference = [summary(record) for record in inline]
+        for layer, records in layers.items():
+            assert [summary(record) for record in records] == reference, layer
+        good, missing = reference
+        assert good[0] and good[1]["ckt"] == "spine" and good[2] == []
+        assert not missing[0] and missing[1] is None
+        assert "missing.blif" in missing[2][0]
+
+
+class TestSigintPolicy:
+    def test_batch_workers_keep_sigint_serve_and_fleet_ignore_it(self, monkeypatch):
+        """Each pool owner's workers report their SIGINT handler: the
+        default for run_many (Ctrl-C aborts the batch), SIG_IGN for the
+        service's local pool and a fleet worker (Ctrl-C drains)."""
+        probes = []
+
+        class ProbedPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                probes.append(self.submit(signal.getsignal, signal.SIGINT))
+
+        monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", ProbedPool)
+
+        run_many([tiny_network("a", 1), tiny_network("b", 2)], FAST, jobs=2)
+
+        async def service_and_worker():
+            async with Service(FAST, jobs=1):
+                pass
+            async with Coordinator(port=0, heartbeat_interval_s=0.2) as coord:
+                worker = Worker("127.0.0.1", coord.port, slots=1, worker_id="sig")
+                task = asyncio.create_task(worker.run())
+                await wait_until(lambda: "sig" in coord.workers)
+                worker.drain()
+                await asyncio.wait_for(task, 60)
+
+        asyncio.run(service_and_worker())
+        handlers = [probe.result(timeout=60) for probe in probes]
+        assert handlers == [signal.default_int_handler, signal.SIG_IGN, signal.SIG_IGN]

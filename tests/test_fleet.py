@@ -249,10 +249,8 @@ class TestSupervision:
                 await survivor.send(JobResult(job_id=job_id,
                                               flow={"ok": True},
                                               runtime_s=0.1))
-                flow, error, _, _ = await asyncio.wait_for(
-                    coord.outcome(job_id), 10
-                )
-                assert error is None and flow == {"ok": True}
+                outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
+                assert outcome.error is None and outcome.result == {"ok": True}
                 await silent.close()
                 await survivor.close()
 
@@ -293,11 +291,9 @@ class TestSupervision:
                         == "dead",
                         timeout=5,
                     )
-                flow, error, _, _ = await asyncio.wait_for(
-                    coord.outcome(job_id), 10
-                )
-                assert flow is None
-                assert "gave up after 2 attempt" in error
+                outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
+                assert outcome.result is None
+                assert "gave up after 2 attempt" in outcome.error
                 assert coord.jobs[job_id].state == "failed"
 
         run(body())
@@ -314,11 +310,9 @@ class TestSupervision:
                                                 name="x")
                     assert isinstance(await flaky.recv(), JobAssign)
                     await flaky.send(JobFailed(job_id=job_id, error="boom"))
-                    flow, error, _, _ = await asyncio.wait_for(
-                        coord.outcome(job_id), 10
-                    )
+                    outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
                     # deterministic failures surface, never retried
-                    assert flow is None and error == "boom"
+                    assert outcome.result is None and outcome.error == "boom"
                 notice = await flaky.recv()
                 assert isinstance(notice, Quarantine)
                 assert coord.workers["flaky"].state == "quarantined"
@@ -393,10 +387,8 @@ class TestSupervision:
                 recall = await w.recv()
                 assert isinstance(recall, JobCancel)
                 assert recall.job_id == job_id
-                flow, error, _, _ = await asyncio.wait_for(
-                    coord.outcome(job_id), 10
-                )
-                assert flow is None and "cancelled" in error
+                outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
+                assert outcome.result is None and "cancelled" in outcome.error
                 assert coord.jobs[job_id].state == "cancelled"
                 # a late result from the racing worker is discarded
                 await w.send(JobResult(job_id=job_id, flow={"late": 1},

@@ -311,8 +311,32 @@ class TestProgress:
                 job = await svc.result(await svc.submit(tiny_network()), timeout=240)
                 assert job.ok
 
-        run(body())
+        # isolated exactly as run_many isolates it: a warning, not silence
+        with pytest.warns(RuntimeWarning, match="progress callback failed"):
+            run(body())
         assert seen == [(1, "tiny", True, False)]
+
+    def test_total_counts_submissions_past_history_eviction(self, tmp_path):
+        """``total`` counts accepted submissions, so evicting finished
+        records (``max_history``) never makes ``done`` exceed it — for
+        queued runs and submit-time store hits alike."""
+        seen = []
+
+        async def body():
+            store = ArtifactStore(tmp_path / "store")
+            async with Service(
+                FAST,
+                jobs=1,
+                queue_size=4,
+                store=store,
+                max_history=1,
+                progress=lambda done, total, item: seen.append((done, total)),
+            ) as svc:
+                for _ in range(4):  # one cold run, then three store hits
+                    await svc.result(await svc.submit(tiny_network()), timeout=240)
+
+        run(body())
+        assert seen == [(1, 1), (2, 2), (3, 3), (4, 4)]
 
 
 class TestReviewRegressions:

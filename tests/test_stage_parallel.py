@@ -73,20 +73,21 @@ class TestResolution:
         assert FAST.replace(stage_jobs=4).resolved_stage_jobs() == 4
 
     def test_mark_pool_worker_sets_the_sentinel(self, monkeypatch):
-        from repro.core.batch import _pool_worker_init
+        """The one pool initializer marks the worker under either SIGINT
+        policy (batch: keep the handler; serve/fleet: ignore it)."""
+        import signal
 
-        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
-        assert not in_pool_worker()
-        _pool_worker_init()
-        assert in_pool_worker()
-        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
+        from repro.core.batch import _init_pool_worker
 
-    def test_serve_worker_init_marks_pool_worker(self, monkeypatch):
-        from repro.serve.service import _worker_init
-
-        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
-        _worker_init()
-        assert in_pool_worker()
+        handlers = []
+        # record instead of installing: SIG_IGN must not leak into pytest
+        monkeypatch.setattr(signal, "signal", lambda *args: handlers.append(args))
+        for ignore_sigint in (False, True):
+            monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
+            assert not in_pool_worker()
+            _init_pool_worker(ignore_sigint)
+            assert in_pool_worker()
+        assert handlers == [(signal.SIGINT, signal.SIG_IGN)]
         monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
 
     def test_validation(self):
@@ -199,10 +200,10 @@ class TestTimeoutInteraction:
 
         monkeypatch.setattr(pm, "Pipeline", Spy)
         net = tiny_network()
-        result, error, _, _ = execute_one(
+        outcome = execute_one(
             "network", net, FAST.replace(stage_jobs=4), timeout_s=600.0
         )
-        assert error is None and result is not None
+        assert outcome.ok
         assert seen == [1]
         # without a budget, the explicit setting is honoured
         execute_one("network", net, FAST.replace(stage_jobs=4))

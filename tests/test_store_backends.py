@@ -14,6 +14,7 @@ import os
 import pickle
 import sqlite3
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -248,6 +249,27 @@ class TestTieredBackend:
         store.put("flow", FP, ("k",), {"v": 2})
         # what a fleet worker announces as warm: local *and* shared
         assert store.fingerprints("flow") == tuple(sorted((FP, FP2)))
+
+    def test_delete_waits_for_the_queued_write_back(self, tmp_path, monkeypatch):
+        """A delete racing its own put's write-back must win: the shared
+        copy may not land after the delete and bring the entry back."""
+        tiered = TieredBackend(
+            LocalDiskBackend(str(tmp_path / "local")),
+            SQLiteBackend(str(tmp_path / "shared.sqlite")),
+        )
+        real_put = tiered.shared.put
+
+        def slow_put(*args):
+            time.sleep(0.2)  # the write-back is still queued at delete
+            return real_put(*args)
+
+        monkeypatch.setattr(tiered.shared, "put", slow_put)
+        store = ArtifactStore(backend=tiered)
+        store.put("flow", FP, ("k",), {"v": 1})
+        assert tiered.delete("flow", FP, store_digest(("k",)))
+        store.flush()
+        assert tiered.shared.stat("flow", FP, store_digest(("k",))) is None
+        assert store.get("flow", FP, ("k",)) is None
 
     def test_stats_nest_both_tiers(self, tmp_path):
         store = ArtifactStore(

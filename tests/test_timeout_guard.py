@@ -105,8 +105,12 @@ class TestCompletionWindowHammer:
         def body():
             leaks = []
             for i in range(300):
-                wd = _ThreadWatchdog(0.001, SET_ASYNC_EXC)
+                wd = None
                 try:
+                    # arm inside the item's try, as execute_one does: a
+                    # 1 ms timer can deliver before the constructor (its
+                    # Timer.start()) has even returned
+                    wd = _ThreadWatchdog(0.001, SET_ASYNC_EXC)
                     deadline = time.perf_counter() + 5.0
                     # interruptible spin right up to (and past) the fire
                     while not wd._fired and time.perf_counter() < deadline:
@@ -114,7 +118,8 @@ class TestCompletionWindowHammer:
                 except ItemTimeout:
                     pass  # delivered mid-item: the legitimate outcome
                 try:
-                    wd.disarm()
+                    if wd is not None:  # delivered while arming: spent
+                        wd.disarm()
                 except ItemTimeout:
                     leaks.append(f"iteration {i}: escaped disarm")
                 poisoned = drain_pending_exceptions()
@@ -143,12 +148,12 @@ class TestCompletionWindowHammer:
         monkeypatch.setattr(batch_mod, "_disarm_quietly", late_delivery)
         cfg = GeneratorConfig(n_inputs=10, n_outputs=4, n_gates=28, seed=3)
         net = random_control_network("tiny", cfg)
-        result, error, runtime_s, cached = execute_one(
+        outcome = execute_one(
             "network", net, FlowConfig(n_vectors=256), timeout_s=600.0
         )
-        assert result is None and not cached
-        assert "ItemTimeout" in error and "completion window" in error
-        assert runtime_s >= 0.0
+        assert outcome.result is None and not outcome.cached
+        assert "ItemTimeout" in outcome.error and "completion window" in outcome.error
+        assert outcome.runtime_s >= 0.0
 
     def test_disarm_quietly_absorbs_a_late_timeout(self):
         def body():
