@@ -90,6 +90,34 @@ class TestResolution:
         assert handlers == [(signal.SIGINT, signal.SIG_IGN)]
         monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
 
+    def test_serve_worker_init_marks_pool_worker(self, monkeypatch):
+        """The service's local pool runs the one initializer with the
+        ignore-SIGINT policy, so its workers are marked as pool workers."""
+        import asyncio
+        import signal
+
+        from repro.core.batch import _init_pool_worker
+        from repro.serve.service import LocalPoolBackend
+
+        backend = LocalPoolBackend(workers=1)
+        asyncio.run(backend.start())
+        try:
+            pool = backend._pool
+            assert pool._initializer is _init_pool_worker
+            initargs = pool._initargs
+        finally:
+            asyncio.run(backend.shutdown())
+        assert initargs == (True,)
+
+        handlers = []
+        # record instead of installing: SIG_IGN must not leak into pytest
+        monkeypatch.setattr(signal, "signal", lambda *args: handlers.append(args))
+        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
+        pool._initializer(*initargs)
+        assert in_pool_worker()
+        assert handlers == [(signal.SIGINT, signal.SIG_IGN)]
+        monkeypatch.delenv(POOL_WORKER_ENV, raising=False)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             FlowConfig(stage_jobs=-1)
