@@ -4,10 +4,8 @@ Not a paper experiment — the PR 9 effect engine made `lint src/` a
 whole-program analysis (call graph + effect fixpoint + payload-origin
 tracing), so its runtime is now worth gating like any other kernel:
 a rule that accidentally goes quadratic in the call graph should show
-up in ``check_trajectory.py``, not in CI minutes.  Two series land in
-``BENCH_lint.json``: a cold full-rule-set run, and a warm
-summary-cached run (which must stay near-instant — it re-parses zero
-unchanged files).
+up in ``check_trajectory.py``, not in CI minutes.  One series lands in
+``BENCH_lint.json``: a cold full-rule-set run.
 """
 
 from pathlib import Path
@@ -37,21 +35,7 @@ def _record_mode(benchmark, mode: str, report) -> None:
 
 @pytest.mark.benchmark(group="lint")
 def bench_lint_src_cold(benchmark):
-    """Full rule set over src/repro with no cache: the CI gate path."""
+    """Full rule set over src/repro: the CI gate path."""
     report = benchmark(run_lint, [SRC_TREE])
     _record_mode(benchmark, "cold", report)
-    assert report.cache_status == "off"
-    assert report.findings == []
-
-
-@pytest.mark.benchmark(group="lint")
-def bench_lint_src_warm_cache(benchmark, tmp_path_factory):
-    """Summary-cached repeat run: zero re-parses of unchanged files."""
-    cache_dir = str(tmp_path_factory.mktemp("lint-cache"))
-    run_lint([SRC_TREE], cache=True, cache_dir=cache_dir)  # prime
-
-    report = benchmark(run_lint, [SRC_TREE], cache=True, cache_dir=cache_dir)
-    _record_mode(benchmark, "warm", report)
-    assert report.cache_status == "warm"
-    assert report.parsed_files == 0
     assert report.findings == []

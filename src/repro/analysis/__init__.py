@@ -57,11 +57,7 @@ prints the inference chain behind any finding.  New cross-module rules
 land warn-first via a baseline file — ``lint --write-baseline FILE``
 snapshots today's findings, ``lint --baseline FILE`` fails only on new
 ones, ``--diff`` hides the accepted ones from the listing
-(:mod:`repro.analysis.baseline`).  ``lint --cache`` reuses
-content-addressed per-file summaries between runs
-(:mod:`repro.analysis.summary_cache`): a fully warm run parses zero
-files and returns byte-identical findings; editing any rule source
-invalidates the whole cache via the rule-set fingerprint.
+(:mod:`repro.analysis.baseline`).
 
 #1 — suppress a single true-but-intended site with an inline comment on
 (or directly above) the line::
@@ -107,8 +103,6 @@ from repro.analysis.protocol_model import (
     check_protocol,
     extract_protocol,
 )
-from repro.analysis.sarif import format_sarif
-from repro.analysis.summary_cache import SummaryCache, ruleset_fingerprint
 
 __all__ = [
     "Finding",
@@ -122,7 +116,6 @@ __all__ = [
     "collect_files",
     "format_json",
     "format_text",
-    "format_sarif",
     "lint_files",
     "lint_paths",
     "lint_sources",
@@ -138,8 +131,6 @@ __all__ = [
     "EffectEngine",
     "EffectSite",
     "effect_engine",
-    "SummaryCache",
-    "ruleset_fingerprint",
     "ProtocolModel",
     "check_protocol",
     "extract_protocol",

@@ -66,17 +66,6 @@ class Finding:
             data["chain"] = list(self.chain)
         return data
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "Finding":
-        return cls(
-            rule=str(data["rule"]),
-            path=str(data["path"]),
-            line=int(data["line"]),  # type: ignore[arg-type]
-            message=str(data["message"]),
-            severity=str(data.get("severity", "error")),
-            chain=tuple(str(step) for step in data.get("chain", ())),  # type: ignore[union-attr]
-        )
-
     def format(self) -> str:
         return f"{self.path}:{self.line}: {self.rule}: {self.message}"
 
@@ -156,15 +145,22 @@ class SourceFile:
 
     @classmethod
     def parse(cls, path: str, text: Optional[str] = None) -> "SourceFile":
-        if text is None:
-            text = Path(path).read_text(encoding="utf-8")
-        lines = text.splitlines()
         tree: Optional[ast.AST] = None
         error: Optional[str] = None
-        try:
-            tree = ast.parse(text, filename=path)
-        except SyntaxError as exc:  # surfaced as a finding by the engine
-            error = f"syntax error: {exc.msg} (line {exc.lineno})"
+        if text is None:
+            try:
+                # decode as the interpreter does: PEP 263 cookie or BOM,
+                # else UTF-8
+                with tokenize.open(path) as f:
+                    text = f.read()
+            except (SyntaxError, UnicodeDecodeError) as exc:
+                text, error = "", f"syntax error: cannot decode source ({exc})"
+        lines = text.splitlines()
+        if error is None:
+            try:
+                tree = ast.parse(text, filename=path)
+            except SyntaxError as exc:  # surfaced as a finding by the engine
+                error = f"syntax error: {exc.msg} (line {exc.lineno})"
         if tree is not None:
             _link_parents(tree)
         return cls(

@@ -27,14 +27,12 @@ contract:
     ``os.environ`` / hostname / cwd / platform reads — identical inputs
     on two fleet workers would produce different results.
 
-Local effect sites are a pure function of one file's source (and are
-therefore cacheable per file — see
-:mod:`repro.analysis.summary_cache`); summaries are the least fixpoint
-of ``summary(f) = local(f) ∪ ⋃ summary(callee)`` over *all* call edges,
-including executor submissions (off-thread work still computes the
-result).  Every inferred effect carries a provenance chain down to the
-primitive call site, which is what ``lint --explain`` prints and what
-the ``nondeterministic-keyed-output`` witness reports.
+Local effect sites are a pure function of one file's source; summaries
+are the least fixpoint of ``summary(f) = local(f) ∪ ⋃ summary(callee)``
+over *all* call edges, including executor submissions (off-thread work
+still computes the result).  Every inferred effect carries a provenance
+chain down to the primitive call site, which is what ``lint --explain``
+prints and what the ``nondeterministic-keyed-output`` witness reports.
 
 Deliberately *not* effects: ``time.monotonic()`` / ``perf_counter()``
 (stage timing is measurement metadata, and misuse of the wall clock for
@@ -167,9 +165,6 @@ class EffectSite:
     line: int
     detail: str
 
-    def to_list(self) -> List[object]:
-        return [self.effect, self.line, self.detail]
-
     def describe(self) -> str:
         return f"{self.detail} at {self.path}:{self.line}"
 
@@ -184,7 +179,7 @@ def scan_local_effects(
     """Direct effect sites lexically inside one function body.
 
     Pure in the file's source text — cross-function propagation happens
-    in :class:`EffectEngine`, so these facts are safe to cache per file.
+    in :class:`EffectEngine`.
     """
     sites: List[EffectSite] = []
     path = info.source.path
@@ -450,32 +445,15 @@ class _Provenance:
 
 
 class EffectEngine:
-    """Per-function effect summaries over a built call graph.
+    """Per-function effect summaries over a built call graph."""
 
-    ``locals_by_path`` optionally supplies pre-computed (cached) local
-    effect sites keyed ``{path: {qualname: [EffectSite, ...]}}``; files
-    absent from the mapping are scanned live.
-    """
-
-    def __init__(
-        self,
-        graph: CallGraph,
-        locals_by_path: Optional[Dict[str, Dict[str, List[EffectSite]]]] = None,
-    ) -> None:
+    def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
         self.local: Dict[str, List[EffectSite]] = {}
         for qualname in sorted(graph.functions):
             info = graph.functions[qualname]
-            supplied = (
-                locals_by_path.get(info.source.path)
-                if locals_by_path is not None
-                else None
-            )
-            if supplied is not None:
-                self.local[qualname] = list(supplied.get(qualname, []))
-            else:
-                table = graph.table(info.source)
-                self.local[qualname] = scan_local_effects(info, table)
+            table = graph.table(info.source)
+            self.local[qualname] = scan_local_effects(info, table)
         self.summaries: Dict[str, FrozenSet[str]] = {}
         self._provenance: Dict[Tuple[str, str], _Provenance] = {}
         self._infer()
@@ -556,14 +534,10 @@ def _short(qualname: Optional[str]) -> str:
 def effect_engine(project: Project) -> EffectEngine:
     """The project's effect engine, built once per lint run and cached
     on the Project (the two effect rules and ``--explain`` share it).
-
-    ``project._effect_locals`` (set by the engine when the summary cache
-    has per-file entries) supplies pre-computed local sites.
     """
     cached = getattr(project, "_effect_engine", None)
     if cached is None:
-        locals_by_path = getattr(project, "_effect_locals", None)
-        cached = EffectEngine(callgraph(project), locals_by_path)
+        cached = EffectEngine(callgraph(project))
         project._effect_engine = cached  # type: ignore[attr-defined]
     return cached
 

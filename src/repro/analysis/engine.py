@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 from repro.analysis import rules as _rules  # noqa: F401  (registers the rule set)
 from repro.analysis import dataflow as _dataflow  # noqa: F401  (cross-module rules)
@@ -71,35 +71,6 @@ def _resolve_rules(
     return [get_rule_class(name)() for name in chosen if name not in dropped]
 
 
-def _is_cross_module(rule: Rule) -> bool:
-    """True when the rule's findings for one file can depend on *other*
-    files (whole-project checks, or helper resolution across modules) —
-    such findings are never cached per file."""
-    if type(rule).check_project is not Rule.check_project:
-        return True
-    return bool(getattr(rule, "uses_project", False))
-
-
-def _filter_suppressed(
-    findings: Iterable[Finding], by_path: Dict[str, SourceFile]
-) -> List[Finding]:
-    kept = []
-    for finding in findings:
-        source = by_path.get(finding.path)
-        if source is not None and source.suppressed(finding):
-            continue
-        kept.append(finding)
-    return kept
-
-
-def _syntax_findings(sources: Sequence[SourceFile]) -> List[Finding]:
-    return [
-        Finding(rule="syntax-error", path=s.path, line=1, message=s.error)
-        for s in sources
-        if s.error is not None
-    ]
-
-
 def lint_sources(
     sources: Sequence[SourceFile],
     *,
@@ -111,13 +82,21 @@ def lint_sources(
     project = Project(files=list(sources))
     by_path = {source.path: source for source in project.files}
 
-    findings: List[Finding] = _syntax_findings(project.files)
+    findings: List[Finding] = [
+        Finding(rule="syntax-error", path=s.path, line=1, message=s.error)
+        for s in project.files
+        if s.error is not None
+    ]
     for rule in active:
         for source in project.parsed():
             findings.extend(rule.check_file(source, project))
         findings.extend(rule.check_project(project))
 
-    kept = _filter_suppressed(findings, by_path)
+    kept = []
+    for finding in findings:
+        source = by_path.get(finding.path)
+        if source is None or not source.suppressed(finding):
+            kept.append(finding)
     kept.sort(key=Finding.sort_key)
     return kept
 
@@ -145,26 +124,11 @@ def lint_paths(
 
 @dataclass
 class LintReport:
-    """Result of :func:`run_lint`: findings plus cache accounting.
-
-    ``cache_status`` is one of ``off`` / ``cold`` / ``partial`` /
-    ``warm``; ``warm`` means the whole run was served from the summary
-    cache with **zero files parsed**.  The status is diagnostic only —
-    the findings themselves are byte-identical whichever path produced
-    them (that invariant is what CI asserts).
-    """
+    """Result of :func:`run_lint`: the findings and how many files
+    were linted."""
 
     findings: List[Finding]
     n_files: int
-    cache_status: str = "off"
-    parsed_files: int = 0
-    reused_files: int = 0
-
-    def status_line(self) -> str:
-        return (
-            f"cache {self.cache_status}: {self.parsed_files} file(s) "
-            f"parsed, {self.reused_files} reused"
-        )
 
 
 def run_lint(
@@ -172,135 +136,11 @@ def run_lint(
     *,
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
-    cache: bool = False,
-    cache_dir: Optional[str] = None,
 ) -> LintReport:
-    """Lint with optional content-addressed summary caching.
-
-    Cache semantics: a full-project hit (identical file digests, same
-    rule selection, same rule-set fingerprint) returns the cached
-    findings without parsing anything.  On a partial hit, per-file
-    *local*-rule findings and local effect tables are reused for
-    unchanged files; files are re-parsed only as needed — all of them
-    when a cross-module rule is active (those need every syntax tree),
-    else only the changed ones.
-    """
-    from repro.analysis.summary_cache import (
-        DEFAULT_CACHE_DIR,
-        SummaryCache,
-        file_digest,
-    )
-
+    """Lint files and directories, keeping the file count for reports."""
     files = collect_files(paths)
-    active = _resolve_rules(select, ignore)
-    selection = ",".join(sorted(rule.name for rule in active))
-
-    if not cache:
-        findings = lint_files(files, select=select, ignore=ignore)
-        return LintReport(
-            findings=findings,
-            n_files=len(files),
-            cache_status="off",
-            parsed_files=len(files),
-            reused_files=0,
-        )
-
-    store = SummaryCache(cache_dir or DEFAULT_CACHE_DIR)
-    texts = {path: Path(path).read_text(encoding="utf-8") for path in files}
-    digests = {path: file_digest(text) for path, text in texts.items()}
-
-    hit = store.project_findings(digests, selection)
-    if hit is not None:
-        findings, n_files = hit
-        return LintReport(
-            findings=findings,
-            n_files=n_files,
-            cache_status="warm",
-            parsed_files=0,
-            reused_files=len(files),
-        )
-
-    local_rules = [rule for rule in active if not _is_cross_module(rule)]
-    cross_rules = [rule for rule in active if _is_cross_module(rule)]
-    local_selection = ",".join(sorted(rule.name for rule in local_rules))
-
-    cached_local: Dict[str, List[Finding]] = {}
-    effect_locals: Dict[str, Dict[str, list]] = {}
-    for path in files:
-        file_findings = store.file_findings(path, digests[path], local_selection)
-        if file_findings is not None:
-            cached_local[path] = file_findings
-        effects = store.file_effects(path, digests[path])
-        if effects is not None:
-            effect_locals[path] = effects
-
-    if cross_rules:
-        parse_paths = list(files)  # cross-module rules need every tree
-    else:
-        parse_paths = [path for path in files if path not in cached_local]
-
-    sources = [SourceFile.parse(path, texts[path]) for path in parse_paths]
-    project = Project(files=sources)
-    if effect_locals:
-        project._effect_locals = effect_locals  # type: ignore[attr-defined]
-    by_path = {source.path: source for source in project.files}
-
-    local_findings: List[Finding] = _syntax_findings(
-        [s for s in project.files if s.path not in cached_local]
-    )
-    for rule in local_rules:
-        for source in project.parsed():
-            if source.path in cached_local:
-                continue  # unchanged: cached findings cover the local rules
-            local_findings.extend(rule.check_file(source, project))
-    local_findings = _filter_suppressed(local_findings, by_path)
-
-    cross_findings: List[Finding] = []
-    for rule in cross_rules:
-        for source in project.parsed():
-            cross_findings.extend(rule.check_file(source, project))
-        cross_findings.extend(rule.check_project(project))
-    cross_findings = _filter_suppressed(cross_findings, by_path)
-
-    findings = local_findings + list(
-        f for path in files for f in cached_local.get(path, [])
-    )
-    findings.extend(cross_findings)
-    findings.sort(key=Finding.sort_key)
-
-    # harvest per-file summaries for every file parsed this run
-    engine = getattr(project, "_effect_engine", None)
-    effects_by_path: Dict[str, Dict[str, list]] = {}
-    if engine is not None:
-        for qualname, sites in engine.local.items():
-            info = engine.graph.functions[qualname]
-            effects_by_path.setdefault(info.source.path, {})[qualname] = sites
-    local_by_path: Dict[str, List[Finding]] = {}
-    for finding in local_findings:
-        local_by_path.setdefault(finding.path, []).append(finding)
-    for source in project.files:
-        if source.path in cached_local:
-            continue
-        store.store_file_summary(
-            source.path,
-            digests[source.path],
-            local_selection,
-            local_by_path.get(source.path, []),
-            effects_by_path.get(source.path) if engine is not None else None,
-        )
-    store.store_project_findings(digests, selection, findings, len(files))
-    store.save()
-
-    status = "partial" if (cached_local or effect_locals) else "cold"
-    return LintReport(
-        findings=findings,
-        n_files=len(files),
-        cache_status=status,
-        parsed_files=len(parse_paths),
-        reused_files=len(files) - len(parse_paths)
-        if not cross_rules
-        else len(cached_local),
-    )
+    findings = lint_files(files, select=select, ignore=ignore)
+    return LintReport(findings=findings, n_files=len(files))
 
 
 def format_text(

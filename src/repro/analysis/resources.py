@@ -125,9 +125,6 @@ class ResourceExceptionSafetyRule(Rule):
         "owner"
     )
 
-    #: helper resolution crosses modules, so per-file caching is unsound
-    uses_project = True
-
     def check_file(self, source: SourceFile, project: Project) -> Iterator[Finding]:
         graph = callgraph(project)
         for node in ast.walk(source.tree):

@@ -808,7 +808,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         all_rules,
         format_json,
-        format_sarif,
         format_text,
         load_baseline,
         run_lint,
@@ -824,12 +823,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         args.paths or ["src"],
         select=_split_rule_flags(args.select),
         ignore=_split_rule_flags(args.ignore),
-        cache=args.cache,
-        cache_dir=args.cache_dir,
     )
-    if args.cache:
-        # stderr, so stdout findings stay byte-identical cold vs warm
-        print(report.status_line(), file=sys.stderr)
     findings = report.findings
     if args.explain:
         return _explain_findings(findings, args.explain)
@@ -845,29 +839,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     if args.baseline:
         baseline = load_baseline(args.baseline)
         findings, baselined = split_findings(findings, baseline)
-    show_baselined = not args.diff
-    if args.format == "sarif":
-        sys.stdout.write(
-            format_sarif(findings, baselined if show_baselined else None)
+    render = format_json if args.format == "json" else format_text
+    print(
+        render(
+            findings,
+            n_files=report.n_files,
+            baselined=baselined,
+            show_baselined=not args.diff,
         )
-    elif args.format == "json":
-        print(
-            format_json(
-                findings,
-                n_files=report.n_files,
-                baselined=baselined,
-                show_baselined=show_baselined,
-            )
-        )
-    else:
-        print(
-            format_text(
-                findings,
-                n_files=report.n_files,
-                baselined=baselined,
-                show_baselined=show_baselined,
-            )
-        )
+    )
     return 1 if findings else 0
 
 
@@ -1231,9 +1211,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
-        help="output format (default: text; sarif emits SARIF 2.1.0)",
+        help="output format (default: text)",
     )
     p.add_argument(
         "--select",
@@ -1272,19 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --baseline: list only new findings, hide baselined ones",
     )
     p.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="reuse content-addressed summaries between runs "
-        "(--no-cache forces a full cold run; default off)",
-    )
-    p.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=None,
-        help="summary-cache directory (default: .repro-lint-cache)",
-    )
-    p.add_argument(
         "--explain",
         metavar="RULE:PATH:LINE",
         default=None,
@@ -1300,7 +1267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.errors import ConfigError
+    from repro.errors import BatchError, ConfigError, ServeError
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1308,6 +1275,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (BatchError, ServeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -234,19 +234,38 @@ class ItemTimeout(Exception):
         return super().__str__() or "flow exceeded its timeout_s budget"
 
 
+def check_timeout(timeout_s: Optional[float], error: type = BatchError) -> None:
+    """Raise ``error`` unless ``timeout_s`` is ``None`` or a budget the
+    guards can arm: ``0 < timeout_s <= threading.TIMEOUT_MAX``.
+
+    NaN fails the comparison; ``inf`` and anything above
+    ``TIMEOUT_MAX`` overflow both ``setitimer`` and ``threading.Timer``.
+    """
+    if timeout_s is not None and not 0 < timeout_s <= threading.TIMEOUT_MAX:
+        raise error(
+            f"timeout_s must be in (0, {threading.TIMEOUT_MAX:g}] seconds, "
+            f"got {timeout_s}"
+        )
+
+
 def _sigalrm_guard(timeout_s: float):
     """SIGALRM-based guard (POSIX main thread only); ``None`` if arming
-    failed, so the caller can fall back to the thread-based guard."""
+    failed, so the caller can fall back to the thread-based guard.  The
+    previous handler is restored whenever arming raises."""
 
     def _raise_timeout(signum, frame):
         raise ItemTimeout(f"flow exceeded timeout_s={timeout_s:g}")
 
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
+    armed = False
     try:
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
+        armed = True
     except (ValueError, OSError):
-        signal.signal(signal.SIGALRM, previous)
         return None
+    finally:
+        if not armed:
+            signal.signal(signal.SIGALRM, previous)
 
     def disarm() -> None:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -612,8 +631,7 @@ def run_many(
         raise BatchError(f"jobs must be >= 1, got {jobs}")
     if order not in BATCH_ORDERS:
         raise BatchError(f"order must be one of {BATCH_ORDERS}, got {order!r}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise BatchError(f"timeout_s must be positive, got {timeout_s}")
+    check_timeout(timeout_s)
 
     described: List[tuple] = []
     items: List[BatchItem] = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
@@ -62,6 +63,20 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0)) or 1
     except (AttributeError, OSError):  # pragma: no cover — non-Linux
         return os.cpu_count() or 1
+
+
+def _is_int(value: Any) -> bool:
+    """An int that is not a bool (``True`` is an ``int`` in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value: Any) -> bool:
+    """A finite int or float that is not a bool."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _nested_to_dict(obj: Any) -> Dict[str, Any]:
@@ -181,9 +196,15 @@ class FlowConfig:
         Returns ``self`` so calls can be chained.
         """
         errors = []
-        if not 0.0 <= self.input_probability <= 1.0:
+        for name in ("timed", "minimize", "strash"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                errors.append(f"{name} must be a bool, got {value!r}")
+        if not _is_real(self.input_probability) or not (
+            0.0 <= self.input_probability <= 1.0
+        ):
             errors.append(
-                f"input_probability must be in [0, 1], got {self.input_probability}"
+                f"input_probability must be in [0, 1], got {self.input_probability!r}"
             )
         if self.input_probs is not None:
             if not isinstance(self.input_probs, Mapping):
@@ -199,35 +220,43 @@ class FlowConfig:
             errors.append("model must be a DominoPowerModel or None")
         if self.library is not None and not isinstance(self.library, DominoCellLibrary):
             errors.append("library must be a DominoCellLibrary or None")
-        if not 0.0 < self.timing_slack_fraction <= 1.0:
+        if not _is_real(self.timing_slack_fraction) or not (
+            0.0 < self.timing_slack_fraction <= 1.0
+        ):
             errors.append(
                 "timing_slack_fraction must be in (0, 1], "
-                f"got {self.timing_slack_fraction}"
+                f"got {self.timing_slack_fraction!r}"
             )
         if self.power_method not in POWER_METHODS:
             errors.append(
                 f"power_method must be one of {POWER_METHODS}, got {self.power_method!r}"
             )
-        if self.area_exhaustive_limit < 0:
-            errors.append("area_exhaustive_limit must be >= 0")
-        if self.power_exhaustive_limit < 0:
-            errors.append("power_exhaustive_limit must be >= 0")
-        if self.max_pairs is not None and self.max_pairs < 0:
-            errors.append("max_pairs must be >= 0 or None")
+        if not _is_int(self.area_exhaustive_limit) or self.area_exhaustive_limit < 0:
+            errors.append(
+                "area_exhaustive_limit must be an int >= 0, "
+                f"got {self.area_exhaustive_limit!r}"
+            )
+        if not _is_int(self.power_exhaustive_limit) or self.power_exhaustive_limit < 0:
+            errors.append(
+                "power_exhaustive_limit must be an int >= 0, "
+                f"got {self.power_exhaustive_limit!r}"
+            )
+        if self.max_pairs is not None and (
+            not _is_int(self.max_pairs) or self.max_pairs < 0
+        ):
+            errors.append(f"max_pairs must be an int >= 0 or None, got {self.max_pairs!r}")
         optimizer_error = self._validate_optimizer()
         if optimizer_error is not None:
             errors.append(optimizer_error)
-        if self.n_vectors <= 0:
-            errors.append(f"n_vectors must be positive, got {self.n_vectors}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not _is_int(self.n_vectors) or self.n_vectors <= 0:
+            errors.append(f"n_vectors must be a positive int, got {self.n_vectors!r}")
+        if not _is_int(self.seed):
             errors.append(f"seed must be an int, got {self.seed!r}")
-        if self.current_scale <= 0.0:
-            errors.append(f"current_scale must be positive, got {self.current_scale}")
-        if (
-            not isinstance(self.stage_jobs, int)
-            or isinstance(self.stage_jobs, bool)
-            or self.stage_jobs < 0
-        ):
+        if not _is_real(self.current_scale) or self.current_scale <= 0.0:
+            errors.append(
+                f"current_scale must be a finite number > 0, got {self.current_scale!r}"
+            )
+        if not _is_int(self.stage_jobs) or self.stage_jobs < 0:
             errors.append(
                 f"stage_jobs must be an int >= 0 (0 = auto), got {self.stage_jobs!r}"
             )

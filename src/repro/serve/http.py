@@ -257,10 +257,6 @@ class HttpFrontend:
                 raise _HttpError(
                     400, f"timeout_s must be a number, got {timeout_s!r}"
                 ) from None
-            if timeout_s <= 0:
-                raise _HttpError(
-                    400, f"timeout_s must be positive, got {timeout_s:g}"
-                )
         job_id = await self.service.submit(
             circuit, config, timeout_s=timeout_s, name=body.get("name")
         )

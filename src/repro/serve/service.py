@@ -69,6 +69,7 @@ from repro.core.batch import (
     Outcome,
     ProgressCallback,
     _describe,
+    check_timeout,
     default_jobs,
     execute_one,
     materialize,
@@ -282,8 +283,7 @@ class Service:
             raise ServeError(f"queue_size must be >= 1, got {queue_size}")
         if jobs is not None and jobs < 1:
             raise ServeError(f"jobs must be >= 1, got {jobs}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ServeError(f"timeout_s must be positive, got {timeout_s}")
+        check_timeout(timeout_s, ServeError)
         if max_history < 1:
             raise ServeError(f"max_history must be >= 1, got {max_history}")
         self.config = config or FlowConfig()
@@ -406,8 +406,7 @@ class Service:
             raise ServiceClosedError(
                 f"service is {self.state}; submissions are closed"
             )
-        if timeout_s is not None and timeout_s <= 0:
-            raise ServeError(f"timeout_s must be positive, got {timeout_s}")
+        check_timeout(timeout_s, ServeError)
         job_config = config or self.config
         kind, payload, described_name = _describe(circuit)
         job = Job(

@@ -304,6 +304,17 @@ def test_syntax_error_becomes_a_finding(tmp_path):
     assert "syntax error" in findings[0].message
 
 
+def test_sources_decode_the_way_python_does(tmp_path):
+    cookie = tmp_path / "cookie.py"
+    cookie.write_bytes(b'# -*- coding: latin-1 -*-\nNAME = "caf\xe9"\n')
+    undecodable = tmp_path / "undecodable.py"
+    undecodable.write_bytes(b'NAME = "caf\xe9"\n')
+    assert lint_paths([str(cookie)]) == []
+    findings = lint_paths([str(undecodable)])
+    assert [f.rule for f in findings] == ["syntax-error"]
+    assert "cannot decode source" in findings[0].message
+
+
 def test_collect_files_expands_dedups_and_sorts(tmp_path):
     (tmp_path / "b.py").write_text("x = 1\n", encoding="utf-8")
     (tmp_path / "a.py").write_text("x = 1\n", encoding="utf-8")
@@ -1128,6 +1139,20 @@ def test_keyed_output_drill_on_the_real_pipeline():
     assert findings, "seeded wall-clock defect in _stage_measure not caught"
     assert all("_stage_measure()" in f.message for f in findings)
     assert all(f.chain for f in findings)
+    # the defect is invisible to every per-file rule: only effect
+    # inference across the call graph reports it
+    per_file_rules = [
+        "cpu-affinity",
+        "documented-suppression",
+        "key-purity",
+        "monotonic-deadline",
+        "no-blocking-in-async",
+        "no-swallowed-transition",
+        "seeded-rng",
+        "tmp-sibling",
+        "unordered-iteration-leak",
+    ]
+    assert lint_sources(files, select=per_file_rules) == []
 
 
 def test_unordered_leak_flags_sum_over_set_as_float_order():
@@ -1228,10 +1253,10 @@ def test_resource_rule_attribute_release_in_sibling_method():
 
 
 # ---------------------------------------------------------------------------
-# the summary cache (PR 9)
+# run_lint
 
 
-_CACHE_PROJECT = {
+_KEYED_PROJECT = {
     "flow.py": (
         "import time\n"
         "\n"
@@ -1253,109 +1278,9 @@ _CACHE_PROJECT = {
 }
 
 
-def _write_cache_project(root):
-    for name, text in _CACHE_PROJECT.items():
+def _write_keyed_project(root):
+    for name, text in _KEYED_PROJECT.items():
         (root / name).write_text(text, encoding="utf-8")
-
-
-def test_cache_warm_run_parses_zero_files_and_is_byte_identical(tmp_path):
-    from unittest import mock
-
-    from repro.analysis import format_json, run_lint
-
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    _write_cache_project(proj)
-    cache_dir = str(tmp_path / "cache")
-
-    cold = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert cold.cache_status == "cold"
-    assert cold.parsed_files == 2
-    assert len(cold.findings) == 1  # the keyed wall-clock defect
-
-    with mock.patch.object(
-        SourceFile, "parse", side_effect=AssertionError("parsed on a warm run")
-    ):
-        warm = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert warm.cache_status == "warm"
-    assert warm.parsed_files == 0
-    assert warm.reused_files == 2
-    assert format_json(warm.findings, warm.n_files) == format_json(
-        cold.findings, cold.n_files
-    )
-    # chains survive the round trip byte-for-byte
-    assert warm.findings[0].chain == cold.findings[0].chain
-
-
-def test_cache_file_edit_invalidates_only_that_file(tmp_path):
-    from repro.analysis import run_lint
-
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    _write_cache_project(proj)
-    cache_dir = str(tmp_path / "cache")
-
-    run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    (proj / "util.py").write_text(
-        "def double(x):\n    return x + x\n", encoding="utf-8"
-    )
-    edited = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert edited.cache_status == "partial"
-    assert edited.reused_files >= 1
-    assert len(edited.findings) == 1
-
-    # with only per-file rules selected, the unchanged file is not parsed
-    run_lint(
-        [str(proj)], select=["seeded-rng"], cache=True, cache_dir=cache_dir
-    )
-    (proj / "util.py").write_text(
-        "def double(x):\n    return 2 * x\n", encoding="utf-8"
-    )
-    partial = run_lint(
-        [str(proj)], select=["seeded-rng"], cache=True, cache_dir=cache_dir
-    )
-    assert partial.cache_status == "partial"
-    assert partial.parsed_files == 1
-
-
-def test_cache_rule_set_fingerprint_invalidates(tmp_path, monkeypatch):
-    from repro.analysis import run_lint
-    from repro.analysis import summary_cache as sc
-
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    _write_cache_project(proj)
-    cache_dir = str(tmp_path / "cache")
-
-    first = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert first.cache_status == "cold"
-
-    # simulate editing a rule: the fingerprint changes, the cache is void
-    monkeypatch.setattr(sc, "ruleset_fingerprint", lambda: "0" * 64)
-    stale = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert stale.cache_status == "cold"
-    assert stale.parsed_files == 2
-    monkeypatch.undo()
-
-    warm = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert warm.cache_status == "cold"  # the stale run overwrote the store
-    again = run_lint([str(proj)], cache=True, cache_dir=cache_dir)
-    assert again.cache_status == "warm"
-
-
-def test_cache_corruption_degrades_to_cold(tmp_path):
-    from repro.analysis import run_lint
-
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    _write_cache_project(proj)
-    cache_dir = tmp_path / "cache"
-
-    run_lint([str(proj)], cache=True, cache_dir=str(cache_dir))
-    (cache_dir / "summaries.json").write_text("{definitely not json", "utf-8")
-    recovered = run_lint([str(proj)], cache=True, cache_dir=str(cache_dir))
-    assert recovered.cache_status == "cold"
-    assert len(recovered.findings) == 1
 
 
 def test_run_lint_without_cache_matches_lint_paths(tmp_path):
@@ -1363,33 +1288,9 @@ def test_run_lint_without_cache_matches_lint_paths(tmp_path):
 
     proj = tmp_path / "proj"
     proj.mkdir()
-    _write_cache_project(proj)
+    _write_keyed_project(proj)
     report = run_lint([str(proj)])
-    assert report.cache_status == "off"
     assert report.findings == lint_paths([str(proj)])
-
-
-def test_cli_cache_status_goes_to_stderr(tmp_path, capsys):
-    proj = tmp_path / "proj"
-    proj.mkdir()
-    _write_cache_project(proj)
-    cache_dir = str(tmp_path / "cache")
-
-    code = cli_main(
-        ["lint", str(proj), "--cache", "--cache-dir", cache_dir]
-    )
-    cold = capsys.readouterr()
-    assert code == 1
-    assert "cache cold" in cold.err
-
-    code = cli_main(
-        ["lint", str(proj), "--cache", "--cache-dir", cache_dir]
-    )
-    warm = capsys.readouterr()
-    assert code == 1
-    assert "cache warm" in warm.err
-    assert "0 file(s) parsed" in warm.err
-    assert warm.out == cold.out  # stdout stays byte-identical
 
 
 # ---------------------------------------------------------------------------
@@ -1455,80 +1356,6 @@ def test_cli_explain_malformed_spec_is_a_usage_error(capsys):
     code = cli_main(["lint", str(FIXTURES), "--explain", "not-a-spec"])
     assert code == 2
     assert "RULE:PATH:LINE" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
-# SARIF output (PR 9)
-
-
-def _sarif_for(args):
-    from io import StringIO
-    from unittest import mock
-
-    buffer = StringIO()
-    with mock.patch("sys.stdout", buffer):
-        cli_main(args)
-    return buffer.getvalue()
-
-
-def test_sarif_output_is_valid_and_complete():
-    rule = "nondeterministic-keyed-output"
-    text = _sarif_for(
-        ["lint", str(FIXTURES / rule / "bad"), "--select", rule,
-         "--format", "sarif"]
-    )
-    log = json.loads(text)
-    assert log["version"] == "2.1.0"
-    assert log["$schema"].endswith("sarif-schema-2.1.0.json")
-    assert len(log["runs"]) == 1
-    run = log["runs"][0]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "repro-analysis"
-    declared = {r["id"] for r in driver["rules"]}
-    assert set(rule_names()) <= declared
-    assert "syntax-error" in declared
-    for declared_rule in driver["rules"]:
-        assert declared_rule["shortDescription"]["text"]
-        assert declared_rule["defaultConfiguration"]["level"] in (
-            "error", "warning", "note",
-        )
-    assert len(run["results"]) == 1
-    result = run["results"][0]
-    assert result["ruleId"] == rule
-    assert result["ruleId"] in declared
-    assert result["level"] == "error"
-    assert result["message"]["text"]
-    location = result["locations"][0]["physicalLocation"]
-    assert location["artifactLocation"]["uri"].endswith("flow.py")
-    assert location["region"]["startLine"] == 29
-    assert result["properties"]["chain"]  # the witness chain travels along
-
-
-def test_sarif_output_is_deterministic():
-    rule = "unordered-iteration-leak"
-    args = ["lint", str(FIXTURES / rule / "bad"), "--select", rule,
-            "--format", "sarif"]
-    assert _sarif_for(args) == _sarif_for(args)
-
-
-def test_sarif_marks_baselined_findings_as_suppressed(tmp_path):
-    bad = tmp_path / "mod.py"
-    bad.write_text(_BASELINE_VIOLATION, encoding="utf-8")
-    baseline_path = tmp_path / "baseline.json"
-    cli_main(
-        ["lint", str(bad), "--select", "monotonic-deadline",
-         "--write-baseline", str(baseline_path)]
-    )
-    text = _sarif_for(
-        ["lint", str(bad), "--select", "monotonic-deadline",
-         "--baseline", str(baseline_path), "--format", "sarif"]
-    )
-    log = json.loads(text)
-    results = log["runs"][0]["results"]
-    assert len(results) == 1
-    assert results[0]["suppressions"] == [
-        {"kind": "external", "status": "accepted"}
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,25 @@ class TestCommands:
         assert "MA assignment" in out
         assert "MP assignment" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["batch", "BLIF", "--jobs", "0"],
+            ["batch", "BLIF", "--timeout-s", "-1"],
+            ["batch", "BLIF", "--timeout-s", "nan"],
+            ["serve", "--port", "0", "--timeout-s", "-1"],
+        ],
+    )
+    def test_bad_batch_and_serve_arguments_fail_cleanly(
+        self, capsys, monkeypatch, blif_file, argv
+    ):
+        # serve would otherwise attach its log handler to the captured stderr
+        monkeypatch.setattr("repro.log.configure_logging", lambda *a, **k: None)
+        argv = [blif_file if arg == "BLIF" else arg for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStoreCommands:
     def test_synth_store_cold_then_warm(self, capsys, blif_file, tmp_path):
@@ -210,3 +229,7 @@ class TestStoreCommands:
     def test_bad_grid_is_config_error(self, capsys, blif_file):
         assert main(["sweep", blif_file, "--grid", "nonsense"]) == 2
         assert "config error" in capsys.readouterr().err
+        assert main(["sweep", blif_file, "--grid", "n_vectors=abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n_vectors must be")
+        assert err.count("\n") == 1

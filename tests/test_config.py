@@ -106,6 +106,21 @@ class TestValidation:
             ({"n_vectors": 0}, "n_vectors"),
             ({"seed": "zero"}, "seed"),
             ({"current_scale": 0.0}, "current_scale"),
+            ({"minimize": "no"}, "minimize"),
+            ({"timed": 1}, "timed"),
+            ({"strash": None}, "strash"),
+            ({"n_vectors": 256.5}, "n_vectors"),
+            ({"n_vectors": "abc"}, "n_vectors"),
+            ({"n_vectors": True}, "n_vectors"),
+            ({"area_exhaustive_limit": 1.5}, "area_exhaustive_limit"),
+            ({"power_exhaustive_limit": "3"}, "power_exhaustive_limit"),
+            ({"max_pairs": 2.0}, "max_pairs"),
+            ({"input_probability": float("nan")}, "input_probability"),
+            ({"input_probability": "0.5"}, "input_probability"),
+            ({"timing_slack_fraction": float("nan")}, "timing_slack_fraction"),
+            ({"current_scale": float("nan")}, "current_scale"),
+            ({"current_scale": float("inf")}, "current_scale"),
+            ({"current_scale": True}, "current_scale"),
         ],
     )
     def test_bad_values_raise(self, kwargs, match):

@@ -264,6 +264,11 @@ class TestHeaderHardening:
             "POST", "/jobs", {"spec": "frg1", "timeout_s": 0}
         )
         assert status == 400 and "timeout_s" in body["error"]
+        for unarmable in ("nan", "inf"):
+            status, body = server.request(
+                "POST", "/jobs", {"spec": "frg1", "timeout_s": unarmable}
+            )
+            assert status == 400 and "timeout_s" in body["error"]
 
 
 class TestEventsDisconnect:

@@ -1,6 +1,7 @@
 """Tests for sweep() grid expansion, store sharing across grid points,
 cost-ordered batch scheduling, and per-item timeouts."""
 
+import signal
 import time
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
 from repro.core.batch import (
+    _sigalrm_guard,
     expand_grid,
     format_sweep,
     predicted_cost,
@@ -195,6 +197,15 @@ class TestTimeouts:
     def test_bad_timeout_rejected(self):
         with pytest.raises(BatchError):
             run_many([tiny_network()], FAST, timeout_s=0)
+        # values no guard can arm: NaN, inf, and past threading.TIMEOUT_MAX
+        for bad in (float("inf"), float("nan"), 1e12):
+            with pytest.raises(BatchError, match="timeout_s"):
+                run_many([tiny_network()], FAST, jobs=1, timeout_s=bad)
+        # a SIGALRM guard that fails to arm leaves the old handler in place
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(OverflowError):
+            _sigalrm_guard(float("inf"))
+        assert signal.getsignal(signal.SIGALRM) is before
 
     def test_hung_item_fails_instead_of_stalling(self, monkeypatch):
         from repro.core import pipeline as pipeline_mod
