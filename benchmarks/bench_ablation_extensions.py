@@ -10,9 +10,9 @@
 import pytest
 
 from repro.bench.generators import GeneratorConfig, random_control_network
-from repro.core.optimizer import minimize_power
 from repro.core.timing_aware import PhaseTimingModel, minimize_power_timing_aware
 from repro.network.ops import cleanup, to_aoi
+from repro.optimize import make_strategy
 from repro.phase import PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
 
@@ -71,8 +71,8 @@ def bench_group_cost_extension(benchmark):
     def run():
         rows = []
         for ev in evaluators:
-            pw = minimize_power(ev, method="pairwise")
-            gw3 = minimize_power(ev, method="pairwise", group_size=3)
+            pw = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
+            gw3 = make_strategy("groupwise", group_size=3).optimize(ev)
             rows.append((pw.power, gw3.power, pw.evaluations, gw3.evaluations))
         return rows
 

@@ -12,8 +12,8 @@ DESIGN.md calls out three design choices to ablate:
 import pytest
 
 from repro.bench.generators import GeneratorConfig, random_control_network
-from repro.core.optimizer import minimize_power, random_search
 from repro.network.ops import cleanup, to_aoi
+from repro.optimize import make_strategy
 from repro.power.estimator import PhaseEvaluator
 
 from conftest import print_block
@@ -34,8 +34,8 @@ def bench_pairwise_vs_exhaustive(benchmark):
     def run():
         rows = []
         for ev in evaluators:
-            pw = minimize_power(ev, method="pairwise")
-            ex = minimize_power(ev, method="exhaustive")
+            pw = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
+            ex = make_strategy("exhaustive").optimize(ev)
             rows.append((pw.power, ex.power, pw.evaluations, ex.evaluations))
         return rows
 
@@ -60,8 +60,10 @@ def bench_pairwise_vs_random(benchmark):
     def run():
         rows = []
         for ev in evaluators:
-            pw = minimize_power(ev, method="pairwise")
-            rnd = random_search(ev, n_samples=pw.evaluations, seed=1)
+            pw = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
+            rnd = make_strategy("random", n_samples=pw.evaluations).optimize(
+                ev, seed=1
+            )
             rows.append((pw.power, rnd.power))
         return rows
 
@@ -76,7 +78,7 @@ def bench_pairwise_vs_random(benchmark):
 @pytest.mark.benchmark(group="ablation-optimizer")
 def bench_commit_rule_monotonicity(benchmark):
     ev = _evaluator(7, n_outputs=8)
-    result = benchmark(minimize_power, ev, None, "pairwise")
+    result = benchmark(make_strategy("pairwise", exhaustive_limit=0).optimize, ev)
     committed = [r.candidate_power for r in result.history if r.committed]
     body = (
         f"initial={result.initial_power:.3f} final={result.power:.3f} "

@@ -21,7 +21,7 @@ Quickstart::
     for row in batch.rows():
         print(row)
 
-    # stage-level control: skip/override/inspect individual stages
+    # stage-level control: skip or inspect individual stages
     from repro import Pipeline
     result = Pipeline(config, skip=("resize",)).run(net)
     print(result.stage_names, result.flow.row())
@@ -96,13 +96,11 @@ from repro.core import (
     FlowConfig,
     FlowResult,
     Pipeline,
-    PipelineCache,
     PipelineResult,
     StageResult,
     SweepPoint,
     SweepResult,
     minimize_area,
-    minimize_power,
     run_flow,
     run_many,
     sweep,
@@ -162,13 +160,11 @@ __all__ = [
     "FlowConfig",
     "FlowResult",
     "Pipeline",
-    "PipelineCache",
     "PipelineResult",
     "StageResult",
     "SweepPoint",
     "SweepResult",
     "minimize_area",
-    "minimize_power",
     "run_flow",
     "run_many",
     "sweep",

@@ -184,7 +184,7 @@ _LOCK_CTORS = {
 
 @dataclass(frozen=True)
 class _LockId:
-    name: str  # "PipelineCache._lock" or "src.repro.core.batch._WATCHDOG_LOCK"
+    name: str  # "ArtifactStore._stats_lock" or "src.repro.core.batch._WATCHDOG_LOCK"
     kind: str  # a value of _LOCK_CTORS
 
     @property

@@ -698,7 +698,7 @@ class KeyedOutputRule(Rule):
             )
             if name in _KEY_METHOD_NAMES or name.endswith("_store_key"):
                 return True
-            # one hop into a project-local callee: `key = self._cached_stage(...)`
+            # one hop into a project-local callee: `key = self._key_for(...)`
             for target in graph.resolve_call(node, info):
                 for inner in walk_in_function(target.node):
                     if isinstance(inner, ast.Call):
@@ -791,7 +791,7 @@ def _payload_origins(
             origins.extend(_table_targets(func.id, info, graph))
             if origins:
                 return origins
-        # indirect call (`overrides.get(name, fn)(ctx)`): any function
+        # indirect call (`handlers.get(name, fn)(ctx)`): any function
         # reference feeding the callee expression is a possible target
         for leaf in ast.walk(func):
             if isinstance(leaf, ast.Name):

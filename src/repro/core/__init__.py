@@ -4,7 +4,8 @@ The flow itself is exposed at three levels:
 
 * :func:`run_flow` — one circuit, keyword arguments (legacy API);
 * :class:`Pipeline` + :class:`FlowConfig` — one circuit, staged and
-  composable (skip/override/cache individual stages);
+  composable (skip or inspect individual stages, back them with a
+  store);
 * :func:`run_many` — many circuits fanned across worker processes.
 """
 
@@ -26,7 +27,6 @@ from repro.core.batch import (
 from repro.core.config import FlowConfig, POWER_METHODS
 from repro.core.pipeline import (
     Pipeline,
-    PipelineCache,
     PipelineContext,
     PipelineResult,
     STAGE_NAMES,
@@ -48,12 +48,6 @@ from repro.core.timing_aware import (
     minimize_power_timing_aware,
 )
 from repro.core.min_area import AreaResult, minimize_area
-from repro.core.optimizer import (
-    CommitRecord,
-    OptimizationResult,
-    minimize_power,
-    random_search,
-)
 from repro.core.flow import (
     FlowResult,
     SynthesisVariant,
@@ -78,7 +72,6 @@ __all__ = [
     "FlowConfig",
     "POWER_METHODS",
     "Pipeline",
-    "PipelineCache",
     "PipelineContext",
     "PipelineResult",
     "STAGE_NAMES",
@@ -96,10 +89,6 @@ __all__ = [
     "minimize_power_timing_aware",
     "AreaResult",
     "minimize_area",
-    "CommitRecord",
-    "OptimizationResult",
-    "minimize_power",
-    "random_search",
     "FlowResult",
     "SynthesisVariant",
     "format_table",

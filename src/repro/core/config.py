@@ -211,7 +211,10 @@ class FlowConfig:
                 errors.append("input_probs must be a mapping of input name -> probability")
             else:
                 for name, p in self.input_probs.items():
-                    if not isinstance(p, (int, float)) or not 0.0 <= float(p) <= 1.0:
+                    if not isinstance(name, str):
+                        errors.append(f"input_probs keys must be input names, got {name!r}")
+                        break
+                    if not _is_real(p) or not 0.0 <= p <= 1.0:
                         errors.append(
                             f"input_probs[{name!r}] must be in [0, 1], got {p!r}"
                         )
@@ -459,7 +462,8 @@ class FlowConfig:
 
     def cache_key(self) -> tuple:
         """Hashable key of the knobs that shape the *prepared* network
-        and evaluator; used by the pipeline's shared cache."""
+        and evaluator; the prefix of the pipeline's store keys for the
+        MA and MP assignments."""
         model = self.resolved_model()
         library = self.resolved_library()
         probs = (

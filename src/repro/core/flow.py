@@ -16,7 +16,7 @@ One call runs the experimental pipeline of the paper for one circuit:
 The result object carries everything the Table 1 / Table 2 rows need.
 
 Since the pipeline redesign the implementation lives in
-:mod:`repro.core.pipeline` (staged, skippable, cacheable) and
+:mod:`repro.core.pipeline` (staged, skippable, store-backed) and
 :func:`run_flow` is a thin keyword-compatible wrapper; new code should
 prefer a :class:`repro.core.config.FlowConfig` plus
 ``Pipeline().run(...)`` (one circuit) or

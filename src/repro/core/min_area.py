@@ -19,10 +19,11 @@ duplication plus static boundary inverters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.network.netlist import LogicNetwork
-from repro.phase import Phase, PhaseAssignment, enumerate_assignments
+from repro.optimize import OptimizerBudget
+from repro.optimize.strategies import exhaustive_scan
+from repro.phase import PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
 
 
@@ -50,28 +51,19 @@ def minimize_area(
     otherwise.
     """
     outputs = evaluator.outputs
-    if len(outputs) <= exhaustive_limit:
-        return _exhaustive(evaluator)
-    return _hill_climb(evaluator, restarts=restarts, pair_moves=pair_moves, seed=seed)
-
-
-def _exhaustive(evaluator: PhaseEvaluator) -> AreaResult:
-    outputs = evaluator.outputs
-    best_assignment: Optional[PhaseAssignment] = None
-    best_area = 0
-    n_eval = 0
-    for assignment in enumerate_assignments(outputs):
-        area = evaluator.area(assignment)
-        n_eval += 1
-        if best_assignment is None or area < best_area:
-            best_assignment = assignment
-            best_area = area
-    assert best_assignment is not None
+    if len(outputs) > exhaustive_limit:
+        return _hill_climb(
+            evaluator, restarts=restarts, pair_moves=pair_moves, seed=seed
+        )
+    meter = OptimizerBudget().start()
+    assignment, (area,) = exhaustive_scan(
+        outputs, lambda candidate: (evaluator.area(candidate),), meter
+    )
     return AreaResult(
-        assignment=best_assignment,
-        area=best_area,
+        assignment=assignment,
+        area=area,
         method="exhaustive",
-        evaluations=n_eval,
+        evaluations=meter.evaluations,
     )
 
 

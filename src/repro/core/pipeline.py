@@ -20,27 +20,16 @@ stage                   produces
 ======================  =================================================
 
 Stages can be **skipped** (``optimize_mp`` skipped ⇒ the MP variant
-reuses the MA assignment; ``resize`` auto-skips in the untimed flow) or
-**overridden** with a custom callable, which is how experiments plug in
-alternative optimisers without forking the flow.
-
-A :class:`PipelineCache` shares the two expensive artefacts — the
-prepared network and the :class:`PhaseEvaluator` — across runs that
-only differ in downstream knobs (timed vs untimed, resizing targets,
-measurement scales), which is the common shape of a parameter sweep.
-
-On top of the in-process cache, an optional persistent
-:class:`repro.store.ArtifactStore` (``Pipeline(store=...)``) backs the
-misses with disk entries keyed by the network's structural
+reuses the MA assignment; ``resize`` auto-skips in the untimed flow).
+Each stage's output comes from one of two sources: its default
+implementation, or an optional persistent
+:class:`repro.store.ArtifactStore` (``Pipeline(store=...)``) whose
+entries are keyed by the network's structural
 :meth:`~repro.network.netlist.LogicNetwork.fingerprint` plus the config
-knobs that shape each artefact.  A fully warm store short-circuits the
-entire run: the archived :class:`FlowResult` is returned with every
-stage marked ``cached`` and **no** stage callable — default, skipped or
-overridden — executes.  Overrides therefore do not participate in store
-keys; the store refuses to *write* while overrides are installed (so a
-custom optimiser can never poison shared entries), but cached reads
-win.  Pass ``store=None`` (the default) to force overridden stages to
-recompute.
+knobs that shape each artefact.  Executed stages write their artefacts
+back.  A fully warm store short-circuits the entire run: the archived
+:class:`FlowResult` is returned with every stage marked ``cached`` and
+no stage executes.
 
 **Concurrency contract** (``FlowConfig.stage_jobs``): the MA and MP
 variants are independent once the shared evaluator exists, and the
@@ -64,19 +53,16 @@ stage                   parallel behaviour with ``stage_jobs > 1``
 Results are **bit-identical** to ``stage_jobs=1``: every stochastic
 component takes an explicit seed per call (no shared RNG), variant
 threads touch disjoint builds, the shared inputs (prepared AOI,
-evaluator masks) are only read, and the two shared mutable caches the
-variants can touch — the library's cell cache and the
-:class:`PipelineCache` — use atomic first-writer-wins inserts / a
-lock.  ``stage_jobs`` is therefore excluded
-from :meth:`FlowConfig.result_key` — parallelism never changes store
+evaluator masks) are only read, and the one shared mutable cache the
+variants can touch — the library's cell cache — uses atomic
+first-writer-wins inserts.  ``stage_jobs`` is therefore excluded from
+:meth:`FlowConfig.result_key` — parallelism never changes store
 identity.  The default (``stage_jobs=0``, auto) uses threads on a
 multi-core host but stays sequential inside a
 :func:`repro.core.batch.run_many` / service worker process, whose pool
 already owns the cores; items carrying a per-item ``timeout_s`` budget
 are likewise forced sequential by ``execute_one`` (the guard cannot
-interrupt a stage thread).  Overrides disable the ``optimize_mp``
-overlap (a custom stage may mutate the context) but keep the
-per-variant fan-out of the default stages.
+interrupt a stage thread).
 
 The legacy :func:`repro.core.flow.run_flow` is a thin wrapper over
 ``Pipeline().run(...)`` and stays bit-for-bit compatible.
@@ -87,8 +73,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from threading import Lock
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.network.duplication import DominoImplementation, phase_transform
@@ -162,8 +147,7 @@ class PipelineContext:
 
     Stage callables receive the context and return their output; the
     pipeline stores the output both in the matching context slot and in
-    the run's :class:`StageResult` list, so overrides only need to
-    compute a value, not know where it lives.
+    the run's :class:`StageResult` list.
     """
 
     network: LogicNetwork
@@ -182,51 +166,6 @@ class PipelineContext:
     executor: Optional[ThreadPoolExecutor] = field(default=None, repr=False)
     #: in-flight MA variant build overlapping ``optimize_mp``
     ma_prebuild: Optional[Future] = field(default=None, repr=False)
-
-
-class PipelineCache:
-    """Within-process cache for the expensive shared artefacts.
-
-    Entries are keyed by the *identity* of the source network plus the
-    config knobs that shape the artefact; a strong reference to the
-    source network is kept so a recycled ``id()`` can never alias a
-    different circuit.
-
-    Thread-safe: one cache may back pipelines running concurrently
-    (service threads, ``stage_jobs`` workers), so lookups, inserts and
-    the hit/miss counters are guarded by a lock — an unlocked
-    read-modify-write would drop counts or, worse, expose a dict mid
-    resize to a concurrent reader.
-    """
-
-    def __init__(self) -> None:
-        self._entries: Dict[tuple, Tuple[LogicNetwork, Any]] = {}
-        self._lock = Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, kind: str, network: LogicNetwork, key: tuple) -> Optional[Any]:
-        with self._lock:
-            entry = self._entries.get((kind, id(network), key))
-            if entry is None or entry[0] is not network:
-                self.misses += 1
-                return None
-            self.hits += 1
-            return entry[1]
-
-    def put(self, kind: str, network: LogicNetwork, key: tuple, value: Any) -> None:
-        with self._lock:
-            self._entries[(kind, id(network), key)] = (network, value)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
 
 @dataclass
@@ -312,9 +251,8 @@ def _stage_optimize_mp(ctx: PipelineContext):
 
     The strategy comes from ``config.optimizer`` (+ params/budget from
     ``config.optimizer_params``); the default ``pairwise`` strategy
-    with its config-mapped ``exhaustive_limit``/``max_pairs`` params
-    reproduces the historical ``minimize_power(method="auto")`` call
-    bit for bit.
+    takes its ``exhaustive_limit``/``max_pairs`` params from
+    ``config.power_exhaustive_limit``/``config.max_pairs``.
     """
     initial = ctx.ma_result.assignment if ctx.ma_result is not None else None
     strategy, budget = ctx.config.resolved_optimizer()
@@ -506,20 +444,12 @@ class Pipeline:
         ``optimize_mp``, ``resize`` and ``measure`` are skippable — the
         rest are structural.  ``resize`` additionally auto-skips in the
         untimed flow.
-    overrides:
-        Mapping of stage name → ``callable(context) -> output``; the
-        returned output is stored exactly where the default stage's
-        would be.
-    cache:
-        Optional :class:`PipelineCache` shared across runs to reuse the
-        prepared network and :class:`PhaseEvaluator`.
     store:
-        Optional persistent :class:`repro.store.ArtifactStore`.  Misses
-        of the in-process cache fall back to disk entries keyed by the
-        network fingerprint + config; executed stages write their
-        artefacts back (unless overrides are installed).  A stored
-        flow record for the exact (fingerprint, config, skip) triple
-        short-circuits the whole run.
+        Optional persistent :class:`repro.store.ArtifactStore`.  Stages
+        with a stored artefact for the network fingerprint + config are
+        served from it; executed stages write their artefacts back.  A
+        stored flow record for the exact (fingerprint, config, skip)
+        triple short-circuits the whole run.
     """
 
     def __init__(
@@ -527,12 +457,9 @@ class Pipeline:
         config: Optional[FlowConfig] = None,
         *,
         skip: Tuple[str, ...] = (),
-        overrides: Optional[Mapping[str, Callable[[PipelineContext], Any]]] = None,
-        cache: Optional[PipelineCache] = None,
         store: Optional["ArtifactStore"] = None,  # noqa: F821
     ) -> None:
         self.config = config or FlowConfig()
-        self.cache = cache
         self.store = store
         unknown = sorted(set(skip) - set(STAGE_NAMES))
         if unknown:
@@ -544,41 +471,10 @@ class Pipeline:
                 f"(skippable: {', '.join(sorted(SKIPPABLE_STAGES))})"
             )
         self.skip = frozenset(skip)
-        overrides = dict(overrides or {})
-        unknown = sorted(set(overrides) - set(STAGE_NAMES))
-        if unknown:
-            raise ConfigError(f"unknown stage(s) in overrides: {', '.join(unknown)}")
-        for name, fn in overrides.items():
-            if not callable(fn):
-                raise ConfigError(f"override for stage {name!r} is not callable")
-        self.overrides = overrides
 
     @property
     def stage_names(self) -> Tuple[str, ...]:
         return STAGE_NAMES
-
-    # ------------------------------------------------------------------
-
-    def _cached_stage(
-        self, name: str, ctx: PipelineContext
-    ) -> Tuple[Optional[Any], Optional[tuple]]:
-        """(cached value, cache key) for cacheable stages; overridden
-        stages are never cached (their output may depend on anything)."""
-        if self.cache is None or name in self.overrides:
-            return None, None
-        config = ctx.config
-        if name == "prepare":
-            key = (config.minimize, config.strash)
-        elif name == "evaluator":
-            # an overridden prepare/sequential stage changes the AOI /
-            # probabilities the evaluator is built from in ways the
-            # config key can't see — never share those across pipelines
-            if {"prepare", "sequential"} & set(self.overrides):
-                return None, None
-            key = config.cache_key() + ("sequential" in self.skip,)
-        else:
-            return None, None
-        return self.cache.get(name, ctx.network, key), key
 
     # ------------------------------------------------------------------
     # persistent store integration
@@ -663,7 +559,7 @@ class Pipeline:
                     evaluations=int(payload["evaluations"]),
                 )
             if name == "optimize_mp":
-                from repro.core.optimizer import OptimizationResult
+                from repro.optimize import OptimizationResult
 
                 strategy = payload.get("strategy")
                 return OptimizationResult(
@@ -683,9 +579,7 @@ class Pipeline:
         raise KeyError(name)
 
     def _store_put(self, name: str, fingerprint: str, config: FlowConfig, output: Any) -> None:
-        """Persist one executed stage's artefact (no-op with overrides
-        installed: an overridden stage upstream may have changed what
-        this output means, and shared entries must stay trustworthy)."""
+        """Persist one executed stage's artefact."""
         from repro.store.serialize import assignment_to_dict, network_to_dict
 
         if name == "prepare":
@@ -774,7 +668,6 @@ class Pipeline:
             flow = self._store_get("measure", fingerprint, config)
             if flow is not None:
                 return self._short_circuit(ctx, flow)
-        store_writes = self.store is not None and not self.overrides
         stage_jobs = config.resolved_stage_jobs()
         if stage_jobs > 1:
             # threads spawn lazily on first submit, so an all-cached or
@@ -799,47 +692,31 @@ class Pipeline:
                             else {n: config.input_probability for n in ctx.aoi.inputs}
                         )
                     continue
-                cached, key = self._cached_stage(name, ctx)
                 start = time.perf_counter()
-                from_store = False
-                # "measure" was already probed by the whole-run short circuit
-                if (
-                    cached is None
-                    and fingerprint is not None
+                stored = (
+                    fingerprint is not None
                     and name in self._STORE_KIND
-                    and name != "measure"
-                    and (reproducible or name != "optimize_mp")
-                ):
-                    cached = self._store_get(name, fingerprint, config)
-                    from_store = cached is not None
-                if cached is not None:
-                    output = cached
-                    if from_store and key is not None:
-                        # warm the in-process cache too, for later runs in
-                        # this process that share the same network object
-                        self.cache.put(name, ctx.network, key, output)
-                else:
-                    if name == "optimize_mp" and not self.overrides:
+                    and (reproducible or name not in ("optimize_mp", "measure"))
+                )
+                # "measure" was already probed by the whole-run short circuit
+                output = (
+                    self._store_get(name, fingerprint, config)
+                    if stored and name != "measure"
+                    else None
+                )
+                cached = output is not None
+                if not cached:
+                    if name == "optimize_mp":
                         # overlap the MA variant's transform+map with the
-                        # MP search (see the module's concurrency contract);
-                        # disabled with overrides installed — a custom
-                        # stage may mutate the context under our feet
+                        # MP search (see the module's concurrency contract)
                         _submit_ma_lookahead(ctx)
-                    output = self.overrides.get(name, fn)(ctx)
-                    if key is not None:
-                        self.cache.put(name, ctx.network, key, output)
-                    if (
-                        store_writes
-                        and name in self._STORE_KIND
-                        and (reproducible or name not in ("optimize_mp", "measure"))
-                    ):
+                    output = fn(ctx)
+                    if stored:
                         self._store_put(name, fingerprint, config, output)
                 elapsed = time.perf_counter() - start
                 setattr(ctx, slot, output)
                 stages.append(
-                    StageResult(
-                        name=name, output=output, runtime_s=elapsed, cached=cached is not None
-                    )
+                    StageResult(name=name, output=output, runtime_s=elapsed, cached=cached)
                 )
         finally:
             if ctx.executor is not None:

@@ -26,17 +26,17 @@ O(outputs) — cheap enough to sit inside the pairwise loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import PhaseError
 from repro.network.duplication import Polarity, Ref
-from repro.network.netlist import GateType, LogicNetwork
-from repro.phase import Phase, PhaseAssignment, enumerate_assignments
-from repro.core.cost import CostModelData, Move, best_pair_and_combo
-from repro.core.optimizer import CommitRecord, OptimizationResult
+from repro.network.netlist import GateType
+from repro.phase import Phase, PhaseAssignment
 from repro.domino.gates import DEFAULT_LIBRARY, DominoCellLibrary
+from repro.optimize import CommitRecord, OptimizerBudget
+from repro.optimize.strategies import exhaustive_scan, pairwise_loop
 from repro.power.estimator import PhaseEvaluator
 
 
@@ -167,80 +167,42 @@ def minimize_power_timing_aware(
     With no explicit ``target_delay`` the target defaults to
     ``slack_fraction`` times the all-positive assignment's estimated
     delay — i.e. "do not get slower than the natural realisation".
+    The search is the shared exhaustive scan or Section 4.1 loop of
+    :mod:`repro.optimize.strategies`, driven by the composite objective.
     """
     timing = PhaseTimingModel(evaluator, library)
     outputs = evaluator.outputs
     start = initial or PhaseAssignment.all_positive(outputs)
+    start_delay = timing.critical_delay(start)
     if target_delay is None:
-        target_delay = timing.critical_delay(start) * slack_fraction
+        target_delay = start_delay * slack_fraction
     if target_delay <= 0:
         raise PhaseError(f"delay target must be positive, got {target_delay}")
 
-    def objective(assignment: PhaseAssignment) -> Tuple[float, float, float]:
+    def measure(assignment: PhaseAssignment) -> Tuple[float, float]:
         power = evaluator.power(assignment)
         delay = timing.critical_delay(assignment)
-        j = power + penalty_weight * max(0.0, delay - target_delay)
-        return j, power, delay
+        return power + penalty_weight * max(0.0, delay - target_delay), power
 
-    start_j, start_power, start_delay = objective(start)
-    n_eval = 1
+    meter = OptimizerBudget().start()
+    start_score = measure(start)
+    meter.spend()
 
     if method == "auto":
         method = "exhaustive" if len(outputs) <= exhaustive_limit else "pairwise"
 
     history: List[CommitRecord] = []
     if method == "exhaustive":
-        best = (start_j, start_power, start_delay, start)
-        for assignment in enumerate_assignments(outputs):
-            j, power, delay = objective(assignment)
-            n_eval += 1
-            if j < best[0]:
-                best = (j, power, delay, assignment)
-        final_j, final_power, final_delay, final = best
-    elif method == "pairwise":
-        data = CostModelData.from_network(evaluator.network)
-        assert data.outputs == outputs
-        current = start
-        current_j, current_power, current_delay = start_j, start_power, start_delay
-        avg = np.array(
-            [evaluator.average_cone_probability(current, po) for po in outputs]
+        final, (final_j, final_power) = exhaustive_scan(
+            outputs, measure, meter, (start, start_score)
         )
-        n = len(outputs)
-        remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
-        while remaining.any():
-            i, j_idx, combo, cost = best_pair_and_combo(data, avg, remaining)
-            po_i, po_j = outputs[i], outputs[j_idx]
-            mi, mj = combo
-            flips = [po for po, m in ((po_i, mi), (po_j, mj)) if m is Move.INVERT]
-            candidate = current.flipped(*flips) if flips else current
-            cand_j, cand_power, cand_delay = objective(candidate)
-            n_eval += 1
-            committed = cand_j < current_j and bool(flips)
-            if committed:
-                current = candidate
-                current_j, current_power, current_delay = cand_j, cand_power, cand_delay
-                if mi is Move.INVERT:
-                    avg[i] = 1.0 - avg[i]
-                if mj is Move.INVERT:
-                    avg[j_idx] = 1.0 - avg[j_idx]
-            history.append(
-                CommitRecord(
-                    pair=(po_i, po_j),
-                    moves=combo,
-                    cost=cost,
-                    candidate_power=cand_power,
-                    committed=committed,
-                )
-            )
-            remaining[i, j_idx] = False
-        final_j, final_power, final_delay, final = (
-            current_j,
-            current_power,
-            current_delay,
-            current,
+    elif method == "pairwise":
+        final, (final_j, final_power), history = pairwise_loop(
+            evaluator, (start, start_score), measure, meter
         )
     else:
         raise PhaseError(f"unknown optimisation method {method!r}")
+    final_delay = timing.critical_delay(final)
 
     return TimingAwareResult(
         assignment=final,
@@ -248,10 +210,10 @@ def minimize_power_timing_aware(
         delay=final_delay,
         objective=final_j,
         target_delay=target_delay,
-        initial_power=start_power,
+        initial_power=start_score[1],
         initial_delay=start_delay,
         meets_target=final_delay <= target_delay + 1e-9,
         method=method,
-        evaluations=n_eval,
+        evaluations=meter.evaluations,
         history=history,
     )

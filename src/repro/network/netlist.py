@@ -491,9 +491,8 @@ class LogicNetwork:
         sorted-name order, so structurally identical networks built in
         different orders still agree.
 
-        This is the persistent-cache analogue of the in-process
-        ``id()``-keyed :class:`repro.core.pipeline.PipelineCache` key:
-        stable across processes, runs and object identity.
+        The persistent store keys every artefact by it, so a cached
+        entry is found again across processes, runs and object identity.
         """
         parts: List[str] = [
             self.name,

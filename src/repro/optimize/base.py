@@ -3,8 +3,7 @@
 This module defines the three pieces every optimizer shares:
 
 * :class:`OptimizationResult` / :class:`CommitRecord` — the outcome
-  record (moved here from ``repro.core.optimizer``, which re-exports
-  them for compatibility);
+  record;
 * :class:`OptimizerBudget` + :class:`BudgetMeter` — the shared
   evaluation / wall-clock / tolerance budget every strategy honours;
 * :class:`OptimizerStrategy` + the string-keyed registry
@@ -16,6 +15,7 @@ See :mod:`repro.optimize` for the registry how-to.
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
@@ -59,7 +59,7 @@ class OptimizationResult:
     evaluations: int
     history: List[CommitRecord] = field(default_factory=list)
     #: registry name of the strategy that produced this result (``None``
-    #: for results from the legacy keyword API or old store records)
+    #: for old store records)
     strategy: Optional[str] = None
 
     @property
@@ -124,10 +124,10 @@ class OptimizerBudget:
         if self.max_seconds is not None and (
             not isinstance(self.max_seconds, (int, float))
             or isinstance(self.max_seconds, bool)
-            or self.max_seconds <= 0
+            or not 0 < self.max_seconds < math.inf
         ):
             raise ConfigError(
-                f"max_seconds must be a positive number or None, "
+                f"max_seconds must be a finite positive number or None, "
                 f"got {self.max_seconds!r}"
             )
         if (

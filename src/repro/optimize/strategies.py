@@ -25,8 +25,14 @@ The ``pairwise`` loop follows the paper's seven steps exactly:
 With the cost extended to all outputs the heuristic degenerates into a
 "greedily ordered exhaustive search"; the paper effectively uses that
 on frg1 (3 outputs → 8 assignments), which is why ``pairwise`` carries
-an ``exhaustive_limit`` parameter reproducing the historical ``auto``
-dispatch — at or below the limit it runs the full enumeration.
+an ``exhaustive_limit`` parameter: at or below the limit it runs the
+full enumeration.
+
+Steps 2-7 are :func:`pairwise_loop` and the full enumeration is
+:func:`exhaustive_scan`, each written once and independent of the
+objective: they also drive the Section 6 timing-aware search
+(:mod:`repro.core.timing_aware`) and the exhaustive minimum-area
+baseline (:mod:`repro.core.min_area`).
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import itertools
 import math
 import random as _random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,34 +65,131 @@ def _meter(budget: Optional[OptimizerBudget]) -> BudgetMeter:
     return (budget or OptimizerBudget()).start()
 
 
-def _exhaustive_search(
-    evaluator,
-    initial: Optional[PhaseAssignment],
+def exhaustive_scan(
+    outputs: Sequence[str],
+    score: Callable[[PhaseAssignment], tuple],
     meter: BudgetMeter,
-    *,
-    method: str,
-    strategy: str,
-) -> OptimizationResult:
-    """Full enumeration (shared by ``exhaustive`` and degenerate
-    ``pairwise``); the budget can truncate it, in enumeration order."""
-    outputs = evaluator.outputs
-    start = initial or PhaseAssignment.all_positive(outputs)
-    initial_power = evaluator.power(start)
-    meter.spend()
-    best_assignment = start
-    best_power = initial_power
+    start: Optional[Tuple[PhaseAssignment, tuple]] = None,
+) -> Tuple[PhaseAssignment, tuple]:
+    """Full enumeration of ``outputs``' assignments, independent of the
+    objective: the ``(assignment, scored)`` pair of least score.
+
+    ``score(assignment)`` returns a tuple whose first item is minimised;
+    the rest rides along with it (the power behind a timing objective).
+    ``start`` is an already scored pair to beat; on ties the earlier
+    pair wins.  Each assignment spends one evaluation of ``meter``, and
+    an exhausted meter truncates the scan in enumeration order.
+    """
+    best = start
     for assignment in enumerate_assignments(outputs):
         if meter.exhausted:
             break
-        power = evaluator.power(assignment)
+        scored = score(assignment)
         meter.spend()
-        if power < best_power:
-            best_assignment, best_power = assignment, power
+        if best is None or scored[0] < best[1][0]:
+            best = (assignment, scored)
+    assert best is not None
+    return best
+
+
+def pairwise_loop(
+    evaluator,
+    start: Tuple[PhaseAssignment, Tuple[float, float]],
+    measure: Callable[[PhaseAssignment], Tuple[float, float]],
+    meter: BudgetMeter,
+    max_pairs: Optional[int] = None,
+) -> Tuple[PhaseAssignment, Tuple[float, float], List[CommitRecord]]:
+    """The Section 4.1 loop (steps 2-7 of the module docstring),
+    independent of the objective.
+
+    ``measure(assignment)`` returns ``(score, power)``: the loop commits
+    a candidate iff ``meter`` finds its score an improvement, and
+    records its power in the history.  ``start`` is the already
+    measured ``(assignment, (score, power))`` to improve on; the final
+    pair comes back with the commit history.
+    """
+    from repro.core import cost  # here, not at the top: repro.core imports us
+
+    outputs = evaluator.outputs
+    n = len(outputs)
+    data = cost.CostModelData.from_network(evaluator.network)
+    # Align index order with evaluator outputs.
+    assert data.outputs == outputs
+
+    current, (current_score, current_power) = start
+    # A_k per output under the current assignment (flips with the phase).
+    avg = np.array(
+        [evaluator.average_cone_probability(current, po) for po in outputs]
+    )
+
+    remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
+    if max_pairs is not None and remaining.sum() > max_pairs:
+        # Keep the pairs with the largest overlap-weighted cones — the
+        # ones whose phases interact most.
+        scores = data.overlap * (data.sizes[:, None] + data.sizes[None, :])
+        flat = np.where(remaining, scores, -np.inf).ravel()
+        keep = np.argsort(flat)[::-1][:max_pairs]
+        mask = np.zeros(n * n, dtype=bool)
+        mask[keep] = True
+        remaining &= mask.reshape(n, n)
+
+    history: List[CommitRecord] = []
+    while remaining.any() and not meter.exhausted:
+        i, j, combo, step_cost = cost.best_pair_and_combo(data, avg, remaining)
+        inverted = [k for k, move in zip((i, j), combo) if move is cost.Move.INVERT]
+        candidate = (
+            current.flipped(*(outputs[k] for k in inverted)) if inverted else current
+        )
+        candidate_score, candidate_power = measure(candidate)
+        meter.spend()
+
+        committed = meter.improves(candidate_score, current_score) and bool(inverted)
+        if committed:
+            current = candidate
+            current_score, current_power = candidate_score, candidate_power
+            for k in inverted:
+                avg[k] = 1.0 - avg[k]
+        history.append(
+            CommitRecord(
+                pair=(outputs[i], outputs[j]),
+                moves=combo,
+                cost=step_cost,
+                candidate_power=candidate_power,
+                committed=committed,
+            )
+        )
+        remaining[i, j] = False
+    return current, (current_score, current_power), history
+
+
+def _power_measure(evaluator) -> Callable[[PhaseAssignment], Tuple[float, float]]:
+    """``measure`` for the power searches: the score is the power."""
+
+    def measure(assignment: PhaseAssignment) -> Tuple[float, float]:
+        power = evaluator.power(assignment)
+        return power, power
+
+    return measure
+
+
+def _measured_start(evaluator, initial, measure, meter):
+    start = initial or PhaseAssignment.all_positive(evaluator.outputs)
+    scored = (start, measure(start))
+    meter.spend()
+    return scored
+
+
+def _exhaustive_search(
+    evaluator, initial: Optional[PhaseAssignment], meter: BudgetMeter, strategy: str
+) -> OptimizationResult:
+    measure = _power_measure(evaluator)
+    start = _measured_start(evaluator, initial, measure, meter)
+    best, (_, power) = exhaustive_scan(evaluator.outputs, measure, meter, start)
     return OptimizationResult(
-        assignment=best_assignment,
-        power=best_power,
-        initial_power=initial_power,
-        method=method,
+        assignment=best,
+        power=power,
+        initial_power=start[1][1],
+        method="exhaustive",
         evaluations=meter.evaluations,
         strategy=strategy,
     )
@@ -103,9 +206,7 @@ class ExhaustiveStrategy(OptimizerStrategy):
     """
 
     def optimize(self, evaluator, *, initial=None, budget=None, seed=0):
-        return _exhaustive_search(
-            evaluator, initial, _meter(budget), method="exhaustive", strategy=self.name
-        )
+        return _exhaustive_search(evaluator, initial, _meter(budget), self.name)
 
 
 @register_strategy("pairwise")
@@ -117,8 +218,7 @@ class PairwiseStrategy(OptimizerStrategy):
     ----------
     exhaustive_limit:
         At or below this many outputs the heuristic degenerates into
-        the full enumeration, exactly as the paper uses it (and exactly
-        as the historical ``method="auto"`` dispatch did).  ``0``
+        the full enumeration, exactly as the paper uses it.  ``0``
         forces the pairwise loop always; ``None`` (default) takes
         ``FlowConfig.power_exhaustive_limit`` when driven by the flow,
         else 10.
@@ -162,111 +262,34 @@ class PairwiseStrategy(OptimizerStrategy):
             if self.exhaustive_limit is not None
             else DEFAULT_EXHAUSTIVE_LIMIT
         )
-        if len(evaluator.outputs) <= limit:
-            return _exhaustive_search(
-                evaluator, initial, meter, method="exhaustive", strategy=self.name
+        outputs = evaluator.outputs
+        if len(outputs) <= limit:
+            return _exhaustive_search(evaluator, initial, meter, self.name)
+        measure = _power_measure(evaluator)
+        start = _measured_start(evaluator, initial, measure, meter)
+        history: List[CommitRecord] = []
+        if len(outputs) == 1:
+            # no pair to rank: try the lone output's flip
+            final, (_, power) = start
+            if not meter.exhausted:
+                flipped = final.flipped(outputs[0])
+                _, flipped_power = measure(flipped)
+                meter.spend()
+                if meter.improves(flipped_power, power):
+                    final, power = flipped, flipped_power
+        else:
+            final, (_, power), history = pairwise_loop(
+                evaluator, start, measure, meter, max_pairs=self.max_pairs
             )
-        return _pairwise_search(
-            evaluator, initial, meter, max_pairs=self.max_pairs, strategy=self.name
-        )
-
-
-def _pairwise_search(
-    evaluator,
-    initial: Optional[PhaseAssignment],
-    meter: BudgetMeter,
-    *,
-    max_pairs: Optional[int],
-    strategy: str,
-) -> OptimizationResult:
-    from repro.core.cost import CostModelData, Move, best_pair_and_combo
-
-    outputs = evaluator.outputs
-    n = len(outputs)
-    if n < 2:
-        start = initial or PhaseAssignment.all_positive(outputs)
-        start_power = evaluator.power(start)
-        meter.spend()
-        best, best_power = start, start_power
-        if n == 1 and not meter.exhausted:
-            flipped = start.flipped(outputs[0])
-            flipped_power = evaluator.power(flipped)
-            meter.spend()
-            if meter.improves(flipped_power, best_power):
-                best, best_power = flipped, flipped_power
         return OptimizationResult(
-            best, best_power, start_power, "pairwise", meter.evaluations,
-            strategy=strategy,
+            assignment=final,
+            power=power,
+            initial_power=start[1][1],
+            method="pairwise",
+            evaluations=meter.evaluations,
+            history=history,
+            strategy=self.name,
         )
-
-    data = CostModelData.from_network(evaluator.network)
-    # Align index order with evaluator outputs.
-    assert data.outputs == outputs
-
-    current = initial or PhaseAssignment.all_positive(outputs)
-    current_power = evaluator.power(current)
-    meter.spend()
-    initial_power = current_power
-
-    # A_k per output under the current assignment (flips with the phase).
-    avg = np.array(
-        [evaluator.average_cone_probability(current, po) for po in outputs]
-    )
-
-    remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
-    if max_pairs is not None and remaining.sum() > max_pairs:
-        # Keep the pairs with the largest overlap-weighted cones — the
-        # ones whose phases interact most.
-        scores = data.overlap * (data.sizes[:, None] + data.sizes[None, :])
-        flat = np.where(remaining, scores, -np.inf).ravel()
-        keep = np.argsort(flat)[::-1][:max_pairs]
-        mask = np.zeros(n * n, dtype=bool)
-        mask[keep] = True
-        remaining &= mask.reshape(n, n)
-
-    history: List[CommitRecord] = []
-    while remaining.any() and not meter.exhausted:
-        i, j, combo, cost = best_pair_and_combo(data, avg, remaining)
-        po_i, po_j = outputs[i], outputs[j]
-        mi, mj = combo
-
-        flips: List[str] = []
-        if mi is Move.INVERT:
-            flips.append(po_i)
-        if mj is Move.INVERT:
-            flips.append(po_j)
-        candidate = current.flipped(*flips) if flips else current
-        candidate_power = evaluator.power(candidate)
-        meter.spend()
-
-        committed = meter.improves(candidate_power, current_power) and bool(flips)
-        if committed:
-            current = candidate
-            current_power = candidate_power
-            if mi is Move.INVERT:
-                avg[i] = 1.0 - avg[i]
-            if mj is Move.INVERT:
-                avg[j] = 1.0 - avg[j]
-        history.append(
-            CommitRecord(
-                pair=(po_i, po_j),
-                moves=combo,
-                cost=cost,
-                candidate_power=candidate_power,
-                committed=committed,
-            )
-        )
-        remaining[i, j] = False
-
-    return OptimizationResult(
-        assignment=current,
-        power=current_power,
-        initial_power=initial_power,
-        method="pairwise",
-        evaluations=meter.evaluations,
-        history=history,
-        strategy=strategy,
-    )
 
 
 @register_strategy("groupwise")
@@ -475,10 +498,11 @@ class AnnealStrategy(OptimizerStrategy):
         if (
             not isinstance(self.initial_temp, (int, float))
             or isinstance(self.initial_temp, bool)
-            or self.initial_temp <= 0
+            or not 0 < self.initial_temp < math.inf
         ):
             raise ConfigError(
-                f"initial_temp must be a positive number, got {self.initial_temp!r}"
+                "initial_temp must be a finite positive number, "
+                f"got {self.initial_temp!r}"
             )
         if (
             not isinstance(self.cooling, (int, float))
@@ -548,8 +572,7 @@ class RandomStrategy(OptimizerStrategy):
     """Uniform random-assignment sampling (the ablation baseline).
 
     Draws ``n_samples`` deterministic assignments (seeded ``seed + k``)
-    and keeps the best; matches the historical
-    :func:`repro.core.optimizer.random_search` exactly.
+    and keeps the best.
     """
 
     n_samples: int = 64

@@ -121,6 +121,10 @@ class TestValidation:
             ({"current_scale": float("nan")}, "current_scale"),
             ({"current_scale": float("inf")}, "current_scale"),
             ({"current_scale": True}, "current_scale"),
+            ({"input_probs": {"a": True}}, "input_probs"),
+            ({"input_probs": {1: 0.5}}, "input_probs"),
+            ({"input_probs": {"a": float("nan")}}, "input_probs"),
+            ({"input_probs": {"a": "0.5"}}, "input_probs"),
         ],
     )
     def test_bad_values_raise(self, kwargs, match):

@@ -12,10 +12,10 @@ from repro.bdd.builder import build_node_bdds
 from repro.bdd.manager import ONE, ZERO, BddManager
 from repro.core.flow import run_flow
 from repro.core.min_area import minimize_area
-from repro.core.optimizer import minimize_power
 from repro.network.duplication import phase_transform
 from repro.network.netlist import GateType, LogicNetwork
 from repro.network.ops import cleanup, to_aoi
+from repro.optimize import make_strategy
 from repro.phase import Phase, PhaseAssignment
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator, estimate_power
 from repro.power.simulator import simulate_power
@@ -73,7 +73,7 @@ class TestDegenerateOutputs:
         ev = PhaseEvaluator(net, method="bdd")
         a = PhaseAssignment.all_positive(["z"])
         assert ev.power(a) == pytest.approx(0.0)
-        result = minimize_power(ev, method="exhaustive")
+        result = make_strategy("exhaustive").optimize(ev)
         assert result.power <= ev.power(a) + 1e-12
 
     def test_output_listed_twice(self):

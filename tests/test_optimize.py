@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.batch import point_config, sweep
 from repro.core.config import FlowConfig
-from repro.core.optimizer import minimize_power, random_search
 from repro.core.pipeline import Pipeline
 from repro.errors import ConfigError
 from repro.optimize import (
@@ -88,6 +87,8 @@ class TestRegistry:
             ("anneal", {"initial_temp": 0.0}),
             ("anneal", {"cooling": 1.0}),
             ("random", {"n_samples": 0}),
+            ("anneal", {"initial_temp": float("nan")}),
+            ("anneal", {"initial_temp": float("inf")}),
         ],
     )
     def test_bad_param_values_raise_configerror(self, name, params):
@@ -162,6 +163,8 @@ class TestBudget:
             {"tolerance": 1.0},
             {"tolerance": -0.1},
             {"tolerance": "big"},
+            {"max_seconds": float("nan")},
+            {"max_seconds": float("inf")},
         ],
     )
     def test_invalid_budget_raises(self, kwargs):
@@ -265,27 +268,6 @@ class TestStrategies:
         assert a.power == b.power
         assert a.evaluations == b.evaluations
 
-    def test_pairwise_loop_matches_legacy_keyword_api(self, medium_evaluator):
-        new = make_strategy("pairwise", exhaustive_limit=0).optimize(
-            medium_evaluator
-        )
-        legacy = minimize_power(medium_evaluator, method="pairwise")
-        assert new.assignment == legacy.assignment
-        assert new.power == legacy.power
-        assert new.evaluations == legacy.evaluations
-        assert [r.committed for r in new.history] == [
-            r.committed for r in legacy.history
-        ]
-
-    def test_random_matches_legacy_random_search(self, medium_evaluator):
-        new = make_strategy("random", n_samples=16).optimize(
-            medium_evaluator, seed=5
-        )
-        legacy = random_search(medium_evaluator, n_samples=16, seed=5)
-        assert new.assignment == legacy.assignment
-        assert new.power == legacy.power
-        assert new.evaluations == legacy.evaluations
-
     def test_greedy_flip_ends_in_a_single_flip_local_minimum(
         self, medium_evaluator
     ):
@@ -311,10 +293,6 @@ class TestStrategies:
         result = make_strategy("groupwise", group_size=3).optimize(ev)
         assert result.method == "groupwise-3"
         assert result.strategy == "groupwise"
-        legacy = minimize_power(ev, method="pairwise", group_size=3)
-        assert legacy.assignment == result.assignment
-        assert legacy.power == result.power
-        assert legacy.evaluations == result.evaluations
 
     def test_groupwise_reports_group_size(self, medium_evaluator):
         result = make_strategy("groupwise", group_size=3).optimize(
@@ -406,6 +384,19 @@ class TestConfigPlumbing:
     def test_non_scalar_param_rejected(self):
         with pytest.raises(ConfigError):
             FlowConfig(optimizer_params={"steps": [1, 2]})
+
+    @pytest.mark.parametrize(
+        "optimizer, params, field",
+        [
+            ("pairwise", {"max_seconds": float("nan")}, "max_seconds"),
+            ("pairwise", {"max_seconds": float("inf")}, "max_seconds"),
+            ("anneal", {"initial_temp": float("nan")}, "initial_temp"),
+            ("anneal", {"initial_temp": float("inf")}, "initial_temp"),
+        ],
+    )
+    def test_non_finite_values_name_the_field(self, optimizer, params, field):
+        with pytest.raises(ConfigError, match=field):
+            FlowConfig(optimizer=optimizer, optimizer_params=params)
 
     def test_optimizer_in_result_key_not_cache_key(self):
         base = FlowConfig()
@@ -714,6 +705,16 @@ class TestCli:
         rc = main(["synth", blif_file, "--optimizer-param", "no-equals"])
         assert rc == 2
         assert "no-equals" in capsys.readouterr().err
+
+    def test_non_finite_max_seconds_exits_2(self, blif_file, capsys):
+        from repro.cli import main
+
+        rc = main(["synth", blif_file, "--optimizer-param", "max_seconds=inf"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "max_seconds" in err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_cli_params_merge_over_config_file(self, tmp_path, blif_file):
         from repro.cli import _effective_config, build_parser

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.min_area import minimize_area
-from repro.core.optimizer import minimize_power, random_search
+from repro.optimize import make_strategy
 from repro.phase import Phase, PhaseAssignment, enumerate_assignments
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator
 
@@ -59,7 +59,7 @@ class TestMinimizeArea:
 
 class TestMinimizePower:
     def test_exhaustive_finds_global_optimum(self, fig3_evaluator):
-        result = minimize_power(fig3_evaluator, method="exhaustive")
+        result = make_strategy("exhaustive").optimize(fig3_evaluator)
         best = min(
             fig3_evaluator.power(a)
             for a in enumerate_assignments(fig3_evaluator.outputs)
@@ -67,23 +67,25 @@ class TestMinimizePower:
         assert result.power == pytest.approx(best)
 
     def test_fig3_optimum_is_negative_cone(self, fig3_evaluator):
-        result = minimize_power(fig3_evaluator, method="exhaustive")
+        result = make_strategy("exhaustive").optimize(fig3_evaluator)
         assert result.assignment["f"] is Phase.POSITIVE
         assert result.assignment["g"] is Phase.NEGATIVE
 
     def test_auto_dispatch(self, fig3_evaluator, random_evaluator):
-        small = minimize_power(fig3_evaluator, method="auto")
+        small = make_strategy("pairwise").optimize(fig3_evaluator)
         assert small.method == "exhaustive"
-        large = minimize_power(random_evaluator, method="auto", exhaustive_limit=3)
+        large = make_strategy("pairwise", exhaustive_limit=3).optimize(random_evaluator)
         assert large.method == "pairwise"
 
     def test_pairwise_never_worse_than_start(self, random_evaluator):
         start = PhaseAssignment.all_positive(random_evaluator.outputs)
-        result = minimize_power(random_evaluator, initial=start, method="pairwise")
+        result = make_strategy("pairwise", exhaustive_limit=0).optimize(
+            random_evaluator, initial=start
+        )
         assert result.power <= result.initial_power
 
     def test_pairwise_commits_only_improvements(self, random_evaluator):
-        result = minimize_power(random_evaluator, method="pairwise")
+        result = make_strategy("pairwise", exhaustive_limit=0).optimize(random_evaluator)
         power = result.initial_power
         current_best = power
         for record in result.history:
@@ -94,26 +96,22 @@ class TestMinimizePower:
 
     def test_pairwise_candidate_set_exhausted(self, random_evaluator):
         n = len(random_evaluator.outputs)
-        result = minimize_power(random_evaluator, method="pairwise")
+        result = make_strategy("pairwise", exhaustive_limit=0).optimize(random_evaluator)
         assert len(result.history) == n * (n - 1) // 2
 
     def test_max_pairs_truncation(self, random_evaluator):
-        result = minimize_power(random_evaluator, method="pairwise", max_pairs=5)
+        result = make_strategy(
+            "pairwise", exhaustive_limit=0, max_pairs=5
+        ).optimize(random_evaluator)
         assert len(result.history) == 5
 
     def test_pairwise_close_to_exhaustive_on_fig3(self, fig3_evaluator):
-        pw = minimize_power(fig3_evaluator, method="pairwise")
-        ex = minimize_power(fig3_evaluator, method="exhaustive")
+        pw = make_strategy("pairwise", exhaustive_limit=0).optimize(fig3_evaluator)
+        ex = make_strategy("exhaustive").optimize(fig3_evaluator)
         assert pw.power == pytest.approx(ex.power)
 
-    def test_unknown_method_raises(self, fig3_evaluator):
-        from repro.errors import PhaseError
-
-        with pytest.raises(PhaseError):
-            minimize_power(fig3_evaluator, method="bogus")
-
     def test_savings_percent(self, fig3_evaluator):
-        result = minimize_power(fig3_evaluator, method="exhaustive")
+        result = make_strategy("exhaustive").optimize(fig3_evaluator)
         assert result.savings_percent >= 0.0
 
     def test_single_output_circuit(self):
@@ -125,18 +123,20 @@ class TestMinimizePower:
         net.add_gate("g", GateType.OR, ["a", "b"])
         net.add_output("g")
         ev = PhaseEvaluator(net, input_probs={"a": 0.9, "b": 0.9}, method="bdd")
-        result = minimize_power(ev, method="pairwise")
+        result = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
         # OR at p=0.99: negative phase (AND of complements, p=.01) wins.
         assert result.assignment["g"] is Phase.NEGATIVE
 
 
 class TestRandomSearch:
     def test_never_worse_than_start(self, random_evaluator):
-        result = random_search(random_evaluator, n_samples=16, seed=0)
+        result = make_strategy("random", n_samples=16).optimize(
+            random_evaluator, seed=0
+        )
         assert result.power <= result.initial_power
 
     def test_pairwise_beats_or_ties_random(self, random_evaluator):
-        rnd = random_search(random_evaluator, n_samples=16, seed=0)
-        pw = minimize_power(random_evaluator, method="pairwise")
+        rnd = make_strategy("random", n_samples=16).optimize(random_evaluator, seed=0)
+        pw = make_strategy("pairwise", exhaustive_limit=0).optimize(random_evaluator)
         # The paper's heuristic should not lose badly to random sampling.
         assert pw.power <= rnd.power * 1.05

@@ -1,5 +1,5 @@
-"""Tests for the staged Pipeline: ordering, skipping, overriding, caching,
-and parity with the legacy run_flow wrapper."""
+"""Tests for the staged Pipeline: ordering, skipping, options, and parity
+with the legacy run_flow wrapper."""
 
 import pytest
 
@@ -8,12 +8,11 @@ from repro.core.config import FlowConfig
 from repro.core.flow import run_flow
 from repro.core.pipeline import (
     Pipeline,
-    PipelineCache,
     STAGE_NAMES,
     StageResult,
 )
 from repro.errors import ConfigError
-from repro.phase import Phase, PhaseAssignment
+from repro.phase import Phase
 
 
 @pytest.fixture(scope="module")
@@ -96,98 +95,12 @@ class TestSkip:
             Pipeline(skip=("prepare",))
 
 
-class TestOverride:
-    def test_override_optimize_mp(self, tiny, fast_config):
-        from types import SimpleNamespace
+class TestOptions:
+    def test_only_config_skip_and_store_are_accepted(self):
+        import inspect
 
-        def all_negative(ctx):
-            forced = PhaseAssignment.all_negative(ctx.aoi.output_names())
-            return SimpleNamespace(
-                assignment=forced, power=ctx.evaluator.power(forced)
-            )
-
-        result = Pipeline(fast_config, overrides={"optimize_mp": all_negative}).run(tiny)
-        assert all(
-            ph is Phase.NEGATIVE for ph in result.flow.mp.assignment.values()
-        )
-
-    def test_override_unknown_stage(self):
-        with pytest.raises(ConfigError, match="unknown stage"):
-            Pipeline(overrides={"floorplan": lambda ctx: None})
-
-    def test_override_not_callable(self):
-        with pytest.raises(ConfigError, match="not callable"):
-            Pipeline(overrides={"measure": 42})
-
-
-class TestCache:
-    def test_shared_artefacts_cached_across_variants(self, tiny, fast_config):
-        cache = PipelineCache()
-        pipe = Pipeline(cache=cache)
-        first = pipe.run(tiny, fast_config)
-        # same circuit, downstream-only change (timed flow): prepare and
-        # evaluator come from the cache
-        second = pipe.run(tiny, fast_config.replace(timed=True))
-        assert not first.stage("prepare").cached
-        assert second.stage("prepare").cached
-        assert second.stage("evaluator").cached
-        assert second.context.evaluator is first.context.evaluator
-        assert cache.hits >= 2
-
-    def test_upstream_change_misses(self, tiny, fast_config):
-        cache = PipelineCache()
-        pipe = Pipeline(cache=cache)
-        pipe.run(tiny, fast_config)
-        rerun = pipe.run(tiny, fast_config.replace(seed=99))
-        assert rerun.stage("prepare").cached  # seed doesn't shape the AOI
-        assert not rerun.stage("evaluator").cached
-
-    def test_different_network_misses(self, tiny, fast_config):
-        cache = PipelineCache()
-        pipe = Pipeline(cache=cache)
-        pipe.run(tiny, fast_config)
-        other = random_control_network(
-            "other", GeneratorConfig(n_inputs=8, n_outputs=3, n_gates=20, seed=5)
-        )
-        rerun = pipe.run(other, fast_config)
-        assert not rerun.stage("prepare").cached
-
-    def test_skip_sequential_does_not_poison_cache(self, tiny, fast_config):
-        # a pipeline that skipped `sequential` builds its evaluator from
-        # different input probabilities — it must not share a cache slot
-        # with a pipeline that ran the stage
-        cache = PipelineCache()
-        skipping = Pipeline(
-            fast_config.replace(input_probability=0.3),
-            skip=("sequential",),
-            cache=cache,
-        )
-        full = Pipeline(fast_config.replace(input_probability=0.3), cache=cache)
-        first = skipping.run(tiny)
-        second = full.run(tiny)
-        assert not second.stage("evaluator").cached
-        assert second.context.evaluator is not first.context.evaluator
-
-    def test_overridden_prepare_not_cached_as_evaluator_input(self, tiny, fast_config):
-        from repro.network.ops import cleanup, to_aoi
-
-        cache = PipelineCache()
-        overridden = Pipeline(
-            fast_config,
-            overrides={"prepare": lambda ctx: cleanup(to_aoi(ctx.network))},
-            cache=cache,
-        )
-        overridden.run(tiny)
-        plain = Pipeline(fast_config, cache=cache).run(tiny)
-        assert not plain.stage("evaluator").cached
-
-    def test_cached_run_measures_identically(self, tiny, fast_config):
-        plain = Pipeline().run(tiny, fast_config)
-        cache = PipelineCache()
-        pipe = Pipeline(cache=cache)
-        pipe.run(tiny, fast_config)
-        cached = pipe.run(tiny, fast_config)
-        assert cached.flow.row() == plain.flow.row()
+        params = list(inspect.signature(Pipeline.__init__).parameters)
+        assert params == ["self", "config", "skip", "store"]
 
 
 class TestParity:

@@ -1,7 +1,7 @@
 """Stage-level MA/MP parallelism: ``FlowConfig.stage_jobs`` resolution,
 bit-identical results at every thread count, the optimize_mp/MA-build
-overlap, and PipelineCache / ArtifactStore consistency when stage
-threads run concurrently."""
+overlap, and ArtifactStore consistency when stage threads run
+concurrently."""
 
 import json
 import threading
@@ -17,7 +17,7 @@ from repro.core.config import (
     FlowConfig,
     in_pool_worker,
 )
-from repro.core.pipeline import Pipeline, PipelineCache
+from repro.core.pipeline import Pipeline
 from repro.errors import ConfigError
 from repro.report import flow_result_to_dict
 from repro.store import ArtifactStore
@@ -165,23 +165,6 @@ class TestDeterminism:
         # the MA lookahead (and at least one unit) ran on a stage thread
         assert any(name.startswith("repro-stage") for _, name in seen)
 
-    def test_lookahead_skipped_with_overrides(self, monkeypatch):
-        """A custom stage may mutate the context, so the optimize_mp
-        overlap must not run concurrently with it."""
-        submitted = []
-        real = pipeline_mod._submit_ma_lookahead
-
-        def spying(ctx):
-            submitted.append(True)
-            return real(ctx)
-
-        monkeypatch.setattr(pipeline_mod, "_submit_ma_lookahead", spying)
-        override = {"resize": lambda ctx: {}}
-        Pipeline(
-            FAST.replace(stage_jobs=2, timed=True), overrides=override
-        ).run(tiny_network())
-        assert not submitted
-
     def test_stale_lookahead_recomputed(self):
         """If the prebuilt MA variant no longer matches the assignment
         the transform stage settles on, it is discarded, not used."""
@@ -239,33 +222,6 @@ class TestTimeoutInteraction:
 
 
 class TestSharedStateUnderThreads:
-    def test_pipeline_cache_consistent_under_concurrent_runs(self):
-        net = tiny_network()
-        cache = PipelineCache()
-        config = FAST.replace(stage_jobs=2)
-        reference = flow_json(Pipeline(FAST).run(net).flow)
-        results, errors = [], []
-
-        def worker():
-            try:
-                results.append(
-                    flow_json(Pipeline(config, cache=cache).run(net).flow)
-                )
-            except Exception as exc:  # noqa: BLE001 — surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=240)
-        assert not errors
-        assert all(r == reference for r in results)
-        with cache._lock:
-            n_entries = len(cache._entries)
-        assert n_entries == 2  # prepare + evaluator, no duplicate keys
-        assert cache.hits + cache.misses >= 8
-
     def test_store_consistent_under_concurrent_stage_threads(self, tmp_path):
         net = tiny_network()
         reference = flow_json(Pipeline(FAST).run(net).flow)

@@ -98,9 +98,11 @@ class TestColdWarm:
         assert all(s.cached or s.skipped for s in warm.stages)
         assert flow_result_to_dict(warm.flow) == flow_result_to_dict(cold.flow)
 
-    def test_warm_run_executes_zero_optimizer_stages(self, store):
-        """The skip/override-hook check: a warm pipeline whose optimizer
-        stages are overridden with counters never invokes them."""
+    def test_warm_run_executes_zero_optimizer_stages(self, store, monkeypatch):
+        """A warm pipeline whose optimizer stages are swapped for
+        counters never invokes them."""
+        import repro.core.pipeline
+
         net = tiny_network()
         Pipeline(FAST, store=store).run(net)
         executions = {"optimize_ma": 0, "optimize_mp": 0, "measure": 0}
@@ -112,11 +114,12 @@ class TestColdWarm:
 
             return hook
 
-        warm = Pipeline(
-            FAST,
-            store=store,
-            overrides={name: counting(name) for name in executions},
-        ).run(tiny_network())
+        for name in executions:
+            _, slot = repro.core.pipeline._STAGE_TABLE[name]
+            monkeypatch.setitem(
+                repro.core.pipeline._STAGE_TABLE, name, (counting(name), slot)
+            )
+        warm = Pipeline(FAST, store=store).run(tiny_network())
         assert executions == {"optimize_ma": 0, "optimize_mp": 0, "measure": 0}
         assert warm.flow is not None
 
@@ -171,26 +174,6 @@ class TestColdWarm:
         # but re-running the same skip set is warm
         warm2 = Pipeline(FAST, store=store, skip=("optimize_mp",)).run(tiny_network())
         assert warm2.stage("measure").cached
-
-    def test_overrides_do_not_write_to_store(self, store):
-        from repro.phase import PhaseAssignment
-
-        def fake_mp(ctx):
-            from repro.core.optimizer import OptimizationResult
-
-            assignment = PhaseAssignment.all_positive(ctx.aoi.output_names())
-            return OptimizationResult(
-                assignment=assignment,
-                power=ctx.evaluator.power(assignment),
-                initial_power=0.0,
-                method="fake",
-                evaluations=0,
-            )
-
-        Pipeline(FAST, store=store, overrides={"optimize_mp": fake_mp}).run(
-            tiny_network()
-        )
-        assert store.stats().total_entries == 0
 
 
 # ----------------------------------------------------------------------

@@ -4,12 +4,12 @@ and the group-extended cost function."""
 import pytest
 
 from repro.core.cost import Move, group_cost, pair_cost
-from repro.core.optimizer import minimize_power
 from repro.core.timing_aware import (
     PhaseTimingModel,
     minimize_power_timing_aware,
 )
 from repro.errors import PhaseError
+from repro.optimize import make_strategy
 from repro.network.netlist import GateType, LogicNetwork
 from repro.phase import Phase, PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
@@ -82,7 +82,7 @@ class TestTimingAwareOptimisation:
         result = minimize_power_timing_aware(
             fig3_evaluator, target_delay=1e9, penalty_weight=10.0
         )
-        unconstrained = minimize_power(fig3_evaluator, method="exhaustive")
+        unconstrained = make_strategy("exhaustive").optimize(fig3_evaluator)
         assert result.power == pytest.approx(unconstrained.power)
 
     def test_tension_between_power_and_delay(self, fig3_evaluator):
@@ -142,22 +142,18 @@ class TestGroupCost:
 
 
 class TestGroupwiseOptimiser:
-    def test_group_size_validation(self, medium_evaluator):
-        with pytest.raises(PhaseError):
-            minimize_power(medium_evaluator, group_size=1)
-
     def test_groupwise_runs_and_improves(self, medium_evaluator):
-        result = minimize_power(medium_evaluator, method="pairwise", group_size=3)
+        result = make_strategy("groupwise", group_size=3).optimize(medium_evaluator)
         assert result.method == "groupwise-3"
         assert result.power <= result.initial_power + 1e-9
 
     def test_groupwise_no_worse_than_pairwise(self, medium_evaluator):
-        pw = minimize_power(medium_evaluator, method="pairwise")
-        gw = minimize_power(medium_evaluator, method="pairwise", group_size=3)
+        pw = make_strategy("pairwise", exhaustive_limit=0).optimize(medium_evaluator)
+        gw = make_strategy("groupwise", group_size=3).optimize(medium_evaluator)
         # The richer interaction model should be competitive.
         assert gw.power <= pw.power * 1.10 + 1e-9
 
     def test_groupwise_matches_exhaustive_on_fig3(self, fig3_evaluator):
-        gw = minimize_power(fig3_evaluator, method="pairwise", group_size=2)
-        ex = minimize_power(fig3_evaluator, method="exhaustive")
+        gw = make_strategy("pairwise", exhaustive_limit=0).optimize(fig3_evaluator)
+        ex = make_strategy("exhaustive").optimize(fig3_evaluator)
         assert gw.power == pytest.approx(ex.power)
