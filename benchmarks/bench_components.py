@@ -2,16 +2,20 @@
 
 Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
-evaluation, the phase transform, mask-based power queries, and the
-vectorised Monte-Carlo simulator.
+evaluation, the phase transform, mask-based power queries (random
+access and the hill climb's one-flip pattern), one pairwise pair pick,
+and the vectorised Monte-Carlo simulator.
 """
 
+import numpy as np
 import pytest
 
 from conftest import record_bench
 
 from repro.bdd.builder import build_node_bdds
+from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
+from repro.core.cost import CostModelData, best_pair_and_combo, masked_cost_stack
 from repro.network.duplication import phase_transform
 from repro.network.ops import cleanup, to_aoi
 from repro.phase import PhaseAssignment
@@ -76,6 +80,52 @@ def bench_evaluator_power_query(benchmark, apex7_evaluator):
     powers = benchmark(run)
     _record_kernel(benchmark, "evaluator_power_query", queries=16)
     assert len(powers) == 16
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_evaluator_area_flip(benchmark):
+    """The MA hill climb's query: one output flipped from a fixed base,
+    on a 56-output generated circuit."""
+    network = cleanup(
+        to_aoi(
+            random_control_network(
+                "flip56",
+                GeneratorConfig(
+                    n_inputs=92, n_outputs=56, n_gates=550, seed=1,
+                    support_size=12, or_probability=0.45,
+                ),
+            )
+        )
+    )
+    evaluator = PhaseEvaluator(network, method="bdd")
+    outputs = evaluator.outputs
+    base = PhaseAssignment.random(outputs, seed=1)
+    assignments = [base.flipped(outputs[k % len(outputs)]) for k in range(64)]
+
+    def run():
+        return [evaluator.area(a) for a in assignments]
+
+    areas = benchmark(run)
+    _record_kernel(benchmark, "evaluator_area_flip", queries=64)
+    assert len(areas) == 64
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_pairwise_step(benchmark):
+    """One Section 4.1 pair pick over a prebuilt cost stack on x3."""
+    network = cleanup(to_aoi(spec_by_name("x3").build()))
+    evaluator = PhaseEvaluator(network, method="bdd")
+    data = CostModelData.from_network(network)
+    start = PhaseAssignment.all_positive(evaluator.outputs)
+    avg = np.array(
+        [evaluator.average_cone_probability(start, po) for po in evaluator.outputs]
+    )
+    n = len(data.outputs)
+    remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
+    stack = masked_cost_stack(data, avg, remaining)
+    i, j, _combo, cost = benchmark(best_pair_and_combo, data, avg, remaining, stack)
+    _record_kernel(benchmark, "pairwise_step", outputs=n)
+    assert i < j and np.isfinite(cost)
 
 
 @pytest.mark.benchmark(group="kernels")

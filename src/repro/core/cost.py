@@ -169,26 +169,38 @@ def cost_matrices(
     return out
 
 
+def masked_cost_stack(
+    data: CostModelData, avg_probs: np.ndarray, remaining: np.ndarray
+) -> np.ndarray:
+    """The four :func:`cost_matrices` stacked in :data:`COMBOS` order
+    into one ``(4, P, P)`` array, +inf wherever ``remaining`` is False."""
+    matrices = cost_matrices(data, avg_probs)
+    return np.where(remaining, np.stack([matrices[combo] for combo in COMBOS]), np.inf)
+
+
 def best_pair_and_combo(
     data: CostModelData,
     avg_probs: np.ndarray,
     remaining: np.ndarray,
+    stack: Optional[np.ndarray] = None,
 ) -> Tuple[int, int, Tuple[Move, Move], float]:
     """Minimum-cost (i, j, combo) over the remaining candidate pairs.
 
     ``remaining`` is a boolean (P, P) upper-triangular mask of pairs
-    still in the candidate set.
+    still in the candidate set.  ``stack`` is
+    :func:`masked_cost_stack` of the same arguments, which a caller
+    that picks many pairs between changes of ``avg_probs`` builds once
+    and keeps in step with ``remaining``; without it one is built here.
+
+    Ties go to the earliest combination in :data:`COMBOS` order, then
+    to the lowest row-major pair: the first minimum of one flat
+    ``argmin`` over the C-ordered stack.
     """
     if not remaining.any():
         raise PhaseError("candidate pair set is empty")
-    matrices = cost_matrices(data, avg_probs)
-    best: Optional[Tuple[int, int, Tuple[Move, Move], float]] = None
-    for combo, k in matrices.items():
-        masked = np.where(remaining, k, np.inf)
-        idx = int(np.argmin(masked))
-        i, j = divmod(idx, k.shape[1])
-        val = float(masked[i, j])
-        if best is None or val < best[3]:
-            best = (i, j, combo, val)
-    assert best is not None
-    return best
+    if stack is None:
+        stack = masked_cost_stack(data, avg_probs, remaining)
+    n = stack.shape[2]
+    combo, flat = divmod(int(np.argmin(stack)), n * n)
+    i, j = divmod(flat, n)
+    return i, j, COMBOS[combo], float(stack[combo, i, j])

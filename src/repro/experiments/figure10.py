@@ -25,11 +25,6 @@ class OrderingComparison:
     node_counts: Dict[str, int]
     orders: Dict[str, List[str]] = field(default_factory=dict)
 
-    @property
-    def domino_wins(self) -> bool:
-        counts = self.node_counts
-        return counts["domino"] <= min(counts.values())
-
 
 def run_figure10(
     extra_circuits: Optional[Dict[str, LogicNetwork]] = None,

@@ -13,7 +13,8 @@ The ``pairwise`` loop follows the paper's seven steps exactly:
 
 1. Generate an arbitrary initial phase assignment.
 2. For each pair of primary outputs still in the candidate set, compute
-   the cost K of the four retain/invert combinations.
+   the cost K of the four retain/invert combinations.  K depends only on
+   the current assignment, so it is recomputed only after a commit.
 3. Choose the pair + combination of minimum cost.
 4. Synthesise the circuit with that assignment (implicitly — the
    evaluator's polarity masks stand in for re-synthesis).
@@ -125,17 +126,21 @@ def pairwise_loop(
     remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
     if max_pairs is not None and remaining.sum() > max_pairs:
         # Keep the pairs with the largest overlap-weighted cones — the
-        # ones whose phases interact most.
+        # ones whose phases interact most; a stable sort breaks ties
+        # toward the lowest row-major pair on every host.
         scores = data.overlap * (data.sizes[:, None] + data.sizes[None, :])
         flat = np.where(remaining, scores, -np.inf).ravel()
-        keep = np.argsort(flat)[::-1][:max_pairs]
+        keep = np.argsort(-flat, kind="stable")[:max_pairs]
         mask = np.zeros(n * n, dtype=bool)
         mask[keep] = True
         remaining &= mask.reshape(n, n)
 
+    # K changes only when a commit flips some A_k: rank pairs from one
+    # stack per commit, retiring each tried pair from it in place.
+    stack = cost.masked_cost_stack(data, avg, remaining)
     history: List[CommitRecord] = []
     while remaining.any() and not meter.exhausted:
-        i, j, combo, step_cost = cost.best_pair_and_combo(data, avg, remaining)
+        i, j, combo, step_cost = cost.best_pair_and_combo(data, avg, remaining, stack)
         inverted = [k for k, move in zip((i, j), combo) if move is cost.Move.INVERT]
         candidate = (
             current.flipped(*(outputs[k] for k in inverted)) if inverted else current
@@ -149,6 +154,7 @@ def pairwise_loop(
             current_score, current_power = candidate_score, candidate_power
             for k in inverted:
                 avg[k] = 1.0 - avg[k]
+            stack = cost.masked_cost_stack(data, avg, remaining)
         history.append(
             CommitRecord(
                 pair=(outputs[i], outputs[j]),
@@ -159,6 +165,7 @@ def pairwise_loop(
             )
         )
         remaining[i, j] = False
+        stack[:, i, j] = np.inf
     return current, (current_score, current_power), history
 
 
@@ -225,7 +232,10 @@ class PairwiseStrategy(OptimizerStrategy):
     max_pairs:
         Cap on candidate pairs for very large circuits (keep the
         highest-overlap pairs); ``None`` (default) keeps them all, or
-        takes ``FlowConfig.max_pairs`` when driven by the flow.
+        takes ``FlowConfig.max_pairs`` when driven by the flow.  Pairs
+        rank by overlap-weighted cone size, highest first; equal scores
+        rank by row-major pair index, lowest first, so the kept set
+        does not depend on the host's sort.
     """
 
     exhaustive_limit: Optional[int] = None

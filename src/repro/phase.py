@@ -105,7 +105,10 @@ class PhaseAssignment(Mapping[str, Phase]):
             if po not in new:
                 raise PhaseError(f"unknown output {po!r}")
             new[po] = new[po].flipped
-        return PhaseAssignment(new)
+        # every value is a Phase already: skip the constructor's check
+        copy = PhaseAssignment.__new__(PhaseAssignment)
+        copy._phases = new
+        return copy
 
     # Introspection --------------------------------------------------------
     def negative_outputs(self) -> List[str]:

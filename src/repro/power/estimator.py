@@ -15,8 +15,11 @@ each node is materialised.  So:
 2. Precompute, for every primary output ``o`` and phase ``q``, the set
    ``S(o, q)`` of (node, polarity) gates its cone materialises, as a
    numpy boolean mask over the 2N-element polarity universe.
-3. The power/area of an arbitrary assignment is then a mask union plus
-   a dot product — no re-synthesis inside the optimisation loop.
+3. Pack those masks, with the matching source-inverter masks, into one
+   table of 64-bit words, a row per (output, phase).  The area of an
+   arbitrary assignment is then one gather, one OR-reduce and a
+   popcount; its power unpacks the union back to the boolean mask and
+   takes a dot product — no re-synthesis inside the optimisation loop.
 """
 
 from __future__ import annotations
@@ -207,6 +210,12 @@ class PolaritySpace:
 class PhaseEvaluator:
     """Evaluate power/area of arbitrary phase assignments in O(PO · N/64).
 
+    Each (output, phase) cone is one row of a packed ``uint64`` table:
+    row ``2k + b`` is output ``k`` of :attr:`outputs` in phase ``b``
+    (0 positive, 1 negative), its gate words first, then its
+    source-inverter words.  A query selects one row per output and
+    ORs them; it keeps no state, so threads may share an evaluator.
+
     Parameters
     ----------
     network:
@@ -263,6 +272,7 @@ class PhaseEvaluator:
             n_fanins = len(self.network.nodes[name].fanins)
             self.slot_caps[idx] = self.model.gate_factor(gt, n_fanins)
 
+        self._slot_weights = self.slot_probs * self.slot_caps
         self.source_inv_cost = np.array(
             [
                 boundary_input_inverter_switching(self.input_probs[s])
@@ -271,16 +281,32 @@ class PhaseEvaluator:
             ]
         )
 
-        # Per-(output, phase) masks and driver references.
+        # Per-(output, phase) driver references and packed cone masks.
         self.outputs: List[str] = network.output_names()
-        self._masks: Dict[Tuple[str, Phase], Tuple[np.ndarray, np.ndarray]] = {}
         self._driver_ref: Dict[Tuple[str, Phase], Ref] = {}
-        for po, driver in network.outputs:
-            for phase in (Phase.POSITIVE, Phase.NEGATIVE):
+        gate_masks = np.zeros((2 * len(self.outputs), n), dtype=bool)
+        inv_masks = np.zeros((2 * len(self.outputs), len(self.space.sources)), dtype=bool)
+        for k, (po, driver) in enumerate(network.outputs):
+            for b, phase in enumerate((Phase.POSITIVE, Phase.NEGATIVE)):
                 pol = Polarity.POS if phase is Phase.POSITIVE else Polarity.NEG
                 ref = self.space.resolve(driver, pol)
                 self._driver_ref[(po, phase)] = ref
-                self._masks[(po, phase)] = self.space.cone_masks(ref)
+                gate_masks[2 * k + b], inv_masks[2 * k + b] = self.space.cone_masks(ref)
+        gate_words = _pack_words(gate_masks)
+        self._n_gate_words = gate_words.shape[1]
+        self._words = np.concatenate([gate_words, _pack_words(inv_masks)], axis=1)
+        self._positive_rows = np.arange(0, 2 * len(self.outputs), 2)
+        self._row_of: Dict[str, int] = {po: 2 * k for k, po in enumerate(self.outputs)}
+        # Boundary-inverter term of each output when it is negative.
+        self._output_inv_cost: List[float] = []
+        if self.model.include_boundary_inverters:
+            self._output_inv_cost = [
+                boundary_output_inverter_switching(
+                    self.ref_probability(self._driver_ref[(po, Phase.NEGATIVE)])
+                )
+                * self.model.inverter_cap
+                for po in self.outputs
+            ]
 
     # -- reference probabilities ------------------------------------------
     def ref_probability(self, ref: Ref) -> float:
@@ -292,49 +318,41 @@ class PhaseEvaluator:
         return float(self.slot_probs[self.space.gate_index[ref.key]])
 
     # -- assignment evaluation ----------------------------------------------
-    def _union_masks(
-        self, assignment: PhaseAssignment
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        gates = np.zeros(self.space.n_slots, dtype=bool)
-        invs = np.zeros(len(self.space.sources), dtype=bool)
-        for po in self.outputs:
-            g, i = self._masks[(po, assignment[po])]
-            gates |= g
-            invs |= i
-        return gates, invs
+    def _select(self, assignment: PhaseAssignment) -> Tuple[np.ndarray, List[bool]]:
+        """OR of the rows ``assignment`` selects, and whether each output
+        is negative, in output order."""
+        negative = Phase.NEGATIVE
+        flags = [assignment[po] is negative for po in self.outputs]
+        # one 0/1 byte per output picks row 2k or 2k + 1
+        rows = self._positive_rows + np.frombuffer(bytes(flags), dtype=np.uint8)
+        return np.bitwise_or.reduce(self._words.take(rows, axis=0), axis=0), flags
 
     def breakdown(self, assignment: PhaseAssignment) -> PowerBreakdown:
         """Full power decomposition for one assignment."""
-        gates, invs = self._union_masks(assignment)
-        domino = float(np.dot(gates, self.slot_probs * self.slot_caps))
-        n_gates = int(gates.sum())
+        union, negative = self._select(assignment)
+        gate_words = union[: self._n_gate_words]
+        inv_words = union[self._n_gate_words :]
+        gates = _unpack_words(gate_words, self.space.n_slots)
+        domino = float(np.dot(gates, self._slot_weights))
+        n_gates = _popcount(gate_words)
         clock = self.model.clock_cap_per_gate * n_gates
 
         input_inv = 0.0
         output_inv = 0.0
-        n_out_inv = 0
         if self.model.include_boundary_inverters:
+            invs = _unpack_words(inv_words, len(self.space.sources))
             input_inv = float(np.dot(invs, self.source_inv_cost))
-            for po in self.outputs:
-                if assignment[po] is Phase.NEGATIVE:
-                    n_out_inv += 1
-                    ref = self._driver_ref[(po, Phase.NEGATIVE)]
-                    output_inv += (
-                        boundary_output_inverter_switching(self.ref_probability(ref))
-                        * self.model.inverter_cap
-                    )
-        else:
-            n_out_inv = sum(
-                1 for po in self.outputs if assignment[po] is Phase.NEGATIVE
-            )
+            for cost, is_negative in zip(self._output_inv_cost, negative):
+                if is_negative:
+                    output_inv += cost
         return PowerBreakdown(
             domino=domino,
             input_inverters=input_inv,
             output_inverters=output_inv,
             clock=clock,
             n_gates=n_gates,
-            n_input_inverters=int(invs.sum()),
-            n_output_inverters=n_out_inv,
+            n_input_inverters=_popcount(inv_words),
+            n_output_inverters=negative.count(True),
             probability_method=self.probability_result.method,
         )
 
@@ -344,28 +362,49 @@ class PhaseEvaluator:
 
     def area(self, assignment: PhaseAssignment) -> int:
         """Cell-count proxy: domino gates + static boundary inverters."""
-        gates, invs = self._union_masks(assignment)
-        n_out_inv = sum(1 for po in self.outputs if assignment[po] is Phase.NEGATIVE)
-        return int(gates.sum()) + int(invs.sum()) + n_out_inv
+        union, negative = self._select(assignment)
+        return _popcount(union) + negative.count(True)
+
+    def _cone_gate_words(self, po: str, phase: Phase) -> np.ndarray:
+        row = self._row_of[po] + (phase is Phase.NEGATIVE)
+        return self._words[row, : self._n_gate_words]
 
     def average_cone_probability(
         self, assignment: PhaseAssignment, po: str
     ) -> float:
         """The paper's A_i: mean realised signal probability over cone D_i."""
-        gates, _invs = self._masks[(po, assignment[po])]
-        n = int(gates.sum())
+        phase = assignment[po]
+        words = self._cone_gate_words(po, phase)
+        n = _popcount(words)
         if n == 0:
-            return self.ref_probability(self._driver_ref[(po, assignment[po])])
-        return float(np.dot(gates, self.slot_probs) / n)
+            return self.ref_probability(self._driver_ref[(po, phase)])
+        return float(np.dot(_unpack_words(words, self.space.n_slots), self.slot_probs) / n)
 
     def cone_size(self, po: str, phase: Optional[Phase] = None) -> int:
         """|D_i|: gates materialised by output ``po`` (either phase has the
         same count, so the phase argument is optional)."""
-        gates, _ = self._masks[(po, phase or Phase.POSITIVE)]
-        return int(gates.sum())
+        return _popcount(self._cone_gate_words(po, phase or Phase.POSITIVE))
 
-    def cone_gate_mask(self, po: str, phase: Phase) -> np.ndarray:
-        return self._masks[(po, phase)][0]
+
+def _pack_words(masks: np.ndarray) -> np.ndarray:
+    """``(R, n)`` bool rows as ``(R, ceil(n / 64))`` uint64 words; bit
+    ``i`` of a row lands in byte ``i // 8``, bit ``i % 8``."""
+    rows, n = masks.shape
+    padded = np.zeros((rows, -(-n // 64) * 64), dtype=bool)
+    padded[:, :n] = masks
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` bits of packed ``words``: the exact bool mask
+    :func:`_pack_words` was given."""
+    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
+
+
+def _popcount(words: np.ndarray) -> int:
+    """Set bits in ``words`` (one big-int popcount beats a ufunc pass
+    plus a sum on rows this short)."""
+    return int.from_bytes(words.tobytes(), "little").bit_count()
 
 
 def estimate_power(

@@ -57,10 +57,6 @@ class SGraph:
         del self.weight[name]
         del self.members[name]
 
-    def remove_edge(self, u: str, v: str) -> None:
-        self.succ[u].discard(v)
-        self.pred[v].discard(u)
-
     # -- queries ------------------------------------------------------------
     @property
     def vertices(self) -> List[str]:

@@ -36,9 +36,6 @@ class ReductionResult:
     forced_fvs: List[str]  # original flip-flop names forced by self-loops
     applications: Dict[str, int] = field(default_factory=dict)
 
-    def total_applications(self) -> int:
-        return sum(self.applications.values())
-
 
 def apply_t0_sources_sinks(graph: SGraph) -> int:
     """Repeatedly delete vertices with no preds or no succs; returns count."""

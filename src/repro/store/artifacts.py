@@ -126,18 +126,6 @@ class ArtifactStore:
         return Path(self.backend.root)
 
     # ------------------------------------------------------------------
-    # paths
-
-    def entry_path(self, kind: str, fingerprint: str, key: Any) -> Path:
-        """The path backing one entry (it may not exist) — the entry
-        file for the disk layout, the DB file for row backends."""
-        digest = key_digest(key)
-        blob_path = getattr(self.backend, "blob_path", None)
-        if blob_path is not None:
-            return blob_path(kind, fingerprint, digest)
-        return Path(self.backend.root)
-
-    # ------------------------------------------------------------------
     # get / put
 
     def get(self, kind: str, fingerprint: str, key: Any) -> Optional[Dict[str, Any]]:

@@ -15,3 +15,15 @@ def all_input_vectors(names):
     """All boolean assignments over the given input names."""
     for bits in itertools.product([False, True], repeat=len(names)):
         yield dict(zip(names, bits))
+
+
+def ranked_pairs(data):
+    """Row-major indices ``i * P + j`` of the pairs ``i < j`` in the order
+    ``max_pairs`` keeps them: highest overlap-weighted cone size first,
+    lowest index on a tie.  Each item is ``(-score, index)``."""
+    n = len(data.outputs)
+    return sorted(
+        (-(data.overlap[i, j] * (data.sizes[i] + data.sizes[j])), i * n + j)
+        for i in range(n)
+        for j in range(i + 1, n)
+    )

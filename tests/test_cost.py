@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import ranked_pairs
 from repro.core.cost import (
     COMBOS,
     CostModelData,
@@ -10,6 +11,7 @@ from repro.core.cost import (
     all_pair_costs,
     best_pair_and_combo,
     cost_matrices,
+    masked_cost_stack,
     pair_cost,
 )
 from repro.errors import PhaseError
@@ -118,3 +120,89 @@ class TestVectorisedCost:
             for mi, mj in COMBOS
         )
         assert cost == pytest.approx(best)
+
+
+def reference_best_pair(data, avg_probs, remaining):
+    """The per-combo argmin loop the stacked pick replaced."""
+    best = None
+    for combo, k in cost_matrices(data, avg_probs).items():
+        masked = np.where(remaining, k, np.inf)
+        idx = int(np.argmin(masked))
+        i, j = divmod(idx, k.shape[1])
+        val = float(masked[i, j])
+        if best is None or val < best[3]:
+            best = (i, j, combo, val)
+    return best
+
+
+def _synthetic(n, sizes, overlap):
+    return CostModelData(
+        outputs=[f"o{k}" for k in range(n)], sizes=np.asarray(sizes, float), overlap=overlap
+    )
+
+
+def _pruned(data, max_pairs):
+    """The candidate mask the loop keeps under ``max_pairs``."""
+    n = len(data.outputs)
+    remaining = np.zeros((n, n), dtype=bool)
+    for _score, index in ranked_pairs(data)[:max_pairs]:
+        remaining[divmod(index, n)] = True
+    return remaining
+
+
+def _cases():
+    """(data, avg, remaining) inputs, many of them tie-heavy."""
+    rng = np.random.default_rng(5)
+    n = 9
+    full = np.triu(np.ones((n, n), dtype=bool), k=1)
+    flat = _synthetic(n, np.full(n, 4.0), np.zeros((n, n)))
+    overlap = np.triu(rng.choice([0.0, 0.0, 0.25], size=(n, n)), k=1)
+    overlap = overlap + overlap.T
+    mixed = _synthetic(n, rng.choice([3.0, 4.0], size=n), overlap)
+    single = np.zeros((n, n), dtype=bool)
+    single[3, 7] = True
+    for data in (flat, mixed):
+        for avg in (
+            np.full(n, 0.5),  # all four combos of every pair tie on `flat`
+            rng.choice([0.25, 0.5, 0.75], size=n),
+            rng.random(n),
+        ):
+            yield data, avg, full
+            yield data, avg, single
+            yield data, avg, full & (rng.random((n, n)) < 0.4) | single
+            for max_pairs in (1, 5, 17):
+                yield data, avg, _pruned(data, max_pairs)
+
+
+class TestStackedPick:
+    def test_matches_per_combo_loop_with_and_without_stack(self):
+        for data, avg, remaining in _cases():
+            expected = reference_best_pair(data, avg, remaining)
+            assert best_pair_and_combo(data, avg, remaining) == expected
+            stack = masked_cost_stack(data, avg, remaining)
+            assert best_pair_and_combo(data, avg, remaining, stack) == expected
+
+    def test_all_tied_pick_is_first_combo_then_lowest_pair(self):
+        n = 5
+        data = _synthetic(n, np.full(n, 2.0), np.zeros((n, n)))
+        remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
+        remaining[0, 1] = False
+        assert best_pair_and_combo(data, np.full(n, 0.5), remaining)[:3] == (
+            0, 2, COMBOS[0],
+        )
+
+    def test_stack_updated_in_place_equals_a_fresh_one(self):
+        rng = np.random.default_rng(9)
+        for data, avg, remaining in _cases():
+            avg, remaining = avg.copy(), remaining.copy()
+            stack = masked_cost_stack(data, avg, remaining)
+            while remaining.any():
+                i, j, combo, cost = best_pair_and_combo(data, avg, remaining, stack)
+                assert (i, j, combo, cost) == reference_best_pair(data, avg, remaining)
+                inverted = [k for k, move in zip((i, j), combo) if move is Move.INVERT]
+                if inverted and rng.random() < 0.3:  # a commit
+                    avg[inverted] = 1.0 - avg[inverted]
+                    stack = masked_cost_stack(data, avg, remaining)
+                remaining[i, j] = False
+                stack[:, i, j] = np.inf
+                assert np.array_equal(stack, masked_cost_stack(data, avg, remaining))

@@ -2,6 +2,8 @@
 
 import pytest
 
+from helpers import ranked_pairs
+from repro.core.cost import CostModelData
 from repro.core.min_area import minimize_area
 from repro.optimize import make_strategy
 from repro.phase import Phase, PhaseAssignment, enumerate_assignments
@@ -104,6 +106,18 @@ class TestMinimizePower:
             "pairwise", exhaustive_limit=0, max_pairs=5
         ).optimize(random_evaluator)
         assert len(result.history) == 5
+
+    def test_max_pairs_cut_inside_a_tie_keeps_the_lowest_pairs(self, random_evaluator):
+        ev = random_evaluator
+        n = len(ev.outputs)
+        ranked = ranked_pairs(CostModelData.from_network(ev.network))
+        max_pairs = 8
+        assert ranked[max_pairs - 1][0] == ranked[max_pairs][0]  # the cut splits a tie
+        result = make_strategy(
+            "pairwise", exhaustive_limit=0, max_pairs=max_pairs
+        ).optimize(ev)
+        kept = {(ev.outputs[k // n], ev.outputs[k % n]) for _, k in ranked[:max_pairs]}
+        assert {step.pair for step in result.history} == kept
 
     def test_pairwise_close_to_exhaustive_on_fig3(self, fig3_evaluator):
         pw = make_strategy("pairwise", exhaustive_limit=0).optimize(fig3_evaluator)
