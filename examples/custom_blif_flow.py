@@ -13,7 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro import load_blif, run_flow
+from repro import FlowConfig, Pipeline, load_blif
 from repro.core import format_table
 
 DEMO_BLIF = """\
@@ -49,11 +49,12 @@ def main() -> None:
     network = load_blif(str(path))
     print(f"loaded {network.name}: {network.stats()}\n")
 
-    result = run_flow(network, input_probability=0.5, n_vectors=8192, seed=0)
-    print(format_table([result.row()], f"MA vs MP for {network.name}"))
+    config = FlowConfig(input_probability=0.5, n_vectors=8192, seed=0)
+    run = Pipeline(config).run(network)  # the flow record plus the mapped designs
+    print(format_table([run.flow.row()], f"MA vs MP for {network.name}"))
     print()
-    print("negative-phase outputs under MP:", result.mp.assignment.negative_outputs())
-    print("MP cell histogram:", result.mp.design.counts_by_cell())
+    print("negative-phase outputs under MP:", run.flow.mp.assignment.negative_outputs())
+    print("MP cell histogram:", run.context.builds["MP"].design.counts_by_cell())
 
 
 if __name__ == "__main__":

@@ -13,19 +13,22 @@ Run:  python examples/low_power_asic_block.py
 """
 
 from repro.bench import GeneratorConfig, random_control_network
-from repro.core import format_table, run_flow
+from repro.core import FlowConfig, Pipeline, format_table
 from repro.domino import analyze_timing, simulate_mapped_power
 
 
-def breakdown(label: str, variant, input_probs=None) -> None:
-    sim = simulate_mapped_power(variant.design, input_probs=input_probs, n_vectors=8192)
-    timing = analyze_timing(variant.design)
-    print(
-        f"  {label}: cells={variant.size:>5}  "
-        f"domino={sim['domino']:>7.1f}  clock={sim['clock']:>6.1f}  "
-        f"static={sim['static']:>6.1f}  total={sim['total']:>7.1f}  "
-        f"critical delay={timing.critical_delay:.2f}"
-    )
+def breakdown(run) -> None:
+    """Power breakdown of both mapped designs of one pipeline run."""
+    for variant in (run.flow.ma, run.flow.mp):
+        design = run.context.builds[variant.label].design
+        sim = simulate_mapped_power(design, n_vectors=8192)
+        timing = analyze_timing(design)
+        print(
+            f"  {variant.label}: cells={variant.size:>5}  "
+            f"domino={sim['domino']:>7.1f}  clock={sim['clock']:>6.1f}  "
+            f"static={sim['static']:>6.1f}  total={sim['total']:>7.1f}  "
+            f"critical delay={timing.critical_delay:.2f}"
+        )
 
 
 def main() -> None:
@@ -41,20 +44,21 @@ def main() -> None:
     network = random_control_network("asic_ctrl", config)
     print(f"control block: {network.stats()}\n")
 
-    untimed = run_flow(network, n_vectors=8192, seed=0)
+    flow_config = FlowConfig(n_vectors=8192, seed=0)
+    untimed_run = Pipeline(flow_config).run(network)
+    untimed = untimed_run.flow
     print(format_table([untimed.row()], "Untimed flow (Table 1 conditions)"))
-    breakdown("MA", untimed.ma)
-    breakdown("MP", untimed.mp)
+    breakdown(untimed_run)
     print()
 
-    timed = run_flow(network, timed=True, n_vectors=8192, seed=0)
+    timed_run = Pipeline(flow_config.replace(timed=True)).run(network)
+    timed = timed_run.flow
     print(format_table([timed.row()], "Timed flow with resizing (Table 2 conditions)"))
-    breakdown("MA", timed.ma)
-    breakdown("MP", timed.mp)
-    for label, variant in (("MA", timed.ma), ("MP", timed.mp)):
+    breakdown(timed_run)
+    for variant in (timed.ma, timed.mp):
         r = variant.resize
         print(
-            f"  {label} resizing: {r.initial_delay:.2f} -> {r.final_delay:.2f} "
+            f"  {variant.label} resizing: {r.initial_delay:.2f} -> {r.final_delay:.2f} "
             f"(target {r.target:.2f}, {r.upsized_cells} cells upsized, "
             f"met={r.met_timing})"
         )

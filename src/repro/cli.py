@@ -263,6 +263,20 @@ def _add_stage_jobs_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_flow_flags(parser: argparse.ArgumentParser, config_help: str) -> None:
+    """The flow flags of every command that runs user circuits: a
+    ``--config`` file, the overrides :func:`_effective_config` layers on
+    it, and the optimizer, stage-thread and store flags."""
+    parser.add_argument("--config", default=None, help=config_help)
+    parser.add_argument("--input-probability", type=float, default=None)
+    parser.add_argument("--timed", action="store_true")
+    parser.add_argument("--vectors", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    _add_optimizer_flags(parser)
+    _add_stage_jobs_flag(parser)
+    _add_store_flags(parser)
+
+
 def _cmd_table(args: argparse.Namespace, timed: bool) -> int:
     from repro.experiments.tables import run_table, format_table_result
 
@@ -919,16 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="run the MA/MP flow on a BLIF file")
     p.add_argument("blif")
-    p.add_argument(
-        "--config", default=None, help="JSON FlowConfig file (flags override it)"
-    )
-    p.add_argument("--input-probability", type=float, default=None)
-    p.add_argument("--timed", action="store_true")
-    p.add_argument("--vectors", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_optimizer_flags(p)
-    _add_stage_jobs_flag(p)
-    _add_store_flags(p)
+    _add_flow_flags(p, "JSON FlowConfig file (flags override it)")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser(
@@ -939,13 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
         "paths", nargs="+", help="BLIF files and/or directories of *.blif"
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument(
-        "--config", default=None, help="JSON FlowConfig file (flags override it)"
-    )
-    p.add_argument("--input-probability", type=float, default=None)
-    p.add_argument("--timed", action="store_true")
-    p.add_argument("--vectors", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_flow_flags(p, "JSON FlowConfig file (flags override it)")
     p.add_argument(
         "--per-circuit-seeds",
         action="store_true",
@@ -970,9 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-circuit wall-clock budget; over-budget circuits fail instead "
         "of stalling the batch",
     )
-    _add_optimizer_flags(p)
-    _add_stage_jobs_flag(p)
-    _add_store_flags(p)
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser(
@@ -993,13 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweeps one strategy knob or budget key",
     )
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
-    p.add_argument(
-        "--config", default=None, help="JSON FlowConfig file (the sweep base)"
-    )
-    p.add_argument("--input-probability", type=float, default=None)
-    p.add_argument("--timed", action="store_true")
-    p.add_argument("--vectors", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_flow_flags(p, "JSON FlowConfig file (the sweep base)")
     p.add_argument(
         "--per-circuit-seeds",
         action="store_true",
@@ -1026,9 +1016,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run registry directory (default: <store dir>/runs)",
     )
-    _add_optimizer_flags(p)
-    _add_stage_jobs_flag(p)
-    _add_store_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -1051,14 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timeout-s", type=float, default=None,
         help="default per-job wall-clock budget (overridable per submission)",
     )
-    p.add_argument(
-        "--config", default=None,
-        help="JSON FlowConfig file used for submissions without one",
-    )
-    p.add_argument("--input-probability", type=float, default=None)
-    p.add_argument("--timed", action="store_true")
-    p.add_argument("--vectors", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    _add_flow_flags(p, "JSON FlowConfig file used for submissions without one")
     p.add_argument(
         "--no-progress", action="store_true",
         help="suppress per-job progress lines on stderr",
@@ -1067,9 +1047,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--abort-on-stop", action="store_true",
         help="on shutdown, cancel queued jobs instead of draining them",
     )
-    _add_optimizer_flags(p)
-    _add_stage_jobs_flag(p)
-    _add_store_flags(p)
     _add_log_level_flag(p)
     p.set_defaults(func=_cmd_serve)
 
@@ -1127,14 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-after", type=int, default=3, metavar="N",
         help="consecutive job failures that quarantine a worker",
     )
-    fc.add_argument(
-        "--config", default=None,
-        help="JSON FlowConfig file used for submissions without one",
-    )
-    fc.add_argument("--input-probability", type=float, default=None)
-    fc.add_argument("--timed", action="store_true")
-    fc.add_argument("--vectors", type=int, default=None)
-    fc.add_argument("--seed", type=int, default=None)
+    _add_flow_flags(fc, "JSON FlowConfig file used for submissions without one")
     fc.add_argument(
         "--no-progress", action="store_true",
         help="suppress per-job progress lines on stderr",
@@ -1143,9 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--abort-on-stop", action="store_true",
         help="on shutdown, cancel queued jobs instead of draining them",
     )
-    _add_optimizer_flags(fc)
-    _add_stage_jobs_flag(fc)
-    _add_store_flags(fc)
     _add_log_level_flag(fc)
     fc.set_defaults(func=_cmd_fleet_coordinator)
 

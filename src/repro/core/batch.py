@@ -109,12 +109,11 @@ class Outcome:
     :class:`BatchItem`, the service's execution backends return it for
     a :class:`repro.serve.service.Job`, and the fleet coordinator
     resolves each job's future with it.  ``result`` is the
-    :class:`FlowResult` (inside the fleet, its wire record until
-    :class:`repro.fleet.FleetBackend` decodes it); ``error`` is the
-    failure text, its first line naming the failure.
+    :class:`FlowResult` on every path, a store hit included; ``error``
+    is the failure text, its first line naming the failure.
     """
 
-    result: Any = None
+    result: Optional[FlowResult] = None
     error: Optional[str] = None
     runtime_s: float = 0.0
     cached: bool = False  # served whole from the persistent store

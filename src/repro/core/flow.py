@@ -13,13 +13,17 @@ One call runs the experimental pipeline of the paper for one circuit:
 7. (timed flow) transistor resizing to meet a timing target;
 8. Monte-Carlo power measurement of both mapped designs.
 
-The result object carries everything the Table 1 / Table 2 rows need.
+The result, :class:`FlowResult`, is the circuit's Table 1 / Table 2
+record and nothing more — exactly what
+:func:`repro.report.flow_result_to_dict` writes — so a pool result, a
+store hit and a fleet result are one shape.  The mapped artefacts stay
+in process, on ``Pipeline.run(...).context.builds["MA"]`` / ``["MP"]``.
 
 Since the pipeline redesign the implementation lives in
 :mod:`repro.core.pipeline` (staged, skippable, store-backed) and
 :func:`run_flow` is a thin keyword-compatible wrapper; new code should
 prefer a :class:`repro.core.config.FlowConfig` plus
-``Pipeline().run(...)`` (one circuit) or
+``Pipeline().run(...)`` (one circuit, artefacts included) or
 :func:`repro.core.batch.run_many` (many circuits, in parallel).
 """
 
@@ -30,21 +34,21 @@ from typing import Dict, List, Mapping, Optional
 
 from repro.network.netlist import LogicNetwork
 from repro.phase import PhaseAssignment
-from repro.network.duplication import DominoImplementation
 from repro.domino.gates import DominoCellLibrary
-from repro.domino.mapper import MappedDesign
 from repro.domino.timing import ResizeResult
 from repro.power.estimator import DominoPowerModel
 
 
 @dataclass
 class SynthesisVariant:
-    """One synthesis outcome (MA or MP) with its measurements."""
+    """One synthesis outcome (MA or MP): its assignment and measurements.
+
+    The mapped design it was measured on is not part of the record; an
+    in-process caller reads it from ``Pipeline.run(...).context.builds``.
+    """
 
     label: str
     assignment: PhaseAssignment
-    implementation: DominoImplementation
-    design: MappedDesign
     size: int
     power_ma: float  # the tables' "Pwr" column (calibrated mA figure)
     estimated_power: float

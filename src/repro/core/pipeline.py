@@ -136,8 +136,8 @@ class VariantBuild:
     label: str
     assignment: PhaseAssignment
     estimated_power: float
-    implementation: Optional[DominoImplementation] = None
-    design: Optional[MappedDesign] = None
+    implementation: DominoImplementation
+    design: MappedDesign
     resize: Optional[ResizeResult] = None
 
 
@@ -170,7 +170,13 @@ class PipelineContext:
 
 @dataclass
 class PipelineResult:
-    """Everything one pipeline run produced."""
+    """Everything one pipeline run produced.
+
+    ``flow`` is the record that leaves the process; the mapped artefacts
+    stay here, as ``context.builds["MA"]`` / ``["MP"]`` (a
+    :class:`VariantBuild` each, holding the implementation and design).
+    ``builds`` is empty when the whole run was served from the store.
+    """
 
     flow: Optional["FlowResult"]  # noqa: F821
     stages: List[StageResult]
@@ -399,8 +405,6 @@ def _stage_measure(ctx: PipelineContext):
         variants[label] = SynthesisVariant(
             label=label,
             assignment=build.assignment,
-            implementation=build.implementation,
-            design=build.design,
             size=build.design.standard_cell_count(),
             power_ma=sim["current_ma"],
             estimated_power=build.estimated_power,

@@ -31,10 +31,10 @@ actor tree (monitor the children, restart the work not the process):
 :class:`repro.serve.service.ExecutionBackend` interface, which is how
 ``repro-domino fleet coordinator`` serves the exact HTTP surface of
 ``repro-domino serve`` with a fleet doing the synthesis.  Every fleet
-job resolves to the spine's :class:`~repro.core.batch.Outcome` —
-whose ``result`` is the wire flow record until :class:`FleetBackend`
-decodes it — so the service sees one outcome shape whichever backend
-ran the circuit.
+job resolves to the spine's :class:`~repro.core.batch.Outcome`; the
+worker's wire flow record is decoded where it enters, so the
+``result`` is the same :class:`~repro.core.flow.FlowResult` whichever
+backend ran the circuit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import itertools
 import logging
 import time
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import FleetError, ProtocolError
@@ -69,6 +69,7 @@ from repro.fleet.protocol import (
     send_message,
     work_fingerprint,
 )
+from repro.report import flow_result_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -289,7 +290,7 @@ class Coordinator:
 
     async def outcome(self, job_id: str) -> Outcome:
         """Await one job's terminal :class:`Outcome`; its ``result`` is
-        the worker's wire flow record."""
+        the decoded :class:`~repro.core.flow.FlowResult`."""
         try:
             job = self.jobs[job_id]
         except KeyError:
@@ -511,9 +512,15 @@ class Coordinator:
             msg.runtime_s,
             " (cached)" if msg.cached else "",
         )
-        self._resolve(
-            job, Outcome(msg.flow, runtime_s=msg.runtime_s, cached=msg.cached)
-        )
+        try:
+            flow = flow_result_from_dict(msg.flow)
+        except ValueError as exc:
+            # the flow ran; only its record is bad, so only this job fails
+            context = f"undecodable flow record from {worker.worker_id}: "
+            logger.warning("%s %s: %s%s", job.job_id, job.name, context, exc)
+            self._resolve(job, Outcome.from_exception(exc, context))
+            return
+        self._resolve(job, Outcome(flow, runtime_s=msg.runtime_s, cached=msg.cached))
 
     async def _job_failed(self, worker: WorkerHandle, msg: JobFailed) -> None:
         job = worker.inflight.pop(msg.job_id, None)
@@ -737,10 +744,9 @@ class FleetBackend:
     ``slots`` bounds how many service jobs may be in flight toward the
     fleet at once (dispatcher tasks service-side); actual execution
     concurrency is whatever the registered workers lease.  Results
-    cross the wire as :func:`repro.report.flow_result_to_dict` records
-    and are decoded back to :class:`FlowResult` in the
-    :class:`Outcome` here, so service consumers see byte-identical
-    payloads to the local-pool backend.
+    cross the wire as :func:`repro.report.flow_result_to_dict` records,
+    which the coordinator decodes on arrival, so :meth:`execute` returns
+    the same :class:`Outcome` the local-pool backend does.
     """
 
     def __init__(self, coordinator: Coordinator, *, max_inflight: int = 32) -> None:
@@ -785,13 +791,7 @@ class FleetBackend:
             timeout_s=job.timeout_s,
             fingerprint=fingerprint,
         )
-        outcome = await self.coordinator.outcome(job_id)
-        if outcome.result is None:
-            return outcome
-        from repro.report import flow_result_from_dict
-
-        result = await loop.run_in_executor(None, flow_result_from_dict, outcome.result)
-        return replace(outcome, result=result)
+        return await self.coordinator.outcome(job_id)
 
     def stats(self) -> Dict[str, Any]:
         return self.coordinator.stats()

@@ -62,14 +62,10 @@ def flow_result_to_dict(result: FlowResult) -> Dict[str, object]:
 def flow_result_from_dict(record: Mapping[str, object]) -> FlowResult:
     """Rebuild a :class:`FlowResult` from :func:`flow_result_to_dict`.
 
-    The inverse the old API was missing: :func:`load_results_json`
-    returned bare dicts while :func:`save_results` consumed
-    ``FlowResult`` objects.  The reconstruction preserves every number a
-    table or comparison needs — sizes, measured/estimated powers,
-    assignments, delays, resize outcome — bit-for-bit (JSON round-trips
-    floats exactly).  The in-memory synthesis artefacts
-    (``implementation`` / ``design``) are not serialised and come back
-    as ``None``.
+    The exact inverse: a :class:`FlowResult` is the record, so
+    ``flow_result_from_dict(flow_result_to_dict(r)) == r``, and JSON
+    round-trips its floats exactly.  A record that does not decode
+    raises :class:`ValueError`.
     """
     from repro.domino.timing import ResizeResult
 
@@ -94,8 +90,6 @@ def flow_result_from_dict(record: Mapping[str, object]) -> FlowResult:
         return SynthesisVariant(
             label=label.upper(),
             assignment=assignment,
-            implementation=None,
-            design=None,
             size=int(record[f"{label}_size"]),
             power_ma=float(record[f"{label}_pwr"]),
             estimated_power=float(record[f"{label}_estimated_power"]),
@@ -196,18 +190,11 @@ def save_results(results: Sequence[FlowResult], path: str) -> None:
         f.write(text)
 
 
-def load_results_json(path: str) -> List[Dict[str, object]]:
-    """Read back a JSON report written by :func:`save_results` as bare
-    dicts (thin wrapper kept for backwards compatibility; prefer
-    :func:`load_results` for real :class:`FlowResult` objects)."""
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
-
-
 def load_results(path: str) -> List[FlowResult]:
     """Read back a JSON report as :class:`FlowResult` objects — the
     symmetric inverse of :func:`save_results` for ``.json`` reports."""
-    return [flow_result_from_dict(record) for record in load_results_json(path)]
+    with open(path, "r", encoding="utf-8") as f:
+        return [flow_result_from_dict(record) for record in json.load(f)]
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,8 @@
 """Run registry: round-trippable records of flow/batch/sweep runs.
 
-The old :mod:`repro.report` helpers were asymmetric — ``save_results``
-took :class:`FlowResult` objects but ``load_results_json`` handed back
-bare dicts.  The registry closes the loop: a :class:`RunRecord` stores
-the full per-circuit flow records *plus* config provenance, and loads
-back to real :class:`FlowResult` objects via
-:func:`repro.report.flow_result_from_dict`.
+A :class:`RunRecord` stores the full per-circuit flow records *plus*
+config provenance, and loads back to real :class:`FlowResult` objects
+via :func:`repro.report.flow_result_from_dict`.
 
 Records are one JSON file per run under the registry root (default
 ``<store root>/runs``), named by ``run_id``, so a registry survives
@@ -75,9 +72,8 @@ class RunRecord:
         return len(self.records) - self.n_ok
 
     def flow_results(self) -> List["FlowResult"]:  # noqa: F821
-        """The successful per-circuit results as real :class:`FlowResult`
-        objects (implementation/design handles are not archived and come
-        back as ``None``)."""
+        """The successful per-circuit results as :class:`FlowResult`
+        objects, equal to the ones that were recorded."""
         from repro.report import flow_result_from_dict
 
         return [flow_result_from_dict(r) for r in self.records if "error" not in r]

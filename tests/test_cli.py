@@ -76,6 +76,43 @@ class TestParser:
         args = build_parser().parse_args(["synth", "x.blif", "--stage-jobs", "3"])
         assert _effective_config(args).stage_jobs == 3
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "x.blif"],
+            ["batch", "dir"],
+            ["sweep", "dir", "--grid", "seed=1,2"],
+            ["serve"],
+            ["fleet", "coordinator"],
+        ],
+        ids=["synth", "batch", "sweep", "serve", "fleet-coordinator"],
+    )
+    def test_flow_flags_give_one_config_everywhere(self, command, tmp_path):
+        """Every command that runs user circuits layers the same flow
+        flags over the same --config file into the same FlowConfig."""
+        from repro.cli import _effective_config
+        from repro.core.config import FlowConfig
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(FlowConfig(max_pairs=3, n_vectors=1024).to_json())
+        args = build_parser().parse_args(
+            command
+            + ["--config", str(config_path), "--input-probability", "0.3",
+               "--timed", "--vectors", "512", "--seed", "7",
+               "--optimizer", "anneal", "--optimizer-param", "steps=16",
+               "--stage-jobs", "2"]
+        )
+        assert _effective_config(args) == FlowConfig(
+            max_pairs=3,
+            input_probability=0.3,
+            timed=True,
+            n_vectors=512,
+            seed=7,
+            optimizer="anneal",
+            optimizer_params={"steps": 16},
+            stage_jobs=2,
+        )
+
 
 class TestCommands:
     def test_figure2(self, capsys):

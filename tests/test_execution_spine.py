@@ -2,8 +2,9 @@
 path from :func:`execute_one` up through ``run_many``, the service's
 local pool and the fleet.
 
-Every layer must report the same thing for the same circuit, and each
-pool owner must apply its SIGINT policy: Ctrl-C aborts a batch but
+Every layer, a store hit included, must report the same thing for the
+same circuit — the same :class:`FlowResult`, equal with ``==`` — and
+each pool owner must apply its SIGINT policy: Ctrl-C aborts a batch but
 drains a service or a fleet worker."""
 
 import asyncio
@@ -20,6 +21,7 @@ from repro.core.batch import Outcome, execute_one, run_many
 from repro.core.config import FlowConfig
 from repro.fleet import Coordinator, FleetBackend, Worker
 from repro.serve import Service
+from repro.store import ArtifactStore
 
 FAST = FlowConfig(n_vectors=256)
 
@@ -38,10 +40,9 @@ async def wait_until(predicate, timeout=30.0):
 
 
 def summary(record):
-    """What every layer must agree on: ok, row, first error line, cached."""
+    """What every layer must agree on: ok, result, first error line, cached."""
     first_error = (record.error or "").splitlines()[:1]
-    row = record.result.row() if record.result is not None else None
-    return (record.ok, row, first_error, record.cached)
+    return (record.ok, record.result, first_error, record.cached)
 
 
 class TestOutcome:
@@ -64,8 +65,10 @@ class TestLayerParity:
     def test_every_layer_reports_the_same_outcome(self, tmp_path):
         """A good circuit and a missing BLIF through execute_one inline,
         run_many on a pool, Service on the local pool, and Service on a
-        one-worker loopback fleet: identical ok, row, first error line
-        and cached at every layer."""
+        one-worker loopback fleet: identical ok, result, first error
+        line and cached at every layer.  Served from one store by a
+        repeat run_many and a Service answering at submit, the good
+        circuit's result is still equal; only cached differs."""
         circuits = [tiny_network(), str(tmp_path / "missing.blif")]
 
         inline = [
@@ -102,9 +105,29 @@ class TestLayerParity:
         for layer, records in layers.items():
             assert [summary(record) for record in records] == reference, layer
         good, missing = reference
-        assert good[0] and good[1]["ckt"] == "spine" and good[2] == []
+        assert good[0] and good[1].name == "spine" and good[2] == []
         assert not missing[0] and missing[1] is None
         assert "missing.blif" in missing[2][0]
+
+        store = ArtifactStore(tmp_path / "store")
+        run_many(circuits, FAST, store=store, jobs=2)  # cold: fills the store
+
+        async def resubmit():
+            async with Service(FAST, jobs=1, store=store) as svc:
+                job_ids = [await svc.submit(circuit) for circuit in circuits]
+                warm = svc.job(job_ids[0])
+                assert warm.finished and warm.started_at is None  # never queued
+                return [await svc.result(job_id, timeout=240) for job_id in job_ids]
+
+        store_hits = {
+            "run_many store hit": run_many(circuits, FAST, store=store, jobs=2).items,
+            "service store hit": asyncio.run(resubmit()),
+        }
+        for layer, records in store_hits.items():
+            assert [summary(record) for record in records] == [
+                good[:3] + (True,),
+                missing,
+            ], layer
 
 
 class TestSigintPolicy:

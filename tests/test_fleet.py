@@ -12,6 +12,7 @@ import pytest
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
 from repro.core.config import FlowConfig
+from repro.core.flow import FlowResult, SynthesisVariant
 from repro.errors import FleetError, ProtocolError
 from repro.fleet import (
     Coordinator,
@@ -36,11 +37,25 @@ from repro.fleet import (
     send_message,
 )
 from repro.fleet.protocol import PROTOCOL_VERSION
+from repro.phase import Phase, PhaseAssignment
+from repro.report import flow_result_to_dict
 from repro.serve import Service, serve_forever
 from repro.store import ArtifactStore
 
 FAST = FlowConfig(n_vectors=256)
 FAKE_WORK = {"kind": "blif", "path": "nonexistent.blif"}
+#: a flow result a scripted worker can send as a real wire record
+FLOW = FlowResult(
+    name="x",
+    n_inputs=2,
+    n_outputs=1,
+    ma=SynthesisVariant("MA", PhaseAssignment({"o": Phase.POSITIVE}), size=3,
+                        power_ma=1.5, estimated_power=0.25, critical_delay=7.0),
+    mp=SynthesisVariant("MP", PhaseAssignment({"o": Phase.NEGATIVE}), size=4,
+                        power_ma=1.25, estimated_power=0.125, critical_delay=7.5),
+    timed=False,
+    probability_method="bdd",
+)
 
 
 def tiny_network(name="tiny", seed=3):
@@ -247,12 +262,43 @@ class TestSupervision:
                 assert isinstance(retry, JobAssign)
                 assert retry.job_id == assign.job_id and retry.attempt == 1
                 await survivor.send(JobResult(job_id=job_id,
-                                              flow={"ok": True},
+                                              flow=flow_result_to_dict(FLOW),
                                               runtime_s=0.1))
                 outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
-                assert outcome.error is None and outcome.result == {"ok": True}
+                # the coordinator decodes the wire record on arrival
+                assert outcome.error is None and outcome.result == FLOW
                 await silent.close()
                 await survivor.close()
+
+        run(body())
+
+    def test_undecodable_record_fails_only_its_job(self):
+        async def body():
+            async with Coordinator(port=0, heartbeat_interval_s=0.5) as coord:
+                w = FakeWorker(coord.port, "w1", slots=2)
+                await w.register()
+                await w.lease(slots=2)
+                bad = await coord.submit(dict(FAKE_WORK), FAST, name="x")
+                good = await coord.submit(dict(FAKE_WORK), FAST, name="x")
+                assert isinstance(await w.recv(), JobAssign)
+                assert isinstance(await w.recv(), JobAssign)
+                await w.send(JobResult(job_id=bad, flow={"ok": 1},
+                                       runtime_s=0.1))
+                outcome = await asyncio.wait_for(coord.outcome(bad), 10)
+                assert outcome.result is None
+                assert outcome.error.startswith(
+                    "undecodable flow record from w1: ValueError"
+                )
+                assert coord.jobs[bad].state == "failed"
+                assert not coord.jobs[good].finished
+                # the coordinator keeps serving: the next job completes
+                await w.send(JobResult(job_id=good,
+                                       flow=flow_result_to_dict(FLOW),
+                                       runtime_s=0.1))
+                outcome = await asyncio.wait_for(coord.outcome(good), 10)
+                assert outcome.error is None and outcome.result == FLOW
+                assert coord.jobs[good].state == "done"
+                await w.close()
 
         run(body())
 

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.bench.generators import GeneratorConfig, random_control_network
+from repro.core.config import FlowConfig
 from repro.core.flow import format_table, run_flow
+from repro.core.pipeline import Pipeline
 from repro.network.ops import networks_equivalent
 from repro.network.duplication import implementation_network
 
@@ -19,6 +21,12 @@ def tiny_flow(tiny):
     return run_flow(tiny, n_vectors=2048, seed=0)
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tiny):
+    """The same flow through Pipeline.run, which keeps the mapped artefacts."""
+    return Pipeline(FlowConfig(n_vectors=2048, seed=0)).run(tiny)
+
+
 class TestRunFlow:
     def test_row_fields(self, tiny_flow):
         row = tiny_flow.row()
@@ -31,17 +39,20 @@ class TestRunFlow:
     def test_mp_estimated_power_not_worse(self, tiny_flow):
         assert tiny_flow.mp.estimated_power <= tiny_flow.ma.estimated_power + 1e-9
 
-    def test_both_variants_functionally_correct(self, tiny, tiny_flow):
+    def test_both_variants_functionally_correct(self, tiny, tiny_run):
         from repro.network.ops import cleanup, to_aoi
 
         aoi = cleanup(to_aoi(tiny))
-        for variant in (tiny_flow.ma, tiny_flow.mp):
-            block = implementation_network(variant.implementation)
+        builds = tiny_run.context.builds
+        for label in ("MA", "MP"):
+            block = implementation_network(builds[label].implementation)
             assert networks_equivalent(aoi, block, n_vectors=128)
 
-    def test_sizes_match_designs(self, tiny_flow):
-        assert tiny_flow.ma.size == tiny_flow.ma.design.standard_cell_count()
-        assert tiny_flow.mp.size == tiny_flow.mp.design.standard_cell_count()
+    def test_sizes_match_designs(self, tiny_flow, tiny_run):
+        builds = tiny_run.context.builds
+        assert tiny_run.flow == tiny_flow
+        assert tiny_flow.ma.size == builds["MA"].design.standard_cell_count()
+        assert tiny_flow.mp.size == builds["MP"].design.standard_cell_count()
 
     def test_percentages_consistent(self, tiny_flow):
         expected_pen = 100.0 * (tiny_flow.mp.size - tiny_flow.ma.size) / tiny_flow.ma.size

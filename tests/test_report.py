@@ -13,7 +13,6 @@ from repro.report import (
     flow_result_from_dict,
     flow_result_to_dict,
     load_results,
-    load_results_json,
     results_to_csv,
     results_to_json,
     results_to_markdown,
@@ -73,8 +72,8 @@ class TestSerialisation:
     def test_save_and_load(self, flow_result, tmp_path):
         path = str(tmp_path / "out.json")
         save_results([flow_result], path)
-        data = load_results_json(path)
-        assert data[0]["ckt"] == "rpt"
+        (restored,) = load_results(path)
+        assert restored.name == "rpt"
 
     def test_save_csv_and_md(self, flow_result, tmp_path):
         save_results([flow_result], str(tmp_path / "out.csv"))
@@ -87,8 +86,8 @@ class TestSerialisation:
 
 
 class TestRoundTrip:
-    """flow_result_from_dict closes the save/load asymmetry: records
-    load back as FlowResult objects, bit-identical where serialised."""
+    """flow_result_from_dict is the exact inverse of flow_result_to_dict:
+    a FlowResult is its record, so the round trip gives an equal one."""
 
     def test_dict_round_trip_bit_identical(self, flow_result):
         restored = flow_result_from_dict(flow_result_to_dict(flow_result))
@@ -100,8 +99,7 @@ class TestRoundTrip:
         assert dict(restored.mp.assignment) == dict(flow_result.mp.assignment)
         assert restored.ma.estimated_power == flow_result.ma.estimated_power
         assert restored.mp.critical_delay == flow_result.mp.critical_delay
-        # the heavyweight in-memory artefacts are not archived
-        assert restored.ma.implementation is None and restored.ma.design is None
+        assert restored == flow_result
 
     def test_timed_round_trip_keeps_resize(self, timed_flow_result):
         restored = flow_result_from_dict(flow_result_to_dict(timed_flow_result))
@@ -111,12 +109,14 @@ class TestRoundTrip:
         assert restored.ma.resize.final_delay == original.final_delay
         assert restored.ma.resize.iterations == original.iterations
         assert restored.ma.resize.upsized_cells == original.upsized_cells
+        assert restored == timed_flow_result
 
     def test_round_trip_through_json_file(self, flow_result, tmp_path):
         path = str(tmp_path / "out.json")
         save_results([flow_result], path)
         (restored,) = load_results(path)
         assert flow_result_to_dict(restored) == flow_result_to_dict(flow_result)
+        assert restored == flow_result
 
     def test_malformed_record_rejected(self):
         with pytest.raises(ValueError):
