@@ -4,8 +4,12 @@ Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
 evaluation, the phase transform, mask-based power queries (random
 access and the hill climb's one-flip pattern), one pairwise pair pick,
-and the vectorised Monte-Carlo simulator.
+and the vectorised Monte-Carlo simulator.  Also the two-level
+minimisation every BLIF input goes through (an already-minimum cover
+and a wide one) and the timing-repair loop of one small design.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -16,7 +20,11 @@ from repro.bdd.builder import build_node_bdds
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
 from repro.core.cost import CostModelData, best_pair_and_combo, masked_cost_stack
+from repro.domino.mapper import map_implementation
+from repro.domino.timing import default_timing_target, resize_to_meet_timing
 from repro.network.duplication import phase_transform
+from repro.network.minimize import minimize_cover
+from repro.network.netlist import SopCover
 from repro.network.ops import cleanup, to_aoi
 from repro.phase import PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
@@ -136,3 +144,62 @@ def bench_monte_carlo_simulation(benchmark, apex7_aoi):
     sim = benchmark(simulate_power, impl, None, None, 2048, 0)
     _record_kernel(benchmark, "monte_carlo_simulation", n_vectors=2048)
     assert sim.energy_per_cycle > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_minimize_cover_or5(benchmark):
+    """100 covers of a 5-input OR, the costliest cover of generated BLIF
+    inputs; each is already minimum and comes back unchanged."""
+    covers = [
+        SopCover(["-" * i + "1" + "-" * (4 - i) for i in range(5)], "1")
+        for _ in range(100)
+    ]
+
+    def run():
+        return [minimize_cover(cover, 5) for cover in covers]
+
+    results = benchmark(run)
+    _record_kernel(benchmark, "minimize_cover_or5", covers=100)
+    assert all(r.cover is c for r, c in zip(results, covers))
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_minimize_cover_wide(benchmark):
+    """A seeded random 10-input, 12-cube cover that minimises to fewer
+    cubes: the full prime generation and cover selection."""
+    rng = random.Random(1)
+    cover = SopCover(
+        ["".join(rng.choice("01-") for _ in range(10)) for _ in range(12)], "1"
+    )
+    result = benchmark(minimize_cover, cover, 10)
+    _record_kernel(benchmark, "minimize_cover_wide", inputs=10, cubes=12)
+    assert result.improved
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_resize_small(benchmark):
+    """The timing-repair loop (Table 2's resize step) on the design of
+    small-pool circuit 6 as perfbench generates it, from the unsized
+    design every round."""
+    rng = random.Random(6)
+    n_outputs = rng.randint(2, 8)
+    config = GeneratorConfig(
+        n_inputs=rng.randint(8, 24),
+        n_outputs=n_outputs,
+        n_gates=rng.randint(4, 10) * n_outputs,
+        seed=6,
+    )
+    network = cleanup(to_aoi(random_control_network("S6", config)))
+    design = map_implementation(
+        phase_transform(network, PhaseAssignment.all_positive(network.output_names()))
+    )
+    unsized = dict(design.size_factors)
+    target = default_timing_target(design)
+
+    def run():
+        design.size_factors = dict(unsized)
+        return resize_to_meet_timing(design, target)
+
+    result = benchmark(run)
+    _record_kernel(benchmark, "resize_small", cells=design.n_cells)
+    assert result.iterations > 0

@@ -18,7 +18,7 @@ power-oriented phase assignment.  We reproduce that with:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import TimingError
 from repro.network.netlist import GateType, LogicNetwork
@@ -40,10 +40,18 @@ class TimingReport:
 def analyze_timing(design: MappedDesign) -> TimingReport:
     """Topological arrival-time computation over the mapped network."""
     net = design.network
-    fanouts = net.fanout_map()
+    return _arrival_times(design, net.topological_order(), net.fanout_map())
+
+
+def _arrival_times(
+    design: MappedDesign, order: Sequence[str], fanouts: Mapping[str, List[str]]
+) -> TimingReport:
+    """:func:`analyze_timing` over a precomputed topological order and
+    fanout map of ``design.network``."""
+    net = design.network
     arrival: Dict[str, float] = {}
     best_pred: Dict[str, Optional[str]] = {}
-    for name in net.topological_order():
+    for name in order:
         node = net.nodes[name]
         t = node.gate_type
         if t.is_source or t is GateType.LATCH:
@@ -119,7 +127,10 @@ def resize_to_meet_timing(
     if step <= 1.0:
         raise TimingError(f"resize step must exceed 1.0, got {step}")
 
-    report = analyze_timing(design)
+    # Resizing changes only size factors, never the network.
+    order = design.network.topological_order()
+    fanouts = design.network.fanout_map()
+    report = _arrival_times(design, order, fanouts)
     initial = report.critical_delay
     iterations = 0
     touched: set = set()
@@ -137,7 +148,7 @@ def resize_to_meet_timing(
             progressed = True
         if not progressed:
             break
-        report = analyze_timing(design)
+        report = _arrival_times(design, order, fanouts)
     return ResizeResult(
         met_timing=report.critical_delay <= target_delay,
         target=target_delay,

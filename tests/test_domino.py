@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ReproError, TimingError
+from repro.network.blif import parse_blif
 from repro.network.duplication import phase_transform, implementation_network
 from repro.network.netlist import GateType, LogicNetwork
-from repro.network.ops import networks_equivalent
+from repro.network.ops import cleanup, networks_equivalent, to_aoi
 from repro.phase import Phase, PhaseAssignment
 from repro.domino.gates import DEFAULT_LIBRARY, DominoCellLibrary
 from repro.domino.mapper import (
@@ -15,10 +16,13 @@ from repro.domino.mapper import (
     simulate_mapped_power,
 )
 from repro.domino.timing import (
+    ResizeResult,
     analyze_timing,
     default_timing_target,
     resize_to_meet_timing,
 )
+
+from helpers import small_pool_blif
 
 
 @pytest.fixture
@@ -229,8 +233,49 @@ class TestTiming:
         with pytest.raises(TimingError):
             resize_to_meet_timing(design, 1.0, step=0.9)
 
+    def test_resize_matches_a_full_analysis_every_iteration(self):
+        iterations = 0
+        for index in range(20):
+            aoi = cleanup(to_aoi(parse_blif(small_pool_blif(index))))
+            assignment = PhaseAssignment.all_positive(aoi.output_names())
+            design = map_implementation(phase_transform(aoi, assignment))
+            reference = map_implementation(phase_transform(aoi, assignment))
+            target = default_timing_target(design)
+            result = resize_to_meet_timing(design, target)
+            assert result == _resize_by_full_analysis(reference, target)
+            assert design.size_factors == reference.size_factors
+            iterations += result.iterations
+        assert iterations > 20
+
     def test_slack(self, small_random):
         a = PhaseAssignment.all_positive(small_random.output_names())
         design = map_implementation(phase_transform(small_random, a))
         report = analyze_timing(design)
         assert report.slack(report.critical_delay + 1.0) == pytest.approx(1.0)
+
+
+def _resize_by_full_analysis(design, target, step=1.2, max_size=4.0, max_iterations=200):
+    """The resize loop with a full ``analyze_timing`` every iteration."""
+    report = analyze_timing(design)
+    initial = report.critical_delay
+    iterations = 0
+    touched = set()
+    while report.critical_delay > target and iterations < max_iterations:
+        iterations += 1
+        progressed = False
+        for name in report.critical_path:
+            if name in design.cells and design.size_factors[name] < max_size:
+                design.size_factors[name] = min(design.size_factors[name] * step, max_size)
+                touched.add(name)
+                progressed = True
+        if not progressed:
+            break
+        report = analyze_timing(design)
+    return ResizeResult(
+        met_timing=report.critical_delay <= target,
+        target=target,
+        initial_delay=initial,
+        final_delay=report.critical_delay,
+        iterations=iterations,
+        upsized_cells=len(touched),
+    )

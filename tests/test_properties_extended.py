@@ -6,7 +6,7 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.network.minimize import minimize_cover, prime_implicants, _cube_minterms
+from repro.network.minimize import minimize_cover, prime_implicants
 from repro.network.netlist import GateType, LogicNetwork, SopCover
 from repro.network.ops import networks_equivalent
 from repro.network.strash import structural_hash
@@ -15,6 +15,7 @@ from repro.phase import PhaseAssignment
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator, estimate_power
 from repro.power.glitch import domino_glitch_check
 
+from helpers import bitset, cube_minterms, reference_minimize_cover
 from test_properties import aoi_networks, SETTINGS
 
 
@@ -73,11 +74,20 @@ class TestMinimizeProperties:
         minterms=st.sets(st.integers(0, 15), max_size=16),
     )
     def test_primes_cover_exactly_the_onset(self, minterms):
-        primes = prime_implicants(set(minterms), 4)
+        primes = prime_implicants(bitset(minterms), 4)
         covered = set()
         for p in primes:
-            covered |= set(_cube_minterms(p))
+            covered |= set(cube_minterms(p))
         assert covered == set(minterms)
+
+    @SETTINGS
+    @given(data=st.integers(1, 6).flatmap(lambda n: sop_covers(n_vars=n)))
+    def test_matches_the_reference(self, data):
+        cover, n = data
+        result = minimize_cover(cover, n)
+        expected = reference_minimize_cover(cover, n)
+        assert result.cover.cubes == expected.cover.cubes
+        assert result == expected
 
 
 class TestDominoMonotonicityProperty:
