@@ -14,7 +14,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import record_bench
+from conftest import mean_seconds, record_bench
 
 from repro.bdd.builder import build_node_bdds
 from repro.bench.generators import GeneratorConfig, random_control_network
@@ -35,10 +35,9 @@ from repro.power.simulator import simulate_power
 def _record_kernel(benchmark, kernel, **extra):
     """Append this kernel's mean wall time to BENCH_components.json."""
     record = {"kernel": kernel, **extra}
-    try:
-        record["mean_s"] = round(float(benchmark.stats.stats.mean), 6)
-    except AttributeError:  # pragma: no cover - plugin internals moved
-        pass
+    mean = mean_seconds(benchmark)
+    if mean is not None:
+        record["mean_s"] = mean
     record_bench("components", record)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import record_bench
+from conftest import mean_seconds, record_bench
 
 from repro.analysis import rule_names, run_lint
 
@@ -26,10 +26,9 @@ def _record_mode(benchmark, mode: str, report) -> None:
         "rules": len(rule_names()),
         "findings": len(report.findings),
     }
-    try:
-        record["mean_s"] = round(float(benchmark.stats.stats.mean), 6)
-    except AttributeError:  # pragma: no cover - plugin internals moved
-        pass
+    mean = mean_seconds(benchmark)
+    if mean is not None:
+        record["mean_s"] = mean
     record_bench("lint", record)
 
 

@@ -15,7 +15,7 @@ import itertools
 
 import pytest
 
-from conftest import print_block, record_bench
+from conftest import mean_seconds, print_block, record_bench
 
 from repro.bench.mcnc import spec_by_name
 from repro.core.config import FlowConfig
@@ -36,10 +36,9 @@ def net():
 
 def _record_mode(benchmark, mode: str, power: float) -> None:
     record = {"mode": mode, "circuit": "frg1", "n_vectors": CONFIG.n_vectors}
-    try:
-        record["mean_s"] = round(float(benchmark.stats.stats.mean), 6)
-    except AttributeError:  # pragma: no cover - plugin internals moved
-        pass
+    mean = mean_seconds(benchmark)
+    if mean is not None:
+        record["mean_s"] = mean
     record_bench("store", record)
     print_block(
         f"store round-trip · {mode}",

@@ -18,7 +18,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import pytest
 
@@ -53,6 +53,17 @@ def record_bench(name: str, record: Dict[str, Any]) -> Path:
     tmp.write_text(json.dumps(trajectory, indent=2) + "\n", encoding="utf-8")
     os.replace(tmp, path)
     return path
+
+
+def mean_seconds(benchmark) -> Optional[float]:
+    """The benchmark's mean wall time in seconds, to 4 significant
+    figures, so a microsecond kernel keeps as many digits as a
+    one-second flow (``None`` when the plugin recorded no stats)."""
+    try:
+        mean = float(benchmark.stats.stats.mean)
+    except AttributeError:  # pragma: no cover - plugin internals moved
+        return None
+    return float(f"{mean:.4g}")
 
 
 def print_block(title: str, body: str) -> None:

@@ -3,15 +3,14 @@
 ``resource-exception-safety`` proves that every lock, executor, socket,
 pool, or file handle acquired *outside* a ``with`` block is released on
 all exception paths.  The shutdown bugs PRs 3–6 fixed were exactly this
-shape: an executor constructed in ``Pipeline.run`` that an exception
-mid-flow would have orphaned, a coordinator socket closed only on the
-success path.  ``with`` is always the preferred fix; when flow control
-genuinely needs manual lifetime management (the pipeline hands its
-executor to stage threads), the acquisition must be paired with a
-``try``/``finally`` release — and the rule follows the release through
-helper-method splits (``finally: self._teardown(ctx)`` where the helper
-does the actual ``shutdown``), because that is how real cleanup code is
-factored.
+shape: an executor that an exception mid-run would have orphaned, a
+coordinator socket closed only on the success path.  ``with`` is always
+the preferred fix; when flow control genuinely needs manual lifetime
+management (an executor built before a loop and shut down after it),
+the acquisition must be paired with a ``try``/``finally`` release — and
+the rule follows the release through helper-method splits
+(``finally: self._teardown(ctx)`` where the helper does the actual
+``shutdown``), because that is how real cleanup code is factored.
 
 The analysis is deliberately under-approximate about *ownership*: a
 handle that escapes the function — returned, yielded, aliased into a

@@ -67,7 +67,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.errors import BatchError, ConfigError
 from repro.network.netlist import LogicNetwork
-from repro.core.config import POOL_WORKER_ENV, FlowConfig, _available_cpus
+from repro.core.config import FlowConfig
 from repro.core.flow import FlowResult
 
 #: Accepted circuit descriptions.
@@ -457,13 +457,6 @@ def execute_one(
     non-``Exception`` exits still propagate so an inline batch can
     actually be aborted.
     """
-    if timeout_s and config.resolved_stage_jobs() > 1:
-        # The guard interrupts *this* thread; hung work in a stage
-        # thread would survive the ItemTimeout and then be joined by
-        # the pipeline's executor shutdown — stalling exactly the way
-        # timeout_s exists to prevent.  A budgeted item therefore runs
-        # its stages sequentially: enforceability beats parallelism.
-        config = config.replace(stage_jobs=1)
     start = time.perf_counter()
     try:
         disarm = _timeout_guard(timeout_s)
@@ -499,16 +492,6 @@ def execute_one(
         return Outcome(error=detail, runtime_s=time.perf_counter() - start)
 
 
-def mark_pool_worker() -> None:
-    """Tag this process as a pool worker (see
-    :data:`repro.core.config.POOL_WORKER_ENV`): ``stage_jobs=0`` (auto)
-    then resolves to sequential stages, so a pool of N workers does not
-    silently become N thread pools fighting for the same cores.  The
-    environment variable (rather than a module flag) also reaches any
-    process this worker might itself spawn."""
-    os.environ[POOL_WORKER_ENV] = "1"
-
-
 def _init_pool_worker(ignore_sigint: bool) -> None:
     """Initializer of every worker process :func:`process_pool` starts.
 
@@ -518,7 +501,6 @@ def _init_pool_worker(ignore_sigint: bool) -> None:
     ignore SIGINT, because their parent turns it into a graceful drain
     that the workers must survive to finish the in-flight circuits.
     """
-    mark_pool_worker()
     if ignore_sigint:
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -536,6 +518,20 @@ def process_pool(workers: int, *, ignore_sigint: bool) -> ProcessPoolExecutor:
         initializer=_init_pool_worker,
         initargs=(ignore_sigint,),
     )
+
+
+def _available_cpus() -> int:
+    """CPUs this process may actually run on.
+
+    ``os.cpu_count()`` reports the host, which over-counts under CPU
+    affinity / container quotas (a ``--cpus=1`` CI runner on a 64-core
+    host would otherwise start useless workers); the scheduler
+    affinity mask is the truth where the platform exposes it.
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):  # pragma: no cover — non-Linux
+        return os.cpu_count() or 1
 
 
 def default_jobs() -> int:
@@ -604,16 +600,9 @@ def run_many(
         neither mechanism exists an explicit ``RuntimeWarning`` is
         emitted.
     stage_jobs:
-        Override every item config's ``FlowConfig.stage_jobs`` (MA/MP
-        stage-level threads inside each flow; see
-        :mod:`repro.core.pipeline`).  ``None`` keeps the configs' own
-        setting; the default ``stage_jobs=0`` (auto) already turns
-        stage threads off inside pool workers, so ``jobs`` and
-        ``stage_jobs`` compose without oversubscription.  Results are
-        bit-identical at any setting.  Items carrying a ``timeout_s``
-        budget always run their stages sequentially (a stage thread
-        cannot be interrupted by the guard), so the budget stays
-        enforceable.
+        Accepted and ignored, like ``FlowConfig.stage_jobs``: each
+        flow runs its stages on one thread, and ``jobs`` is the only
+        parallelism.
 
     Returns
     -------
@@ -639,8 +628,6 @@ def run_many(
         item_config = configs[index] if configs is not None else base_config
         if per_circuit_seeds:
             item_config = item_config.replace(seed=derive_seed(item_config.seed, name))
-        if stage_jobs is not None and item_config.stage_jobs != stage_jobs:
-            item_config = item_config.replace(stage_jobs=stage_jobs)
         described.append((index, kind, payload, item_config))
         items.append(BatchItem(index=index, name=name, config=item_config))
 
@@ -856,7 +843,6 @@ def sweep(
     store: Optional["ArtifactStore"] = None,  # noqa: F821
     order: str = "cost",
     timeout_s: Optional[float] = None,
-    stage_jobs: Optional[int] = None,
 ) -> SweepResult:
     """Expand one base config over parameter grids and run the batch.
 
@@ -907,7 +893,6 @@ def sweep(
         store=store,
         order=order,
         timeout_s=timeout_s,
-        stage_jobs=stage_jobs,
     )
 
     points: List[SweepPoint] = []

@@ -23,7 +23,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional
 
@@ -33,37 +32,6 @@ from repro.power.estimator import DominoPowerModel
 
 #: Probability engines accepted by the estimator / sequential solver.
 POWER_METHODS = ("auto", "bdd", "monte-carlo")
-
-#: Environment sentinel set in :func:`repro.core.batch.run_many` / serve
-#: pool workers (see :func:`repro.core.batch.mark_pool_worker`).  Inside
-#: such a worker the process pool already owns the host's cores, so
-#: ``stage_jobs=0`` (auto) resolves to sequential stages instead of
-#: oversubscribing every worker with its own thread pool.
-POOL_WORKER_ENV = "REPRO_POOL_WORKER"
-
-#: The flow has exactly two variants (MA / MP), so more stage threads
-#: than that can never help.
-MAX_USEFUL_STAGE_JOBS = 2
-
-
-def in_pool_worker() -> bool:
-    """True inside a ``run_many`` / service worker process."""
-    return bool(os.environ.get(POOL_WORKER_ENV))
-
-
-def _available_cpus() -> int:
-    """CPUs this process may actually run on.
-
-    ``os.cpu_count()`` reports the host, which over-counts under CPU
-    affinity / container quotas (a ``--cpus=1`` CI runner on a 64-core
-    host would otherwise spawn useless stage threads); the scheduler
-    affinity mask is the truth where the platform exposes it.
-    """
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):  # pragma: no cover — non-Linux
-        return os.cpu_count() or 1
-
 
 def _is_int(value: Any) -> bool:
     """An int that is not a bool (``True`` is an ``int`` in Python)."""
@@ -153,16 +121,12 @@ class FlowConfig:
     strash:
         Structural hashing during prepare.
     stage_jobs:
-        Threads for the independent MA/MP work inside the
-        ``transform_map``/``resize``/``measure`` stages (and the
-        ``optimize_mp`` overlap with the MA build).  ``0`` (the
-        default) resolves automatically: threads on a multi-core host,
-        sequential inside a :func:`repro.core.batch.run_many` /
-        service worker process (the pool already owns the cores).
-        ``1`` forces sequential stages.  Results are bit-identical at
-        every setting, which is why ``stage_jobs`` is **excluded** from
-        :meth:`cache_key` / :meth:`result_key` — parallelism must not
-        change store identity.
+        Has no effect: every stage of a flow runs on the calling
+        thread, and flows run in parallel only across circuits
+        (:func:`repro.core.batch.run_many`, the service, the fleet).
+        Kept so existing configs and records still load; validated as
+        an int ``>= 0`` and, like any knob that cannot change a result,
+        **excluded** from :meth:`cache_key` / :meth:`result_key`.
     """
 
     input_probability: float = 0.5
@@ -261,7 +225,7 @@ class FlowConfig:
             )
         if not _is_int(self.stage_jobs) or self.stage_jobs < 0:
             errors.append(
-                f"stage_jobs must be an int >= 0 (0 = auto), got {self.stage_jobs!r}"
+                f"stage_jobs must be an int >= 0, got {self.stage_jobs!r}"
             )
         if errors:
             raise ConfigError("; ".join(errors))
@@ -307,21 +271,8 @@ class FlowConfig:
         return dataclasses.replace(self, **changes)
 
     def resolved_stage_jobs(self) -> int:
-        """Effective stage-thread count for one pipeline run.
-
-        An explicit ``stage_jobs >= 1`` is honoured as given (capped at
-        :data:`MAX_USEFUL_STAGE_JOBS` internally by the pipeline's unit
-        count, not here).  ``0`` (auto) picks threads only where they
-        can pay: a multi-core host that is *not* already inside a
-        ``run_many``/service pool worker (detected via
-        :data:`POOL_WORKER_ENV`), where a per-worker thread pool would
-        oversubscribe the machine.
-        """
-        if self.stage_jobs >= 1:
-            return self.stage_jobs
-        if in_pool_worker():
-            return 1
-        return min(MAX_USEFUL_STAGE_JOBS, _available_cpus())
+        """Threads a pipeline run uses: always 1 (see ``stage_jobs``)."""
+        return 1
 
     def resolved_optimizer(self) -> tuple:
         """``(strategy, budget)`` for the MP phase-assignment search.

@@ -30,13 +30,11 @@ prefer a :class:`repro.core.config.FlowConfig` plus
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.network.netlist import LogicNetwork
 from repro.phase import PhaseAssignment
-from repro.domino.gates import DominoCellLibrary
 from repro.domino.timing import ResizeResult
-from repro.power.estimator import DominoPowerModel
 
 
 @dataclass
@@ -95,58 +93,20 @@ class FlowResult:
         }
 
 
-def run_flow(
-    network: LogicNetwork,
-    input_probability: float = 0.5,
-    input_probs: Optional[Mapping[str, float]] = None,
-    model: Optional[DominoPowerModel] = None,
-    library: Optional[DominoCellLibrary] = None,
-    timed: bool = False,
-    timing_slack_fraction: float = 0.85,
-    power_method: str = "auto",
-    area_exhaustive_limit: int = 12,
-    power_exhaustive_limit: int = 10,
-    max_pairs: Optional[int] = None,
-    n_vectors: int = 4096,
-    seed: int = 0,
-    current_scale: float = 0.01,
-    minimize: bool = True,
-    strash: bool = False,
-) -> FlowResult:
+def run_flow(network: LogicNetwork, **fields: Any) -> FlowResult:
     """Run the complete MA-vs-MP experiment on one circuit.
 
-    ``minimize`` applies two-level Quine-McCluskey minimisation to SOP
-    covers (the paper's "technology independent minimization" step; a
-    no-op for pure gate networks).  ``strash`` additionally merges
-    structurally identical gates before phase assignment — recommended
-    for raw BLIF inputs, off by default so the calibrated suite runs
-    stay bit-identical.
-
-    This is a backwards-compatible wrapper: it packs the keywords into a
-    :class:`repro.core.config.FlowConfig` and runs the staged
+    The keywords are :class:`repro.core.config.FlowConfig` fields, each
+    defaulting as in ``FlowConfig()`` (for example ``n_vectors``,
+    ``seed``, ``timed``, ``minimize``, ``strash``); an unknown one
+    raises :class:`repro.errors.ConfigError`.  This is a
+    backwards-compatible wrapper over the staged
     :class:`repro.core.pipeline.Pipeline`.
     """
     from repro.core.config import FlowConfig
     from repro.core.pipeline import Pipeline
 
-    config = FlowConfig(
-        input_probability=input_probability,
-        input_probs=dict(input_probs) if input_probs is not None else None,
-        model=model,
-        library=library,
-        timed=timed,
-        timing_slack_fraction=timing_slack_fraction,
-        power_method=power_method,
-        area_exhaustive_limit=area_exhaustive_limit,
-        power_exhaustive_limit=power_exhaustive_limit,
-        max_pairs=max_pairs,
-        n_vectors=n_vectors,
-        seed=seed,
-        current_scale=current_scale,
-        minimize=minimize,
-        strash=strash,
-    )
-    return Pipeline(config).run(network).flow
+    return Pipeline(FlowConfig().replace(**fields)).run(network).flow
 
 
 def format_table(rows: List[Dict[str, object]], title: str) -> str:

@@ -31,38 +31,9 @@ back.  A fully warm store short-circuits the entire run: the archived
 :class:`FlowResult` is returned with every stage marked ``cached`` and
 no stage executes.
 
-**Concurrency contract** (``FlowConfig.stage_jobs``): the MA and MP
-variants are independent once the shared evaluator exists, and the
-pipeline exploits that with threads when ``stage_jobs`` resolves to
-more than one —
-
-======================  =================================================
-stage                   parallel behaviour with ``stage_jobs > 1``
-======================  =================================================
-``prepare``             sequential (single shared artefact)
-``sequential``          sequential (single shared artefact)
-``evaluator``           sequential (single shared artefact)
-``optimize_ma``         sequential (MP's search seeds from its result)
-``optimize_mp``         overlapped with the MA variant's transform+map
-                        (the only work independent of the MP search)
-``transform_map``       one thread per variant
-``resize``              one thread per variant
-``measure``             one thread per variant
-======================  =================================================
-
-Results are **bit-identical** to ``stage_jobs=1``: every stochastic
-component takes an explicit seed per call (no shared RNG), variant
-threads touch disjoint builds, the shared inputs (prepared AOI,
-evaluator masks) are only read, and the one shared mutable cache the
-variants can touch — the library's cell cache — uses atomic
-first-writer-wins inserts.  ``stage_jobs`` is therefore excluded from
-:meth:`FlowConfig.result_key` — parallelism never changes store
-identity.  The default (``stage_jobs=0``, auto) uses threads on a
-multi-core host but stays sequential inside a
-:func:`repro.core.batch.run_many` / service worker process, whose pool
-already owns the cores; items carrying a per-item ``timeout_s`` budget
-are likewise forced sequential by ``execute_one`` (the guard cannot
-interrupt a stage thread).
+Every stage runs on the calling thread; flows run in parallel only
+across circuits, in the process pool of
+:func:`repro.core.batch.run_many`, the service and fleet workers.
 
 The legacy :func:`repro.core.flow.run_flow` is a thin wrapper over
 ``Pipeline().run(...)`` and stays bit-for-bit compatible.
@@ -71,7 +42,6 @@ The legacy :func:`repro.core.flow.run_flow` is a thin wrapper over
 from __future__ import annotations
 
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -162,10 +132,6 @@ class PipelineContext:
     builds: Dict[str, VariantBuild] = field(default_factory=dict)
     resizes: Dict[str, Optional[ResizeResult]] = field(default_factory=dict)
     flow: Optional["FlowResult"] = None  # noqa: F821  (set by measure)
-    #: stage-level thread pool (``None`` ⇒ sequential stages)
-    executor: Optional[ThreadPoolExecutor] = field(default=None, repr=False)
-    #: in-flight MA variant build overlapping ``optimize_mp``
-    ma_prebuild: Optional[Future] = field(default=None, repr=False)
 
 
 @dataclass
@@ -287,105 +253,36 @@ def _variant_assignments(ctx: PipelineContext) -> List[Tuple[str, PhaseAssignmen
     ]
 
 
-def _run_stage_units(ctx: PipelineContext, thunks: List[Callable[[], Any]]) -> List[Any]:
-    """Run one stage's independent per-variant units, threaded when the
-    context carries an executor.  Output order always matches input
-    order, so parallel scheduling can never reorder results."""
-    if ctx.executor is None or len(thunks) <= 1:
-        return [thunk() for thunk in thunks]
-    futures = [ctx.executor.submit(thunk) for thunk in thunks]
-    return [future.result() for future in futures]
-
-
-def _build_variant(
-    ctx: PipelineContext,
-    label: str,
-    assignment: PhaseAssignment,
-    est_power: Optional[float] = None,
-) -> VariantBuild:
-    """Transform + map one variant (the per-variant unit of
-    ``transform_map``, also submitted early as the ``optimize_mp``
-    overlap).  Reads the shared AOI/evaluator only."""
-    if est_power is None:
-        est_power = ctx.evaluator.power(assignment)
-    impl = phase_transform(ctx.aoi, assignment)
-    design = map_implementation(impl, ctx.library)
-    return VariantBuild(
-        label=label,
-        assignment=assignment,
-        estimated_power=est_power,
-        implementation=impl,
-        design=design,
-    )
-
-
-def _submit_ma_lookahead(ctx: PipelineContext) -> None:
-    """Start the MA variant's transform+map while ``optimize_mp`` runs.
-
-    The MA build depends only on the (already final) MA assignment and
-    the read-only AOI/evaluator, so it is the one piece of downstream
-    work independent of the MP search — overlapping the two is what
-    parallelises the ``optimize_ma``/``optimize_mp`` region without
-    breaking MP's dependence on MA's assignment as its initial point.
-    """
-    if ctx.executor is None or ctx.ma_prebuild is not None:
-        return
-    if ctx.ma_result is not None:
-        assignment = ctx.ma_result.assignment
-    else:
-        assignment = PhaseAssignment.all_positive(ctx.aoi.output_names())
-    ctx.ma_prebuild = ctx.executor.submit(_build_variant, ctx, "MA", assignment)
-
-
 def _stage_transform_map(ctx: PipelineContext) -> Dict[str, VariantBuild]:
-    variants = _variant_assignments(ctx)
-    prebuild, ctx.ma_prebuild = ctx.ma_prebuild, None
-    pending = [
-        (label, assignment, est_power)
-        for label, assignment, est_power in variants
-        if not (prebuild is not None and label == "MA")
-    ]
-    computed = _run_stage_units(
-        ctx,
-        [
-            lambda l=label, a=assignment, e=est_power: _build_variant(ctx, l, a, e)
-            for label, assignment, est_power in pending
-        ],
-    )
-    by_label = {label: build for (label, _, _), build in zip(pending, computed)}
+    """Phase transform + technology mapping of each variant."""
     builds: Dict[str, VariantBuild] = {}
-    for label, assignment, est_power in variants:
-        build = by_label.get(label)
-        if build is None:
-            build = prebuild.result()
-            if build.assignment != assignment:  # stale lookahead: recompute
-                build = _build_variant(ctx, label, assignment, est_power)
-        builds[label] = build
+    for label, assignment, est_power in _variant_assignments(ctx):
+        impl = phase_transform(ctx.aoi, assignment)
+        builds[label] = VariantBuild(
+            label=label,
+            assignment=assignment,
+            estimated_power=est_power,
+            implementation=impl,
+            design=map_implementation(impl, ctx.library),
+        )
     return builds
 
 
 def _stage_resize(ctx: PipelineContext) -> Dict[str, Optional[ResizeResult]]:
-    labels = list(ctx.builds)
-
-    def _resize_one(build: VariantBuild) -> ResizeResult:
+    resizes: Dict[str, Optional[ResizeResult]] = {}
+    for label, build in ctx.builds.items():
         target = default_timing_target(build.design, ctx.config.timing_slack_fraction)
-        result = resize_to_meet_timing(build.design, target)
-        build.resize = result
-        return result
-
-    results = _run_stage_units(
-        ctx, [lambda b=ctx.builds[label]: _resize_one(b) for label in labels]
-    )
-    return dict(zip(labels, results))
+        build.resize = resize_to_meet_timing(build.design, target)
+        resizes[label] = build.resize
+    return resizes
 
 
 def _stage_measure(ctx: PipelineContext):
     from repro.core.flow import FlowResult, SynthesisVariant
 
     config = ctx.config
-    labels = list(ctx.builds)
-
-    def _measure_one(build: VariantBuild) -> tuple:
+    variants: Dict[str, SynthesisVariant] = {}
+    for label, build in ctx.builds.items():
         timing = analyze_timing(build.design)
         sim = simulate_mapped_power(
             build.design,
@@ -394,14 +291,6 @@ def _stage_measure(ctx: PipelineContext):
             seed=config.seed,
             current_scale=config.current_scale,
         )
-        return timing, sim
-
-    measured = _run_stage_units(
-        ctx, [lambda b=ctx.builds[label]: _measure_one(b) for label in labels]
-    )
-    variants: Dict[str, SynthesisVariant] = {}
-    for label, (timing, sim) in zip(labels, measured):
-        build = ctx.builds[label]
         variants[label] = SynthesisVariant(
             label=label,
             assignment=build.assignment,
@@ -483,11 +372,9 @@ class Pipeline:
     # ------------------------------------------------------------------
     # persistent store integration
 
-    #: stages with a persistent artefact (``resize``/``transform_map``
+    #: stored stage → artefact kind.  ``resize``/``transform_map``
     #: outputs hold mapped designs and are cheap relative to what feeds
-    #: them; ``evaluator`` holds live BDDs and cannot leave the process).
-    STORE_STAGES = ("prepare", "sequential", "optimize_ma", "optimize_mp", "measure")
-
+    #: them; ``evaluator`` holds live BDDs and cannot leave the process.
     _STORE_KIND = {
         "prepare": "prepare",
         "sequential": "probs",
@@ -672,58 +559,42 @@ class Pipeline:
             flow = self._store_get("measure", fingerprint, config)
             if flow is not None:
                 return self._short_circuit(ctx, flow)
-        stage_jobs = config.resolved_stage_jobs()
-        if stage_jobs > 1:
-            # threads spawn lazily on first submit, so an all-cached or
-            # short run never actually pays for them
-            ctx.executor = ThreadPoolExecutor(
-                max_workers=stage_jobs, thread_name_prefix="repro-stage"
-            )
         stages: List[StageResult] = []
-        try:
-            for name in STAGE_NAMES:
-                fn, slot = _STAGE_TABLE[name]
-                auto_skip = name == "resize" and not config.timed
-                if name in self.skip or auto_skip:
-                    stages.append(
-                        StageResult(name=name, output=None, runtime_s=0.0, skipped=True)
-                    )
-                    if name == "sequential":
-                        # downstream stages still need input probabilities
-                        ctx.input_probs = (
-                            dict(config.input_probs)
-                            if config.input_probs is not None
-                            else {n: config.input_probability for n in ctx.aoi.inputs}
-                        )
-                    continue
-                start = time.perf_counter()
-                stored = (
-                    fingerprint is not None
-                    and name in self._STORE_KIND
-                    and (reproducible or name not in ("optimize_mp", "measure"))
-                )
-                # "measure" was already probed by the whole-run short circuit
-                output = (
-                    self._store_get(name, fingerprint, config)
-                    if stored and name != "measure"
-                    else None
-                )
-                cached = output is not None
-                if not cached:
-                    if name == "optimize_mp":
-                        # overlap the MA variant's transform+map with the
-                        # MP search (see the module's concurrency contract)
-                        _submit_ma_lookahead(ctx)
-                    output = fn(ctx)
-                    if stored:
-                        self._store_put(name, fingerprint, config, output)
-                elapsed = time.perf_counter() - start
-                setattr(ctx, slot, output)
+        for name in STAGE_NAMES:
+            fn, slot = _STAGE_TABLE[name]
+            auto_skip = name == "resize" and not config.timed
+            if name in self.skip or auto_skip:
                 stages.append(
-                    StageResult(name=name, output=output, runtime_s=elapsed, cached=cached)
+                    StageResult(name=name, output=None, runtime_s=0.0, skipped=True)
                 )
-        finally:
-            if ctx.executor is not None:
-                ctx.executor.shutdown(wait=True)
-                ctx.executor = None
+                if name == "sequential":
+                    # downstream stages still need input probabilities
+                    ctx.input_probs = (
+                        dict(config.input_probs)
+                        if config.input_probs is not None
+                        else {n: config.input_probability for n in ctx.aoi.inputs}
+                    )
+                continue
+            start = time.perf_counter()
+            stored = (
+                fingerprint is not None
+                and name in self._STORE_KIND
+                and (reproducible or name not in ("optimize_mp", "measure"))
+            )
+            # "measure" was already probed by the whole-run short circuit
+            output = (
+                self._store_get(name, fingerprint, config)
+                if stored and name != "measure"
+                else None
+            )
+            cached = output is not None
+            if not cached:
+                output = fn(ctx)
+                if stored:
+                    self._store_put(name, fingerprint, config, output)
+            elapsed = time.perf_counter() - start
+            setattr(ctx, slot, output)
+            stages.append(
+                StageResult(name=name, output=output, runtime_s=elapsed, cached=cached)
+            )
         return PipelineResult(flow=ctx.flow, stages=stages, context=ctx)

@@ -109,7 +109,7 @@ class DominoCellLibrary:
         if cell is None:
             prefix = "DAND" if gate_type is GateType.AND else "DOR"
             # setdefault keeps the insert atomic (first writer wins), so
-            # concurrent stage threads mapping both variants always see
+            # flows mapping on several threads of one process always see
             # one identity per cell (the library cannot carry a lock:
             # it is pickled into pool workers with its config)
             cell = self._cache.setdefault(

@@ -72,7 +72,6 @@ def run_table(
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
     store: Optional["ArtifactStore"] = None,  # noqa: F821
-    stage_jobs: Optional[int] = None,
     optimizer: Optional[str] = None,
     optimizer_params: Optional[Dict[str, Any]] = None,
 ) -> TableResult:
@@ -80,11 +79,9 @@ def run_table(
 
     The suite goes through :func:`repro.core.batch.run_many`, so
     ``jobs > 1`` runs circuits in parallel with identical results (the
-    whole flow is seeded per circuit, not per process); ``stage_jobs``
-    additionally threads the MA/MP work *inside* each flow (see
-    :mod:`repro.core.pipeline`), again with bit-identical numbers.
-    With a ``store``, circuits already archived for this exact config
-    are served from disk without executing any synthesis stage
+    whole flow is seeded per circuit, not per process).  With a
+    ``store``, circuits already archived for this exact config are
+    served from disk without executing any synthesis stage
     (``TableRow.cached``) and produce bit-identical table numbers.
     ``optimizer`` / ``optimizer_params`` pick the MP search strategy
     from the :mod:`repro.optimize` registry (default: the paper's
@@ -116,7 +113,6 @@ def run_table(
         jobs=jobs,
         progress=progress,
         store=store,
-        stage_jobs=stage_jobs,
     )
     if batch.failures:
         details = "; ".join(

@@ -11,6 +11,7 @@ protocol liveness), and — the durable regression guard — that the real
 
 import json
 import os
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,19 @@ EXPECTED = {
     "unordered-iteration-leak": [(os.path.join("store", "payload.py"), 7)],
     "resource-exception-safety": [("worker.py", 8)],
 }
+
+
+#: The rules that read one file at a time, with no call graph.
+PER_FILE_RULES = [
+    "cpu-affinity",
+    "documented-suppression",
+    "key-purity",
+    "monotonic-deadline",
+    "no-blocking-in-async",
+    "no-swallowed-transition",
+    "seeded-rng",
+    "tmp-sibling",
+]
 
 
 def _project(mapping):
@@ -1141,18 +1155,65 @@ def test_keyed_output_drill_on_the_real_pipeline():
     assert all(f.chain for f in findings)
     # the defect is invisible to every per-file rule: only effect
     # inference across the call graph reports it
-    per_file_rules = [
-        "cpu-affinity",
-        "documented-suppression",
-        "key-purity",
-        "monotonic-deadline",
-        "no-blocking-in-async",
-        "no-swallowed-transition",
-        "seeded-rng",
-        "tmp-sibling",
-        "unordered-iteration-leak",
-    ]
+    per_file_rules = PER_FILE_RULES + ["unordered-iteration-leak"]
     assert lint_sources(files, select=per_file_rules) == []
+
+
+def _seed_defect(text, old, new):
+    assert old in text, f"drill anchor moved: {old!r}"
+    return text.replace(old, new, 1)
+
+
+def _unguarded_pool(text):
+    """``run_many`` with its pool built outside ``with`` and shut down
+    only after the result loop, so an exception in between leaks it."""
+    with_pool = "        with process_pool(min(jobs, total), ignore_sigint=False) as pool:\n"
+    start = text.index(with_pool)
+    end = text.index("\n    return BatchResult(", start)
+    body = textwrap.indent(textwrap.dedent(text[start + len(with_pool) : end]), " " * 8)
+    return (
+        text[:start]
+        + "        pool = ProcessPoolExecutor(max_workers=min(jobs, total))\n"
+        + body
+        + "        pool.shutdown()\n"
+        + text[end:]
+    )
+
+
+def test_cross_module_rules_catch_seeded_defects_in_the_real_tree():
+    """The drill for three rules built on the call graph: seed one defect
+    each into the real tree; each must be caught, and no per-file rule
+    sees any of them."""
+    files = []
+    for path in sorted(SRC_TREE.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        relative = path.relative_to(SRC_TREE).as_posix()
+        if relative == "store/artifacts.py":
+            text = _seed_defect(
+                text,
+                "    def __reduce__(self):\n"
+                "        return (ArtifactStore, (None, self.backend))\n\n",
+                "",
+            )
+            text = _seed_defect(text, "tuple(sorted(found))", "tuple(found)")
+        elif relative == "core/batch.py":
+            text = _unguarded_pool(text)
+        files.append(SourceFile.parse(str(path), text=text))
+    drilled = [
+        "pickle-boundary",
+        "unordered-iteration-leak",
+        "resource-exception-safety",
+    ]
+    findings = lint_sources(files, select=drilled + PER_FILE_RULES)
+    found = sorted(
+        (f.rule, Path(f.path).relative_to(SRC_TREE).as_posix()) for f in findings
+    )
+    assert found == [
+        ("pickle-boundary", "fleet/worker.py"),
+        ("pickle-boundary", "serve/service.py"),
+        ("resource-exception-safety", "core/batch.py"),
+        ("unordered-iteration-leak", "store/artifacts.py"),
+    ], "\n".join(f.format() for f in findings)
 
 
 def test_unordered_leak_flags_sum_over_set_as_float_order():

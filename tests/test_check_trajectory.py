@@ -1,17 +1,28 @@
-"""Tests for benchmarks/check_trajectory.py — the bench regression gate.
+"""Tests for benchmarks/check_trajectory.py — the bench regression gate —
+and for how the benches record the means it reads.
 
-The checker is a standalone script (benchmarks/ is not a package), so
-it is loaded by file path.
+The checker and the benches' conftest are standalone files
+(benchmarks/ is not a package), so both are loaded by file path.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
-_SCRIPT = Path(__file__).resolve().parents[1] / "benchmarks" / "check_trajectory.py"
-_spec = importlib.util.spec_from_file_location("check_trajectory", _SCRIPT)
-check_trajectory = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(check_trajectory)
+_BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_SCRIPT = _BENCH_DIR / "check_trajectory.py"
+check_trajectory = _load("check_trajectory", _SCRIPT)
+bench_conftest = _load("bench_conftest", _BENCH_DIR / "conftest.py")
 
 
 def _write(tmp_path, name, entries):
@@ -119,3 +130,28 @@ def test_repo_trajectories_parse():
     bench_dir = _SCRIPT.parent
     for path in sorted(bench_dir.glob("BENCH_*.json")):
         assert check_trajectory.load_entries(path) is not None, path.name
+
+
+def _benchmark_with_mean(mean_s):
+    """The part of pytest-benchmark's fixture the benches read."""
+    return SimpleNamespace(stats=SimpleNamespace(stats=SimpleNamespace(mean=mean_s)))
+
+
+def test_bench_means_are_recorded_to_four_significant_figures(
+    tmp_path, monkeypatch, capsys
+):
+    """A sub-microsecond kernel keeps its digits (6 decimals would record
+    3.24e-7 s as 0.0, which the gate skips), so the gate can see it slow
+    down."""
+    mean_seconds = bench_conftest.mean_seconds
+    assert mean_seconds(_benchmark_with_mean(3.24e-7)) == 3.24e-07
+    assert mean_seconds(_benchmark_with_mean(1.2345678)) == 1.235
+    monkeypatch.setattr(bench_conftest, "BENCH_DIR", tmp_path)
+    for mean_s in (3.24e-7, 4.1e-7):
+        bench_conftest.record_bench(
+            "kernels",
+            {"kernel": "tiny", "mean_s": mean_seconds(_benchmark_with_mean(mean_s))},
+        )
+    assert '"mean_s": 3.24e-07' in (tmp_path / "BENCH_kernels.json").read_text()
+    assert check_trajectory.main(["--bench-dir", str(tmp_path)]) == 1
+    assert "REGRESSION" in capsys.readouterr().out

@@ -47,36 +47,6 @@ class TestParser:
             build_parser().parse_args([])
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["table1", "--stage-jobs", "2"],
-            ["table2", "--stage-jobs", "2"],
-            ["synth", "x.blif", "--stage-jobs", "2"],
-            ["batch", "dir", "--stage-jobs", "2"],
-            ["sweep", "dir", "--grid", "seed=1,2", "--stage-jobs", "2"],
-            ["serve", "--stage-jobs", "2"],
-        ],
-    )
-    def test_stage_jobs_flag_parses_everywhere(self, argv):
-        args = build_parser().parse_args(argv)
-        assert args.stage_jobs == 2
-
-    def test_stage_jobs_defaults_to_config_choice(self):
-        """Not passing the flag must leave the config's own stage_jobs
-        (including the auto default) untouched."""
-        from repro.cli import _effective_config
-
-        args = build_parser().parse_args(["synth", "x.blif"])
-        assert args.stage_jobs is None
-        assert _effective_config(args).stage_jobs == 0  # auto
-
-    def test_stage_jobs_flag_reaches_the_config(self):
-        from repro.cli import _effective_config
-
-        args = build_parser().parse_args(["synth", "x.blif", "--stage-jobs", "3"])
-        assert _effective_config(args).stage_jobs == 3
-
-    @pytest.mark.parametrize(
         "command",
         [
             ["synth", "x.blif"],
@@ -99,8 +69,7 @@ class TestParser:
             command
             + ["--config", str(config_path), "--input-probability", "0.3",
                "--timed", "--vectors", "512", "--seed", "7",
-               "--optimizer", "anneal", "--optimizer-param", "steps=16",
-               "--stage-jobs", "2"]
+               "--optimizer", "anneal", "--optimizer-param", "steps=16"]
         )
         assert _effective_config(args) == FlowConfig(
             max_pairs=3,
@@ -110,7 +79,6 @@ class TestParser:
             seed=7,
             optimizer="anneal",
             optimizer_params={"steps": 16},
-            stage_jobs=2,
         )
 
 
@@ -148,12 +116,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "inputs" in out
         assert "depth" in out
-
-    def test_synth_stage_jobs_output_identical(self, capsys, blif_file):
-        assert main(["synth", blif_file, "--vectors", "256", "--stage-jobs", "1"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["synth", blif_file, "--vectors", "256", "--stage-jobs", "2"]) == 0
-        assert capsys.readouterr().out == sequential
 
     def test_synth(self, capsys, blif_file):
         assert main(["synth", blif_file, "--vectors", "512"]) == 0

@@ -168,3 +168,32 @@ class TestReplace:
         # upstream knobs do
         assert base.cache_key() != base.replace(seed=1).cache_key()
         assert base.cache_key() != base.replace(strash=True).cache_key()
+
+
+class TestStageJobs:
+    """``stage_jobs`` has no effect: every flow runs its stages on one
+    thread.  It stays a validated, serialised field, outside every
+    store key, so existing configs and records still load."""
+
+    def test_validation(self):
+        with pytest.raises(ConfigError, match="stage_jobs"):
+            FlowConfig(stage_jobs=-1)
+        with pytest.raises(ConfigError, match="stage_jobs"):
+            FlowConfig(stage_jobs=True)
+        with pytest.raises(ConfigError, match="stage_jobs"):
+            FlowConfig(stage_jobs=1.5)
+
+    def test_resolves_to_one_thread(self):
+        for stage_jobs in (0, 1, 4):
+            assert FlowConfig(stage_jobs=stage_jobs).resolved_stage_jobs() == 1
+
+    def test_stage_jobs_excluded_from_keys(self):
+        a = FlowConfig(stage_jobs=1)
+        b = FlowConfig(stage_jobs=4)
+        assert a.cache_key() == b.cache_key()
+        assert a.result_key() == b.result_key()
+
+    def test_stage_jobs_round_trips(self):
+        config = FlowConfig(stage_jobs=3)
+        assert FlowConfig.from_dict(config.to_dict()).stage_jobs == 3
+        assert FlowConfig.from_json(config.to_json()).stage_jobs == 3

@@ -159,3 +159,27 @@ class TestSigintPolicy:
         asyncio.run(service_and_worker())
         handlers = [probe.result(timeout=60) for probe in probes]
         assert handlers == [signal.default_int_handler, signal.SIG_IGN, signal.SIG_IGN]
+
+    def test_pool_initializer_applies_the_sigint_policy(self, monkeypatch):
+        """The one pool initializer installs SIG_IGN under the drain
+        policy (serve, fleet) and leaves the handler alone under the
+        abort policy (run_many)."""
+        handlers = []
+        # record instead of installing: SIG_IGN must not leak into pytest
+        monkeypatch.setattr(signal, "signal", lambda *args: handlers.append(args))
+        batch_mod._init_pool_worker(False)
+        assert handlers == []
+        batch_mod._init_pool_worker(True)
+        assert handlers == [(signal.SIGINT, signal.SIG_IGN)]
+
+    def test_serve_pool_runs_the_initializer_ignoring_sigint(self):
+        from repro.serve.service import LocalPoolBackend
+
+        backend = LocalPoolBackend(workers=1)
+        asyncio.run(backend.start())
+        try:
+            pool = backend._pool
+            assert pool._initializer is batch_mod._init_pool_worker
+            assert pool._initargs == (True,)
+        finally:
+            asyncio.run(backend.shutdown())

@@ -112,6 +112,9 @@ class TestParity:
         assert dict(staged.mp.assignment) == dict(legacy.mp.assignment)
         assert staged.ma.estimated_power == legacy.ma.estimated_power
         assert staged.mp.estimated_power == legacy.mp.estimated_power
+        # run_flow's keywords are FlowConfig fields, nothing else
+        with pytest.raises(ConfigError, match="n_vector"):
+            run_flow(tiny, n_vector=512)
 
     def test_timed_parity(self, tiny):
         legacy = run_flow(tiny, timed=True, n_vectors=512, seed=2)

@@ -392,6 +392,33 @@ class TestStoreConcurrency:
         assert stats.hits["flow"] == n_threads * n_rounds
         assert stats.misses["flow"] == n_threads * n_rounds
 
+    def test_concurrent_pipelines_keep_the_store_coherent(self, store):
+        """Pipelines on several threads sharing one store all return the
+        reference flow, and a fresh run is then served whole from it."""
+        import threading
+
+        net = tiny_network()
+        reference = flow_result_to_dict(Pipeline(FAST).run(net).flow)
+        results, errors = [], []
+
+        def worker():
+            try:
+                run = Pipeline(FAST, store=store).run(net)
+                results.append(flow_result_to_dict(run.flow))
+            except Exception as exc:  # noqa: BLE001 — collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=240)
+        assert errors == []
+        assert results == [reference] * 3
+        warm = Pipeline(FAST, store=store).run(net)
+        assert all(s.cached or s.skipped for s in warm.stages)
+        assert flow_result_to_dict(warm.flow) == reference
+
     def test_temp_suffixes_unique_across_threads(self, store, monkeypatch):
         """The temp-file name embeds thread id + a monotonic counter, so
         concurrent writers of one entry never collide."""
