@@ -3,10 +3,11 @@
 Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
 evaluation, the phase transform, mask-based power queries (random
-access and the hill climb's one-flip pattern), one pairwise pair pick,
-and the vectorised Monte-Carlo simulator.  Also the two-level
-minimisation every BLIF input goes through (an already-minimum cover
-and a wide one) and the timing-repair loop of one small design.
+access and the hill climb's one-flip pattern), one whole minimum-area
+hill climb, one pairwise pair pick, and the vectorised Monte-Carlo
+simulator.  Also the two-level minimisation every BLIF input goes
+through (an already-minimum cover and a wide one) and the
+timing-repair loop of one small design.
 """
 
 import random
@@ -20,6 +21,7 @@ from repro.bdd.builder import build_node_bdds
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
 from repro.core.cost import CostModelData, best_pair_and_combo, masked_cost_stack
+from repro.core.min_area import minimize_area
 from repro.domino.mapper import map_implementation
 from repro.domino.timing import default_timing_target, resize_to_meet_timing
 from repro.network.duplication import phase_transform
@@ -89,10 +91,10 @@ def bench_evaluator_power_query(benchmark, apex7_evaluator):
     assert len(powers) == 16
 
 
-@pytest.mark.benchmark(group="kernels")
-def bench_evaluator_area_flip(benchmark):
-    """The MA hill climb's query: one output flipped from a fixed base,
-    on a 56-output generated circuit."""
+@pytest.fixture(scope="module")
+def large56_evaluator():
+    """Evaluator of a 56-output generated circuit, the size of
+    perfbench's large pool."""
     network = cleanup(
         to_aoi(
             random_control_network(
@@ -104,7 +106,14 @@ def bench_evaluator_area_flip(benchmark):
             )
         )
     )
-    evaluator = PhaseEvaluator(network, method="bdd")
+    return PhaseEvaluator(network, method="bdd")
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_evaluator_area_flip(benchmark, large56_evaluator):
+    """The MA hill climb's query: one output flipped from a fixed base,
+    on a 56-output generated circuit."""
+    evaluator = large56_evaluator
     outputs = evaluator.outputs
     base = PhaseAssignment.random(outputs, seed=1)
     assignments = [base.flipped(outputs[k % len(outputs)]) for k in range(64)]
@@ -115,6 +124,17 @@ def bench_evaluator_area_flip(benchmark):
     areas = benchmark(run)
     _record_kernel(benchmark, "evaluator_area_flip", queries=64)
     assert len(areas) == 64
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_hill_climb_large(benchmark, large56_evaluator):
+    """One minimum-area hill climb (the MA search of a flow, default
+    settings) on the 56-output generated circuit."""
+    result = benchmark(minimize_area, large56_evaluator)
+    _record_kernel(
+        benchmark, "hill_climb_large", outputs=56, evaluations=result.evaluations
+    )
+    assert result.method == "hill-climb" and result.evaluations > 0
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -133,23 +133,26 @@ def support(network: LogicNetwork, root: str) -> List[str]:
 
 
 def fanout_cone_sizes(network: LogicNetwork) -> Dict[str, int]:
-    """|TFO(n)| per node — used by the BDD variable-ordering heuristic."""
+    """|TFO(n)| per node — used by the BDD variable-ordering heuristic.
+
+    One reverse-topological pass over int bitsets: a node's cone is its
+    own bit ORed with its fanouts' cones.  A latch fanout adds its bit
+    but is not walked through, as in :func:`transitive_fanout`.
+    """
     fanouts = network.fanout_map()
     order = network.topological_order()
-    sizes: Dict[str, Set[str]] = {}
-    # Walk in reverse topological order so fanout cones are available.
-    # To bound memory on large nets we store sizes, recomputing sets
-    # per node from immediate fanouts; cones can overlap so we use a
-    # proper traversal per node only when fanout is small, otherwise we
-    # fall back to the cheap upper bound (sum of fanout cone sizes).
+    bit = {name: 1 << i for i, name in enumerate(order)}
+    cones: Dict[str, int] = {}
     result: Dict[str, int] = {}
     for name in reversed(order):
-        fo = fanouts[name]
-        if not fo:
-            result[name] = 1
-            continue
-        cone = transitive_fanout(network, [name], fanouts=fanouts)
-        result[name] = len(cone)
+        cone = bit[name]
+        for fo in fanouts[name]:
+            if network.nodes[fo].gate_type is GateType.LATCH:
+                cone |= bit[fo]
+            else:
+                cone |= cones[fo]
+        cones[name] = cone
+        result[name] = cone.bit_count()
     return result
 
 

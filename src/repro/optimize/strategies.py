@@ -115,7 +115,7 @@ def pairwise_loop(
     n = len(outputs)
     data = cost.CostModelData.from_network(evaluator.network)
     # Align index order with evaluator outputs.
-    assert data.outputs == outputs
+    assert tuple(data.outputs) == outputs
 
     current, (current_score, current_power) = start
     # A_k per output under the current assignment (flips with the phase).
@@ -333,7 +333,7 @@ class GroupwiseStrategy(OptimizerStrategy):
         outputs = evaluator.outputs
         n = len(outputs)
         data = CostModelData.from_network(evaluator.network)
-        assert data.outputs == outputs
+        assert tuple(data.outputs) == outputs
 
         current = initial or PhaseAssignment.all_positive(outputs)
         current_power = evaluator.power(current)

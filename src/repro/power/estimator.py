@@ -15,11 +15,13 @@ each node is materialised.  So:
 2. Precompute, for every primary output ``o`` and phase ``q``, the set
    ``S(o, q)`` of (node, polarity) gates its cone materialises, as a
    numpy boolean mask over the 2N-element polarity universe.
-3. Pack those masks, with the matching source-inverter masks, into one
-   table of 64-bit words, a row per (output, phase).  The area of an
-   arbitrary assignment is then one gather, one OR-reduce and a
-   popcount; its power unpacks the union back to the boolean mask and
-   takes a dot product — no re-synthesis inside the optimisation loop.
+3. Pack each mask, with the matching source-inverter mask, into one
+   Python int per (output, phase), and for every run of eight outputs
+   tabulate the union each of its 256 phase patterns selects.  The area
+   of an arbitrary assignment is then one table lookup per eight
+   outputs, ORed together, and a popcount; its power unpacks the union
+   back to the boolean mask and takes a dot product — no re-synthesis
+   inside the optimisation loop.
 """
 
 from __future__ import annotations
@@ -207,14 +209,29 @@ class PolaritySpace:
         return gates, invs
 
 
-class PhaseEvaluator:
-    """Evaluate power/area of arbitrary phase assignments in O(PO · N/64).
+#: Outputs per union table.  A query makes one lookup per run of this
+#: many outputs, into a table of ``2 ** _CHUNK`` unions.
+_CHUNK = 8
+_PATTERN = (1 << _CHUNK) - 1
+#: The set bit positions of each chunk pattern, lowest first.
+_SET_BITS: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(j for j in range(_CHUNK) if pattern >> j & 1) for pattern in range(1 << _CHUNK)
+)
 
-    Each (output, phase) cone is one row of a packed ``uint64`` table:
-    row ``2k + b`` is output ``k`` of :attr:`outputs` in phase ``b``
-    (0 positive, 1 negative), its gate words first, then its
-    source-inverter words.  A query selects one row per output and
-    ORs them; it keeps no state, so threads may share an evaluator.
+
+class PhaseEvaluator:
+    """Evaluate power/area of arbitrary phase assignments in O(PO / 8)
+    int lookups.
+
+    Each (output, phase) cone is one Python int, its gate bits from bit
+    0 and its source-inverter bits from the next byte boundary up.  For
+    every run of eight outputs of :attr:`outputs`, a 256-entry table
+    holds the union of the cones each phase pattern of the run selects
+    (bit ``j`` set = the run's output ``j`` negative).  A query looks
+    each 8-bit run of the assignment's bitmask up in its table and ORs
+    the results.  The tables take ``ceil(PO / 8) * 256`` ints of
+    ``slots + sources`` bits: about 0.35 MB at 56 outputs and 2.3 MB at
+    199.  A query keeps no state, so threads may share an evaluator.
 
     Parameters
     ----------
@@ -281,22 +298,25 @@ class PhaseEvaluator:
             ]
         )
 
-        # Per-(output, phase) driver references and packed cone masks.
-        self.outputs: List[str] = network.output_names()
+        # Per-(output, phase) driver references and packed cones: row
+        # 2k + b is output k of ``outputs`` in phase b (0 positive, 1
+        # negative).  Assignments built from ``outputs`` share the
+        # tuple, so their ``as_bits`` in this order is free.
+        self.outputs: Tuple[str, ...] = tuple(network.output_names())
         self._driver_ref: Dict[Tuple[str, Phase], Ref] = {}
-        gate_masks = np.zeros((2 * len(self.outputs), n), dtype=bool)
-        inv_masks = np.zeros((2 * len(self.outputs), len(self.space.sources)), dtype=bool)
-        for k, (po, driver) in enumerate(network.outputs):
-            for b, phase in enumerate((Phase.POSITIVE, Phase.NEGATIVE)):
+        self._gate_bytes = -(-n // 8)
+        self._n_bytes = self._gate_bytes + -(-len(self.space.sources) // 8)
+        self._inv_shift = 8 * self._gate_bytes
+        self._rows: List[int] = []
+        for po, driver in network.outputs:
+            for phase in (Phase.POSITIVE, Phase.NEGATIVE):
                 pol = Polarity.POS if phase is Phase.POSITIVE else Polarity.NEG
                 ref = self.space.resolve(driver, pol)
                 self._driver_ref[(po, phase)] = ref
-                gate_masks[2 * k + b], inv_masks[2 * k + b] = self.space.cone_masks(ref)
-        gate_words = _pack_words(gate_masks)
-        self._n_gate_words = gate_words.shape[1]
-        self._words = np.concatenate([gate_words, _pack_words(inv_masks)], axis=1)
-        self._positive_rows = np.arange(0, 2 * len(self.outputs), 2)
+                gates, invs = self.space.cone_masks(ref)
+                self._rows.append(_pack(gates) | _pack(invs) << self._inv_shift)
         self._row_of: Dict[str, int] = {po: 2 * k for k, po in enumerate(self.outputs)}
+        self._tables = _union_tables(self._rows)
         # Boundary-inverter term of each output when it is negative.
         self._output_inv_cost: List[float] = []
         if self.model.include_boundary_inverters:
@@ -318,41 +338,47 @@ class PhaseEvaluator:
         return float(self.slot_probs[self.space.gate_index[ref.key]])
 
     # -- assignment evaluation ----------------------------------------------
-    def _select(self, assignment: PhaseAssignment) -> Tuple[np.ndarray, List[bool]]:
-        """OR of the rows ``assignment`` selects, and whether each output
-        is negative, in output order."""
-        negative = Phase.NEGATIVE
-        flags = [assignment[po] is negative for po in self.outputs]
-        # one 0/1 byte per output picks row 2k or 2k + 1
-        rows = self._positive_rows + np.frombuffer(bytes(flags), dtype=np.uint8)
-        return np.bitwise_or.reduce(self._words.take(rows, axis=0), axis=0), flags
+    def _select(self, assignment: PhaseAssignment) -> Tuple[int, int]:
+        """The assignment's bitmask over :attr:`outputs` (bit set =
+        negative) and the union of the cones it selects."""
+        bits = negative = assignment.as_bits(self.outputs)
+        union = 0
+        for table in self._tables:
+            union |= table[negative & _PATTERN]
+            negative >>= _CHUNK
+        return bits, union
 
     def breakdown(self, assignment: PhaseAssignment) -> PowerBreakdown:
         """Full power decomposition for one assignment."""
-        union, negative = self._select(assignment)
-        gate_words = union[: self._n_gate_words]
-        inv_words = union[self._n_gate_words :]
-        gates = _unpack_words(gate_words, self.space.n_slots)
+        bits, union = self._select(assignment)
+        packed = union.to_bytes(self._n_bytes, "little")
+        gates = _unpack(packed[: self._gate_bytes], self.space.n_slots)
         domino = float(np.dot(gates, self._slot_weights))
-        n_gates = _popcount(gate_words)
+        n_input_inverters = (union >> self._inv_shift).bit_count()
+        n_gates = union.bit_count() - n_input_inverters
         clock = self.model.clock_cap_per_gate * n_gates
 
         input_inv = 0.0
         output_inv = 0.0
         if self.model.include_boundary_inverters:
-            invs = _unpack_words(inv_words, len(self.space.sources))
+            invs = _unpack(packed[self._gate_bytes :], len(self.space.sources))
             input_inv = float(np.dot(invs, self.source_inv_cost))
-            for cost, is_negative in zip(self._output_inv_cost, negative):
-                if is_negative:
-                    output_inv += cost
+            # the negative outputs' terms, added in output order
+            costs = self._output_inv_cost
+            negative, offset = bits, 0
+            while negative:
+                for j in _SET_BITS[negative & _PATTERN]:
+                    output_inv += costs[offset + j]
+                negative >>= _CHUNK
+                offset += _CHUNK
         return PowerBreakdown(
             domino=domino,
             input_inverters=input_inv,
             output_inverters=output_inv,
             clock=clock,
             n_gates=n_gates,
-            n_input_inverters=_popcount(inv_words),
-            n_output_inverters=negative.count(True),
+            n_input_inverters=n_input_inverters,
+            n_output_inverters=bits.bit_count(),
             probability_method=self.probability_result.method,
         )
 
@@ -362,49 +388,58 @@ class PhaseEvaluator:
 
     def area(self, assignment: PhaseAssignment) -> int:
         """Cell-count proxy: domino gates + static boundary inverters."""
-        union, negative = self._select(assignment)
-        return _popcount(union) + negative.count(True)
+        bits, union = self._select(assignment)
+        return union.bit_count() + bits.bit_count()
 
-    def _cone_gate_words(self, po: str, phase: Phase) -> np.ndarray:
-        row = self._row_of[po] + (phase is Phase.NEGATIVE)
-        return self._words[row, : self._n_gate_words]
+    def _cone_gates(self, po: str, phase: Phase) -> int:
+        row = self._rows[self._row_of[po] + (phase is Phase.NEGATIVE)]
+        return row & ((1 << self._inv_shift) - 1)
 
     def average_cone_probability(
         self, assignment: PhaseAssignment, po: str
     ) -> float:
         """The paper's A_i: mean realised signal probability over cone D_i."""
         phase = assignment[po]
-        words = self._cone_gate_words(po, phase)
-        n = _popcount(words)
+        gates = self._cone_gates(po, phase)
+        n = gates.bit_count()
         if n == 0:
             return self.ref_probability(self._driver_ref[(po, phase)])
-        return float(np.dot(_unpack_words(words, self.space.n_slots), self.slot_probs) / n)
+        mask = _unpack(gates.to_bytes(self._gate_bytes, "little"), self.space.n_slots)
+        return float(np.dot(mask, self.slot_probs) / n)
 
     def cone_size(self, po: str, phase: Optional[Phase] = None) -> int:
         """|D_i|: gates materialised by output ``po`` (either phase has the
         same count, so the phase argument is optional)."""
-        return _popcount(self._cone_gate_words(po, phase or Phase.POSITIVE))
+        return self._cone_gates(po, phase or Phase.POSITIVE).bit_count()
 
 
-def _pack_words(masks: np.ndarray) -> np.ndarray:
-    """``(R, n)`` bool rows as ``(R, ceil(n / 64))`` uint64 words; bit
-    ``i`` of a row lands in byte ``i // 8``, bit ``i % 8``."""
-    rows, n = masks.shape
-    padded = np.zeros((rows, -(-n // 64) * 64), dtype=bool)
-    padded[:, :n] = masks
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+def _pack(mask: np.ndarray) -> int:
+    """A bool mask as an int: element ``i`` is bit ``i``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
-    """The first ``n`` bits of packed ``words``: the exact bool mask
-    :func:`_pack_words` was given."""
-    return np.unpackbits(words.view(np.uint8), count=n, bitorder="little").view(bool)
+def _unpack(packed: bytes, n: int) -> np.ndarray:
+    """The first ``n`` bits of little-endian ``packed``: the exact bool
+    mask :func:`_pack` was given."""
+    return np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8), count=n, bitorder="little"
+    ).view(bool)
 
 
-def _popcount(words: np.ndarray) -> int:
-    """Set bits in ``words`` (one big-int popcount beats a ufunc pass
-    plus a sum on rows this short)."""
-    return int.from_bytes(words.tobytes(), "little").bit_count()
+def _union_tables(rows: Sequence[int]) -> List[List[int]]:
+    """For each run of :data:`_CHUNK` outputs, the union of the rows
+    each phase pattern of the run selects, indexed by the pattern: entry
+    ``p`` ORs row ``2k + (p >> j & 1)`` for the run's ``j``-th output
+    ``k``."""
+    n_outputs = len(rows) // 2
+    tables = []
+    for start in range(0, n_outputs, _CHUNK):
+        table = [0]
+        for k in range(start, min(start + _CHUNK, n_outputs)):
+            positive, negative = rows[2 * k], rows[2 * k + 1]
+            table = [u | positive for u in table] + [u | negative for u in table]
+        tables.append(table)
+    return tables
 
 
 def estimate_power(

@@ -5,7 +5,8 @@ boolean mask per (output, phase) from :meth:`PolaritySpace.cone_masks`,
 ORed output by output, then the same dot products and the same
 left-to-right output-inverter sum.  The packed query must agree with it
 exactly (``==``, not approx) on every field, on circuits whose slot and
-source counts sit on either side of a 64-bit word boundary.
+source counts sit on either side of a 64-bit word boundary and whose
+output counts sit on either side of an 8-output union table.
 """
 
 from __future__ import annotations
@@ -115,6 +116,9 @@ def _boundary_sources(n_inputs: int, seed: int) -> LogicNetwork:
     )
 
 
+#: Output counts on both sides of one and two 8-output union tables.
+CHUNK_SIDES = (1, 7, 8, 9, 16, 17)
+
 #: name -> (network factory, pinned (slot count, source count); None = not pinned).
 #: Slot counts are always even; 62..128 and source counts 63..65 put
 #: the last word partly or exactly full.
@@ -145,6 +149,16 @@ CIRCUITS: Dict[str, Tuple[Callable[[], LogicNetwork], Tuple[Optional[int], Optio
     "sources64": (lambda: _boundary_sources(64, seed=4), (None, 64)),
     "sources65": (lambda: _boundary_sources(65, seed=4), (None, 65)),
     "gateless": (_gateless, (0, 3)),
+    **{
+        f"outputs{k}": (
+            lambda k=k: _generated(
+                f"o{k}", n_inputs=14, n_outputs=k, n_gates=5 * k + 6, seed=k,
+                support_size=8,
+            ),
+            (None, None),
+        )
+        for k in CHUNK_SIDES
+    },
 }
 
 
@@ -188,6 +202,11 @@ def test_word_boundary_counts(evaluators, name):
         assert space.n_slots == slots
     if sources is not None:
         assert len(space.sources) == sources
+
+
+@pytest.mark.parametrize("k", CHUNK_SIDES)
+def test_chunk_boundary_output_counts(evaluators, k):
+    assert len(evaluators[(f"outputs{k}", "default")].outputs) == k
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))

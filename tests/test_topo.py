@@ -1,8 +1,16 @@
 """Unit tests for repro.network.topo."""
 
+import random
+
 import pytest
 
+from repro.bench.generators import (
+    GeneratorConfig,
+    random_control_network,
+    random_sequential_network,
+)
 from repro.network.netlist import GateType, LogicNetwork
+from repro.network.ops import cleanup, to_aoi
 from repro.network.topo import (
     check_inverter_free,
     cone_overlap,
@@ -128,6 +136,54 @@ class TestFanoutConeSizes:
     def test_shared_gate_counts_both_sinks(self, simple_and_or):
         sizes = fanout_cone_sizes(simple_and_or)
         assert sizes["ab"] == 3  # ab, x, y
+
+
+def _reference_cone_sizes(network):
+    """One :func:`transitive_fanout` walk per node."""
+    fanouts = network.fanout_map()
+    return {
+        name: len(transitive_fanout(network, [name], fanouts=fanouts))
+        for name in network.nodes
+    }
+
+
+def _combinational(seed):
+    rng = random.Random(seed)
+    n_outputs = rng.randint(1, 12)
+    config = GeneratorConfig(
+        n_inputs=rng.randint(4, 24),
+        n_outputs=n_outputs,
+        n_gates=rng.randint(3, 12) * n_outputs,
+        seed=seed,
+        support_size=rng.randint(2, 10),
+    )
+    return random_control_network(f"c{seed}", config)
+
+
+def _sequential(seed):
+    rng = random.Random(seed)
+    return random_sequential_network(
+        f"s{seed}",
+        n_inputs=rng.randint(2, 8),
+        n_latches=rng.randint(1, 6),
+        n_gates=rng.randint(4, 30),
+        seed=seed,
+        twin_groups=rng.randint(0, 2),
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fanout_cone_sizes_equal_per_node_walks_combinational(seed):
+    network = _combinational(seed)
+    for form in (network, cleanup(to_aoi(network))):
+        assert fanout_cone_sizes(form) == _reference_cone_sizes(form)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_fanout_cone_sizes_equal_per_node_walks_sequential(seed):
+    network = _sequential(seed)
+    assert network.latches
+    assert fanout_cone_sizes(network) == _reference_cone_sizes(network)
 
 
 class TestInverterFree:
