@@ -6,8 +6,9 @@ evaluation, the phase transform, mask-based power queries (random
 access and the hill climb's one-flip pattern), one whole minimum-area
 hill climb, one pairwise pair pick, and the vectorised Monte-Carlo
 simulator.  Also the two-level minimisation every BLIF input goes
-through (an already-minimum cover and a wide one) and the
-timing-repair loop of one small design.
+through (an already-minimum cover and a wide one), the timing-repair
+loop and the power measurement of one small mapped design, and one
+structural validation of a 56-output network.
 """
 
 import random
@@ -22,7 +23,7 @@ from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
 from repro.core.cost import CostModelData, best_pair_and_combo, masked_cost_stack
 from repro.core.min_area import minimize_area
-from repro.domino.mapper import map_implementation
+from repro.domino.mapper import map_implementation, simulate_mapped_power
 from repro.domino.timing import default_timing_target, resize_to_meet_timing
 from repro.network.duplication import phase_transform
 from repro.network.minimize import minimize_cover
@@ -92,10 +93,10 @@ def bench_evaluator_power_query(benchmark, apex7_evaluator):
 
 
 @pytest.fixture(scope="module")
-def large56_evaluator():
-    """Evaluator of a 56-output generated circuit, the size of
-    perfbench's large pool."""
-    network = cleanup(
+def large56_aoi():
+    """A 56-output generated circuit, the size of perfbench's large
+    pool, prepared as the flow prepares it."""
+    return cleanup(
         to_aoi(
             random_control_network(
                 "flip56",
@@ -106,7 +107,12 @@ def large56_evaluator():
             )
         )
     )
-    return PhaseEvaluator(network, method="bdd")
+
+
+@pytest.fixture(scope="module")
+def large56_evaluator(large56_aoi):
+    """Evaluator of the 56-output generated circuit."""
+    return PhaseEvaluator(large56_aoi, method="bdd")
 
 
 @pytest.mark.benchmark(group="kernels")
@@ -195,11 +201,10 @@ def bench_minimize_cover_wide(benchmark):
     assert result.improved
 
 
-@pytest.mark.benchmark(group="kernels")
-def bench_resize_small(benchmark):
-    """The timing-repair loop (Table 2's resize step) on the design of
-    small-pool circuit 6 as perfbench generates it, from the unsized
-    design every round."""
+@pytest.fixture(scope="module")
+def small_design():
+    """The unsized, all-positive mapped design of small-pool circuit 6
+    as perfbench generates it."""
     rng = random.Random(6)
     n_outputs = rng.randint(2, 8)
     config = GeneratorConfig(
@@ -209,9 +214,16 @@ def bench_resize_small(benchmark):
         seed=6,
     )
     network = cleanup(to_aoi(random_control_network("S6", config)))
-    design = map_implementation(
+    return map_implementation(
         phase_transform(network, PhaseAssignment.all_positive(network.output_names()))
     )
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_resize_small(benchmark, small_design):
+    """The timing-repair loop (Table 2's resize step) on the small-pool
+    design, from the unsized design every round."""
+    design = small_design
     unsized = dict(design.size_factors)
     target = default_timing_target(design)
 
@@ -220,5 +232,23 @@ def bench_resize_small(benchmark):
         return resize_to_meet_timing(design, target)
 
     result = benchmark(run)
+    design.size_factors = unsized
     _record_kernel(benchmark, "resize_small", cells=design.n_cells)
     assert result.iterations > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_simulate_mapped_small(benchmark, small_design):
+    """The flow's power measurement (``simulate_mapped_power``, 2048
+    vectors) of the small-pool design."""
+    power = benchmark(simulate_mapped_power, small_design, None, 2048, 0)
+    _record_kernel(benchmark, "simulate_mapped_small", cells=small_design.n_cells, n_vectors=2048)
+    assert power["total"] > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_validate_large(benchmark, large56_aoi):
+    """One structural validation (fanins, covers, cycle check) of the
+    56-output AOI network."""
+    benchmark(large56_aoi.validate)
+    _record_kernel(benchmark, "validate_large", nodes=len(large56_aoi.nodes))

@@ -19,19 +19,33 @@ from conftest import print_block, record_bench
 
 SMALL = ("frg1", "apex7", "x1")
 LARGE = ("industry1", "industry2", "industry3", "x3")
+#: Each body runs this many times and records its least wall time, so a
+#: slow spell of a shared host does not read as a regression.
+ROUNDS = 3
+
+
+def _best_of_rounds(benchmark, run):
+    """``run()`` for :data:`ROUNDS` rounds: its last result and the least
+    wall time of a round."""
+    walls = []
+
+    def body():
+        started = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - started)
+        return result
+
+    result = benchmark.pedantic(body, rounds=ROUNDS, iterations=1)
+    return result, min(walls)
 
 
 @pytest.mark.benchmark(group="table1")
 @pytest.mark.parametrize("circuit", SMALL + LARGE)
 def bench_table1_circuit(benchmark, circuit, quick_vectors):
-    def body():
-        started = time.perf_counter()
-        result = run_table(
-            timed=False, circuits=[circuit], n_vectors=quick_vectors
-        )
-        return result, time.perf_counter() - started
-
-    result, wall_s = benchmark.pedantic(body, rounds=1, iterations=1)
+    result, wall_s = _best_of_rounds(
+        benchmark,
+        lambda: run_table(timed=False, circuits=[circuit], n_vectors=quick_vectors),
+    )
     print_block(f"Table 1 row: {circuit}", format_table_result(result))
     row = result.rows[0].flow
     record_bench(
@@ -61,14 +75,10 @@ def bench_table1_circuit(benchmark, circuit, quick_vectors):
 def bench_table1_small_suite_averages(benchmark, quick_vectors):
     """Aggregate over the fast public circuits: positive average savings."""
 
-    def body():
-        started = time.perf_counter()
-        result = run_table(
-            timed=False, circuits=list(SMALL), n_vectors=quick_vectors
-        )
-        return result, time.perf_counter() - started
-
-    result, wall_s = benchmark.pedantic(body, rounds=1, iterations=1)
+    result, wall_s = _best_of_rounds(
+        benchmark,
+        lambda: run_table(timed=False, circuits=list(SMALL), n_vectors=quick_vectors),
+    )
     print_block("Table 1 (public circuits)", format_table_result(result))
     avg = result.measured_averages
     record_bench(

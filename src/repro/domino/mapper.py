@@ -5,14 +5,21 @@ materialises it as a plain network, decomposes gates wider than the
 library fanin limits into balanced cell trees, and annotates every node
 with its cell.  The mapped design is what the "Size" columns of the
 paper's tables count, and what the timing engine resizes.
+
+A mapped network never changes after mapping (resizing only rescales
+``size_factors``), so :class:`MappedDesign` compiles it once, when it
+is built, into a :class:`CompiledNetlist`: topological order, fanins
+and fanout loads as index tuples.  Timing analysis, every resizing
+iteration and the power simulation read that instead of re-deriving
+the order and fanout map.  :func:`simulate_mapped_power` simulates the
+design over packed words (:func:`repro.power.probability.simulate_words`)
+and counts bits for every firing and toggle rate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ReproError
 from repro.network.duplication import DominoImplementation, implementation_network
@@ -28,6 +35,12 @@ def decompose_to_cells(
     Returns a new network; NOT/BUF nodes pass through unchanged.
     """
     net = network.copy(f"{network.name}_mapped")
+    _decompose(net, library)
+    return net
+
+
+def _decompose(net: LogicNetwork, library: DominoCellLibrary) -> None:
+    """:func:`decompose_to_cells` in place."""
     for node in list(net.nodes.values()):
         if node.gate_type not in (GateType.AND, GateType.OR):
             continue
@@ -51,7 +64,57 @@ def decompose_to_cells(
             layer += 1
         node.fanins = operands
     net.validate()
-    return net
+
+
+@dataclass(frozen=True)
+class CompiledNetlist:
+    """A mapped network as index tuples, for timing and simulation.
+
+    Node ``i`` is the ``i``-th node of the network in insertion order.
+    Inputs, constants and latch outputs have no fanins and no cell; a
+    gate without a cell is a zero-delay feedthrough (BUF).
+    """
+
+    names: Tuple[str, ...]
+    #: Node indices in :meth:`LogicNetwork.topological_order`.
+    order: Tuple[int, ...]
+    fanins: Tuple[Tuple[int, ...], ...]
+    cells: Tuple[Optional[DominoCell], ...]
+    #: Per node, the ``(sink, input_cap)`` of every sink with a cell,
+    #: in :meth:`LogicNetwork.fanout_map` order.
+    loads: Tuple[Tuple[Tuple[str, float], ...], ...]
+    #: PO drivers in output order, then latch data inputs.
+    endpoints: Tuple[int, ...]
+
+    @classmethod
+    def build(cls, network: LogicNetwork, cells: Mapping[str, DominoCell]) -> "CompiledNetlist":
+        names = tuple(network.nodes)
+        index = {name: i for i, name in enumerate(names)}
+        fanouts = network.fanout_map()
+        fanins: List[Tuple[int, ...]] = []
+        node_cells: List[Optional[DominoCell]] = []
+        loads: List[Tuple[Tuple[str, float], ...]] = []
+        for name, node in network.nodes.items():
+            if node.gate_type.is_comb_source:
+                fanins.append(())
+                node_cells.append(None)
+                loads.append(())
+                continue
+            fanins.append(tuple([index[fi] for fi in node.fanins]))
+            node_cells.append(cells.get(name))
+            loads.append(
+                tuple([(sink, cells[sink].input_cap) for sink in fanouts[name] if sink in cells])
+            )
+        endpoints = [index[driver] for _, driver in network.outputs]
+        endpoints.extend(index[latch.fanins[0]] for latch in network.latches)
+        return cls(
+            names=names,
+            order=tuple([index[name] for name in network.topological_order()]),
+            fanins=tuple(fanins),
+            cells=tuple(node_cells),
+            loads=tuple(loads),
+            endpoints=tuple(endpoints),
+        )
 
 
 @dataclass
@@ -68,16 +131,21 @@ class MappedDesign:
     size_factors:
         Per-node transistor upsizing (timing engine writes these;
         1.0 = minimum size).
+    compiled:
+        The network compiled at construction; the network must not
+        change afterwards.
     """
 
     network: LogicNetwork
     library: DominoCellLibrary
     cells: Dict[str, DominoCell]
     size_factors: Dict[str, float] = field(default_factory=dict)
+    compiled: CompiledNetlist = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in self.cells:
             self.size_factors.setdefault(name, 1.0)
+        self.compiled = CompiledNetlist.build(self.network, self.cells)
 
     @property
     def n_cells(self) -> int:
@@ -100,16 +168,6 @@ class MappedDesign:
         cell = self.cells[name]
         return cell.clock_cap * self.size_factors[name]
 
-    def fanout_load(self, name: str, fanouts: Mapping[str, List[str]]) -> float:
-        """Capacitive load a node drives: sum of sized sink input caps."""
-        load = 0.0
-        for sink in fanouts.get(name, []):
-            cell = self.cells.get(sink)
-            if cell is None:
-                continue
-            load += cell.input_cap * self.size_factors[sink]
-        return load
-
     def counts_by_cell(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}
         for cell in self.cells.values():
@@ -122,8 +180,11 @@ def map_implementation(
 ) -> MappedDesign:
     """Map a phase-transformed implementation to library cells."""
     library = library or DEFAULT_LIBRARY
-    block = implementation_network(impl)
-    return map_network(block, library)
+    # The block is built here and used nowhere else: decompose it in place.
+    net = implementation_network(impl)
+    net.name = f"{net.name}_mapped"
+    _decompose(net, library)
+    return _assign_cells(net, library)
 
 
 def map_network(
@@ -131,7 +192,11 @@ def map_network(
 ) -> MappedDesign:
     """Map an already inverter-free block network (AND/OR/NOT only)."""
     library = library or DEFAULT_LIBRARY
-    net = decompose_to_cells(block, library)
+    return _assign_cells(decompose_to_cells(block, library), library)
+
+
+def _assign_cells(net: LogicNetwork, library: DominoCellLibrary) -> MappedDesign:
+    """The design of a decomposed network: one cell per AND/OR/NOT node."""
     cells: Dict[str, DominoCell] = {}
     for node in net.gates:
         t = node.gate_type
@@ -167,38 +232,51 @@ def simulate_mapped_power(
     * static inverters driven by domino cells toggle when the driver
       fires.
 
+    Each signal is one word of ``n_vectors`` bits; a rate is a bit count
+    over the vector count, the same float as the mean of the 0/1 values.
+
     Returns a dict with ``domino``, ``clock``, ``static``, ``total`` and
     ``current_ma`` entries.
     """
-    from repro.power.probability import random_source_batch, simulate_batch
+    from repro.power.probability import pack_words, random_source_batch, simulate_words
 
     net = design.network
+    compiled = design.compiled
+    names = compiled.names
     if input_probs is None:
         input_probs = {s: 0.5 for s in net.sources()}
     batch = random_source_batch(net, input_probs, n_vectors, seed)
-    values = simulate_batch(net, batch)
+    values = simulate_words(
+        net, pack_words(batch), n_vectors, order=[names[i] for i in compiled.order]
+    )
+    # bits 0 .. n-2 of ``x ^ x >> 1`` flag a change between vectors k and k+1
+    low_mask = (1 << (n_vectors - 1)) - 1 if n_vectors > 1 else 0
 
+    sizes = design.size_factors
     domino_energy = 0.0
     clock_energy = 0.0
     static_energy = 0.0
-    for node in net.gates:
-        cell = design.cells.get(node.name)
+    for i, cell in enumerate(compiled.cells):
         if cell is None:
             continue
-        arr = values[node.name]
-        cap = design.node_capacitance(node.name)
+        name = names[i]
+        word = values[name]
+        cap = cell.output_cap * sizes[name]
         if cell.is_domino:
-            domino_energy += float(arr.mean()) * cap
-            clock_energy += design.node_clock_cap(node.name)
+            domino_energy += word.bit_count() / n_vectors * cap
+            clock_energy += cell.clock_cap * sizes[name]
+            continue
+        driver = names[compiled.fanins[i][0]]
+        if net.nodes[driver].gate_type in (GateType.INPUT, GateType.LATCH):
+            toggles = (
+                ((word ^ (word >> 1)) & low_mask).bit_count() / (n_vectors - 1)
+                if n_vectors > 1
+                else 0.0
+            )
+            static_energy += toggles * cap
         else:
-            driver = net.nodes[node.fanins[0]]
-            if driver.gate_type in (GateType.INPUT, GateType.LATCH):
-                toggles = float(np.mean(arr[1:] != arr[:-1])) if len(arr) > 1 else 0.0
-                static_energy += toggles * cap
-            else:
-                # Driven by a domino cell: follows the monotonic pulse.
-                drv = values[node.fanins[0]]
-                static_energy += float(drv.mean()) * cap
+            # Driven by a domino cell: follows the monotonic pulse.
+            static_energy += values[driver].bit_count() / n_vectors * cap
     total = domino_energy + clock_energy + static_energy
     return {
         "domino": domino_energy,

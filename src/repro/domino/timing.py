@@ -13,16 +13,20 @@ power-oriented phase assignment.  We reproduce that with:
   target, upsize the cells on the critical path (drive strength up,
   input/clock/output capacitance up), which feeds directly back into
   the Monte-Carlo power measurement.
+
+Every arrival pass walks the design's :class:`CompiledNetlist`, built
+once when the design is mapped: no pass re-derives the topological
+order or the fanout map.  Only the size factors change between the
+passes of one resize.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TimingError
-from repro.network.netlist import GateType, LogicNetwork
-from repro.domino.mapper import MappedDesign
+from repro.domino.mapper import CompiledNetlist, MappedDesign
 
 
 @dataclass
@@ -39,57 +43,75 @@ class TimingReport:
 
 def analyze_timing(design: MappedDesign) -> TimingReport:
     """Topological arrival-time computation over the mapped network."""
-    net = design.network
-    return _arrival_times(design, net.topological_order(), net.fanout_map())
+    compiled = design.compiled
+    arrival, pred = _arrivals(design)
+    critical_delay, path = _critical_path(compiled, arrival, pred)
+    names = compiled.names
+    return TimingReport(
+        arrival={names[i]: arrival[i] for i in compiled.order},
+        critical_delay=critical_delay,
+        critical_path=path,
+    )
 
 
-def _arrival_times(
-    design: MappedDesign, order: Sequence[str], fanouts: Mapping[str, List[str]]
-) -> TimingReport:
-    """:func:`analyze_timing` over a precomputed topological order and
-    fanout map of ``design.network``."""
-    net = design.network
-    arrival: Dict[str, float] = {}
-    best_pred: Dict[str, Optional[str]] = {}
-    for name in order:
-        node = net.nodes[name]
-        t = node.gate_type
-        if t.is_source or t is GateType.LATCH:
-            arrival[name] = 0.0
-            best_pred[name] = None
+def _arrivals(design: MappedDesign) -> Tuple[List[float], List[Optional[int]]]:
+    """Arrival time and worst fanin of every node, by compiled index.
+
+    A cell's delay is ``cell.delay(load, size)``, its load the sized
+    input caps of its sinks summed in fanout order; its worst fanin is
+    the *last* one of the latest arrival (``>=``).  A node without a
+    cell passes on its latest fanin, the first one on a tie, or 0.0
+    when it has none (sources and latch outputs).
+    """
+    compiled = design.compiled
+    sizes = design.size_factors
+    names = compiled.names
+    fanins = compiled.fanins
+    cells = compiled.cells
+    loads = compiled.loads
+    arrival = [0.0] * len(names)
+    pred: List[Optional[int]] = [None] * len(names)
+    for i in compiled.order:
+        cell = cells[i]
+        if cell is None:  # source, latch output or BUF feedthrough
+            best: Optional[int] = None
+            for fi in fanins[i]:
+                if best is None or arrival[fi] > arrival[best]:
+                    best = fi
+            if best is not None:
+                arrival[i] = arrival[best]
+                pred[i] = best
             continue
-        cell = design.cells.get(name)
-        if cell is None:  # BUF feedthrough
-            arrival[name] = max((arrival[fi] for fi in node.fanins), default=0.0)
-            best_pred[name] = max(
-                node.fanins, key=lambda fi: arrival[fi], default=None
-            )
-            continue
-        load = design.fanout_load(name, fanouts)
-        delay = cell.delay(load, design.size_factors[name])
+        load = 0.0
+        for sink, input_cap in loads[i]:
+            load += input_cap * sizes[sink]
+        delay = cell.delay(load, sizes[names[i]])
         worst_in = 0.0
-        worst_fi: Optional[str] = None
-        for fi in node.fanins:
+        worst_fi: Optional[int] = None
+        for fi in fanins[i]:
             if arrival[fi] >= worst_in:
                 worst_in = arrival[fi]
                 worst_fi = fi
-        arrival[name] = worst_in + delay
-        best_pred[name] = worst_fi
+        arrival[i] = worst_in + delay
+        pred[i] = worst_fi
+    return arrival, pred
 
-    endpoints = [driver for _, driver in net.outputs]
-    endpoints.extend(latch.fanins[0] for latch in net.latches)
-    if not endpoints:
-        return TimingReport(arrival=arrival, critical_delay=0.0, critical_path=[])
-    end = max(endpoints, key=lambda e: arrival[e])
+
+def _critical_path(
+    compiled: CompiledNetlist, arrival: List[float], pred: List[Optional[int]]
+) -> Tuple[float, List[str]]:
+    """Critical delay and path: the first latest endpoint in output
+    order, traced back through the worst fanins."""
+    if not compiled.endpoints:
+        return 0.0, []
+    end = max(compiled.endpoints, key=arrival.__getitem__)
     path: List[str] = []
-    cur: Optional[str] = end
+    cur: Optional[int] = end
     while cur is not None:
-        path.append(cur)
-        cur = best_pred.get(cur)
+        path.append(compiled.names[cur])
+        cur = pred[cur]
     path.reverse()
-    return TimingReport(
-        arrival=arrival, critical_delay=arrival[end], critical_path=path
-    )
+    return arrival[end], path
 
 
 @dataclass
@@ -127,17 +149,14 @@ def resize_to_meet_timing(
     if step <= 1.0:
         raise TimingError(f"resize step must exceed 1.0, got {step}")
 
-    # Resizing changes only size factors, never the network.
-    order = design.network.topological_order()
-    fanouts = design.network.fanout_map()
-    report = _arrival_times(design, order, fanouts)
-    initial = report.critical_delay
+    critical_delay, path = _critical_path(design.compiled, *_arrivals(design))
+    initial = critical_delay
     iterations = 0
     touched: set = set()
-    while report.critical_delay > target_delay and iterations < max_iterations:
+    while critical_delay > target_delay and iterations < max_iterations:
         iterations += 1
         progressed = False
-        for name in report.critical_path:
+        for name in path:
             if name not in design.cells:
                 continue
             current = design.size_factors[name]
@@ -148,12 +167,12 @@ def resize_to_meet_timing(
             progressed = True
         if not progressed:
             break
-        report = _arrival_times(design, order, fanouts)
+        critical_delay, path = _critical_path(design.compiled, *_arrivals(design))
     return ResizeResult(
-        met_timing=report.critical_delay <= target_delay,
+        met_timing=critical_delay <= target_delay,
         target=target_delay,
         initial_delay=initial,
-        final_delay=report.critical_delay,
+        final_delay=critical_delay,
         iterations=iterations,
         upsized_cells=len(touched),
     )
@@ -162,7 +181,7 @@ def resize_to_meet_timing(
 def default_timing_target(design: MappedDesign, slack_fraction: float = 0.85) -> float:
     """A "realistic timing constraint": a fraction of the unsized critical
     delay, forcing the resizer to actually work (as in Table 2)."""
-    report = analyze_timing(design)
-    if report.critical_delay == 0.0:
+    critical_delay, _ = _critical_path(design.compiled, *_arrivals(design))
+    if critical_delay == 0.0:
         return 1.0
-    return report.critical_delay * slack_fraction
+    return critical_delay * slack_fraction

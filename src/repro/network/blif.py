@@ -220,7 +220,7 @@ def write_blif(network: LogicNetwork) -> str:
         lines.append(f".latch {latch.fanins[0]} {latch.name} {init}")
     for node in network.nodes.values():
         t = node.gate_type
-        if t.is_source or t is GateType.LATCH:
+        if t.is_comb_source:
             if t is GateType.CONST0:
                 lines.append(f".names {node.name}")
             elif t is GateType.CONST1:

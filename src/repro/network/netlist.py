@@ -41,10 +41,12 @@ class GateType(enum.Enum):
     SOP = "sop"  # generic single-output cover (from BLIF .names)
     LATCH = "latch"  # latch *output*; single fanin is the latch data input
 
-    @property
-    def is_source(self) -> bool:
-        """True for nodes with no logical fanin (inputs and constants)."""
-        return self in (GateType.INPUT, GateType.CONST0, GateType.CONST1)
+    def __init__(self, value: str) -> None:
+        #: True for nodes with no logical fanin (inputs and constants).
+        self.is_source = value in ("input", "const0", "const1")
+        #: True for nodes with no *combinational* fanin: the sources plus
+        #: latch outputs.  Every structural walk stops at these.
+        self.is_comb_source = self.is_source or value == "latch"
 
     @property
     def is_monotone(self) -> bool:
@@ -261,11 +263,7 @@ class LogicNetwork:
     @property
     def gates(self) -> List[Node]:
         """All non-source, non-latch (i.e. combinational logic) nodes."""
-        return [
-            n
-            for n in self.nodes.values()
-            if not n.gate_type.is_source and n.gate_type is not GateType.LATCH
-        ]
+        return [n for n in self.nodes.values() if not n.gate_type.is_comb_source]
 
     def node(self, name: str) -> Node:
         try:
@@ -298,20 +296,17 @@ class LogicNetwork:
 
     def sources(self) -> List[str]:
         """Combinational sources: primary inputs, constants and latch outputs."""
-        return [
-            n.name
-            for n in self.nodes.values()
-            if n.gate_type.is_source or n.gate_type is GateType.LATCH
-        ]
+        return [n.name for n in self.nodes.values() if n.gate_type.is_comb_source]
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Check structural well-formedness.  Raises :class:`NetworkError`."""
-        for node in self.nodes.values():
+        nodes = self.nodes
+        for node in nodes.values():
             for fi in node.fanins:
-                if fi not in self.nodes:
+                if fi not in nodes:
                     raise NetworkError(f"node {node.name} references unknown fanin {fi!r}")
             if node.gate_type is GateType.SOP:
                 if node.cover is None:
@@ -325,37 +320,62 @@ class LogicNetwork:
         for po, driver in self.outputs:
             if driver not in self.nodes:
                 raise NetworkError(f"output {po!r} driven by unknown node {driver!r}")
-        self._check_combinational_acyclic()
+        self._post_order(check_cycles=True)
 
-    def _check_combinational_acyclic(self) -> None:
-        """Detect combinational cycles (cycles not broken by a latch)."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = {name: WHITE for name in self.nodes}
-        for start in self.nodes:
-            if color[start] != WHITE:
+    def _post_order(self, check_cycles: bool) -> List[str]:
+        """Iterative DFS post-order over combinational fanins.
+
+        Roots are taken in node insertion order and fanins in fanin
+        order; the walk stops at inputs, constants and latch outputs, so
+        latches break cycles.  With ``check_cycles`` a fanin still on
+        the DFS stack raises :class:`NetworkError` (a combinational
+        cycle); without it the node is skipped, as an already visited
+        one.
+        """
+        nodes = self.nodes
+        order: List[str] = []
+        emit = order.append
+        # name -> False while on the DFS stack, True once emitted
+        done: Dict[str, bool] = {}
+        state_of = done.get
+        for root, root_node in nodes.items():
+            if root in done:
                 continue
-            stack: List[Tuple[str, Iterator[str]]] = [(start, iter(self._comb_fanins(start)))]
-            color[start] = GRAY
+            if root_node.gate_type.is_comb_source:
+                done[root] = True
+                emit(root)
+                continue
+            # Between roots the stack is empty, so every visited node is
+            # emitted: a root whose fanins are all visited comes next.
+            for fi in root_node.fanins:
+                if fi not in done:
+                    break
+            else:
+                done[root] = True
+                emit(root)
+                continue
+            done[root] = False
+            stack: List[Tuple[str, Iterator[str]]] = [(root, iter(root_node.fanins))]
             while stack:
                 name, it = stack[-1]
-                advanced = False
                 for fi in it:
-                    if color[fi] == GRAY:
-                        raise NetworkError(f"combinational cycle through node {fi!r}")
-                    if color[fi] == WHITE:
-                        color[fi] = GRAY
-                        stack.append((fi, iter(self._comb_fanins(fi))))
-                        advanced = True
+                    state = state_of(fi)
+                    if state is None:
+                        node = nodes[fi]
+                        if node.gate_type.is_comb_source:
+                            done[fi] = True
+                            emit(fi)
+                            continue
+                        done[fi] = False
+                        stack.append((fi, iter(node.fanins)))
                         break
-                if not advanced:
-                    color[name] = BLACK
+                    if not state and check_cycles:
+                        raise NetworkError(f"combinational cycle through node {fi!r}")
+                else:
+                    done[name] = True
+                    emit(name)
                     stack.pop()
-
-    def _comb_fanins(self, name: str) -> List[str]:
-        node = self.nodes[name]
-        if node.gate_type is GateType.LATCH or node.gate_type.is_source:
-            return []
-        return node.fanins
+        return order
 
     # ------------------------------------------------------------------
     # Simulation
@@ -409,26 +429,7 @@ class LogicNetwork:
     # ------------------------------------------------------------------
     def topological_order(self) -> List[str]:
         """Topological order of all nodes, treating latch outputs as sources."""
-        order: List[str] = []
-        visited: Dict[str, int] = {}
-        for root in self.nodes:
-            if root in visited:
-                continue
-            stack: List[Tuple[str, Iterator[str]]] = [(root, iter(self._comb_fanins(root)))]
-            visited[root] = 1
-            while stack:
-                name, it = stack[-1]
-                advanced = False
-                for fi in it:
-                    if fi not in visited:
-                        visited[fi] = 1
-                        stack.append((fi, iter(self._comb_fanins(fi))))
-                        advanced = True
-                        break
-                if not advanced:
-                    order.append(name)
-                    stack.pop()
-        return order
+        return self._post_order(check_cycles=False)
 
     # ------------------------------------------------------------------
     # Editing helpers

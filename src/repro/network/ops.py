@@ -156,6 +156,12 @@ def to_aoi(network: LogicNetwork) -> LogicNetwork:
 def propagate_constants(network: LogicNetwork) -> LogicNetwork:
     """Fold constants through AND/OR/NOT/BUF gates.  Returns a new network."""
     net = network.copy()
+    _propagate_constants(net)
+    return net
+
+
+def _propagate_constants(net: LogicNetwork) -> None:
+    """:func:`propagate_constants` in place."""
     const_val: Dict[str, Optional[bool]] = {}
     for name in net.topological_order():
         node = net.nodes[name]
@@ -166,7 +172,7 @@ def propagate_constants(network: LogicNetwork) -> LogicNetwork:
         if t is GateType.CONST1:
             const_val[name] = True
             continue
-        if t.is_source or t is GateType.LATCH:
+        if t.is_comb_source:
             const_val[name] = None
             continue
         fvals = [const_val.get(fi) for fi in node.fanins]
@@ -218,7 +224,6 @@ def propagate_constants(network: LogicNetwork) -> LogicNetwork:
             continue
         const_val[name] = None
     net.validate()
-    return net
 
 
 def collapse_buffers(network: LogicNetwork) -> LogicNetwork:
@@ -228,6 +233,12 @@ def collapse_buffers(network: LogicNetwork) -> LogicNetwork:
     source.  Returns a new network.
     """
     net = network.copy()
+    _collapse_buffers(net)
+    return net
+
+
+def _collapse_buffers(net: LogicNetwork) -> None:
+    """:func:`collapse_buffers` in place."""
 
     def resolve(name: str, seen: Optional[Set[str]] = None) -> str:
         node = net.nodes[name]
@@ -244,15 +255,22 @@ def collapse_buffers(network: LogicNetwork) -> LogicNetwork:
     for node in list(net.nodes.values()):
         node.fanins = [resolve(fi) for fi in node.fanins]
     net.outputs = [(po, resolve(driver)) for po, driver in net.outputs]
-    return sweep_dead_nodes(net)
+    _sweep_dead_nodes(net)
 
 
 def sweep_dead_nodes(network: LogicNetwork) -> LogicNetwork:
     """Remove logic not reachable from any PO or latch data input.
 
     Primary inputs are always retained (interface preservation).
+    Returns a new network.
     """
     net = network.copy()
+    _sweep_dead_nodes(net)
+    return net
+
+
+def _sweep_dead_nodes(net: LogicNetwork) -> None:
+    """:func:`sweep_dead_nodes` in place."""
     live: Set[str] = set(net.inputs)
     roots = [driver for _, driver in net.outputs]
     roots.extend(latch.name for latch in net.latches)
@@ -267,12 +285,18 @@ def sweep_dead_nodes(network: LogicNetwork) -> LogicNetwork:
     for name in dead:
         del net.nodes[name]
     net.validate()
-    return net
 
 
 def cleanup(network: LogicNetwork) -> LogicNetwork:
-    """Standard cleanup pipeline: constants, buffers, dead logic."""
-    return collapse_buffers(propagate_constants(network))
+    """Standard cleanup pipeline: constants, buffers, dead logic.
+
+    Copies ``network`` once and runs every pass in place on the copy;
+    the result equals ``collapse_buffers(propagate_constants(network))``.
+    """
+    net = network.copy()
+    _propagate_constants(net)
+    _collapse_buffers(net)
+    return net
 
 
 def demorgan_node(network: LogicNetwork, name: str) -> None:

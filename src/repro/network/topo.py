@@ -19,7 +19,7 @@ def levels(network: LogicNetwork) -> Dict[str, int]:
     level: Dict[str, int] = {}
     for name in network.topological_order():
         node = network.nodes[name]
-        if node.gate_type.is_source or node.gate_type is GateType.LATCH:
+        if node.gate_type.is_comb_source:
             level[name] = 0
         else:
             level[name] = 1 + max(level[fi] for fi in node.fanins)
@@ -164,7 +164,7 @@ def check_inverter_free(network: LogicNetwork) -> List[str]:
     """
     offenders = []
     for node in network.nodes.values():
-        if node.gate_type.is_source or node.gate_type is GateType.LATCH:
+        if node.gate_type.is_comb_source:
             continue
         if not node.gate_type.is_monotone:
             offenders.append(node.name)

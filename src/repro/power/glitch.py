@@ -130,8 +130,6 @@ def unit_delay_glitch_report(
                 sel, d0, d1 = fanin_arrays
                 val = np.where(sel, d1, d0)
             elif t is GateType.SOP:
-                from repro.power.probability import _sop_batch
-
                 val = _sop_batch(node, fanin_arrays, n_pairs)
             elif t in (GateType.CONST0, GateType.CONST1):
                 val = np.full(n_pairs, t is GateType.CONST1, dtype=bool)
@@ -154,6 +152,22 @@ def unit_delay_glitch_report(
         per_node_glitches=per_node,
         n_cycles=n_cycles,
     )
+
+
+def _sop_batch(node, fanin_arrays: List[np.ndarray], batch: int) -> np.ndarray:
+    cover = node.cover
+    acc = np.zeros(batch, dtype=bool)
+    for cube in cover.cubes:
+        term = np.ones(batch, dtype=bool)
+        for lit, arr in zip(cube, fanin_arrays):
+            if lit == "1":
+                term &= arr
+            elif lit == "0":
+                term &= ~arr
+        acc |= term
+    if cover.output_value == "0":
+        acc = ~acc
+    return acc
 
 
 def domino_glitch_check(impl, input_probs=None, n_cycles: int = 512, seed: int = 0) -> bool:

@@ -4,9 +4,16 @@ Two engines:
 
 * **Exact** — BDD evaluation with the paper's domino variable ordering
   (Section 4.2.2).  Exact under the independent-input model.
-* **Monte-Carlo** — vectorised random simulation, used both as a
-  cross-check and as the automatic fallback when a cone blows the BDD
-  node budget.
+* **Monte-Carlo** — random simulation, used both as a cross-check and
+  as the automatic fallback when a cone blows the BDD node budget.
+
+Simulation is zero-delay over packed words (:func:`simulate_words`):
+each signal is one Python int whose bit ``k`` is its value under vector
+``k``, so a node costs one bitwise operation per fanin whatever the
+vector count, and a signal probability is a bit count over the vector
+count.  :func:`simulate_batch` is the same simulator behind a boolean
+array interface.  Source vectors are drawn by
+:func:`random_source_batch` as boolean arrays and packed.
 
 Latch outputs are treated as additional inputs; sequential circuits
 should be partitioned first (:mod:`repro.seq.partition`), which also
@@ -35,79 +42,141 @@ def uniform_input_probabilities(
     return probs
 
 
+# Module-level aliases: reading a member off the enum class costs an
+# attribute lookup per comparison in the simulation loop.
+_AND, _NAND, _OR, _NOR = GateType.AND, GateType.NAND, GateType.OR, GateType.NOR
+_NOT, _BUF, _SOP, _MUX = GateType.NOT, GateType.BUF, GateType.SOP, GateType.MUX
+_XOR, _XNOR, _CONST0, _CONST1 = GateType.XOR, GateType.XNOR, GateType.CONST0, GateType.CONST1
+_INPUT, _LATCH = GateType.INPUT, GateType.LATCH
+
+
+def simulate_words(
+    network: LogicNetwork,
+    source_words: Mapping[str, int],
+    n_vectors: int,
+    order: Optional[Sequence[str]] = None,
+) -> Dict[str, int]:
+    """Zero-delay evaluation of every node over ``n_vectors`` vectors at once.
+
+    Each signal is one Python int of ``n_vectors`` bits, bit ``k`` being
+    its value under vector ``k``.  ``source_words`` maps every PI (and
+    latch output) name to its word; a name given there is taken as is,
+    whatever its node type.  ``order`` is a precomputed topological
+    order of ``network`` (default: :meth:`LogicNetwork.topological_order`).
+    Returns the words of the given sources followed by every other node
+    in topological order.
+    """
+    mask = (1 << n_vectors) - 1
+    values: Dict[str, int] = dict(source_words)
+    nodes = network.nodes
+    for name in network.topological_order() if order is None else order:
+        if name in values:
+            continue
+        node = nodes[name]
+        t = node.gate_type
+        if t is _AND or t is _NAND:
+            word = mask
+            for fi in node.fanins:
+                word &= values[fi]
+            if t is _NAND:
+                word ^= mask
+        elif t is _OR or t is _NOR:
+            word = 0
+            for fi in node.fanins:
+                word |= values[fi]
+            if t is _NOR:
+                word ^= mask
+        elif t is _NOT:
+            word = values[node.fanins[0]] ^ mask
+        elif t is _BUF:
+            word = values[node.fanins[0]]
+        elif t is _SOP:
+            word = _sop_word(node, [values[fi] for fi in node.fanins], mask)
+        elif t is _XOR or t is _XNOR:
+            word = 0 if t is _XOR else mask
+            for fi in node.fanins:
+                word ^= values[fi]
+        elif t is _MUX:
+            sel, d0, d1 = (values[fi] for fi in node.fanins)
+            word = (sel & d1) | ((sel ^ mask) & d0)
+        elif t is _CONST0:
+            word = 0
+        elif t is _CONST1:
+            word = mask
+        elif t is _INPUT or t is _LATCH:
+            raise PowerError(f"missing batch values for source {name!r}")
+        else:  # pragma: no cover - exhaustive over GateType
+            raise PowerError(f"cannot simulate node {name} of type {t.value}")
+        values[name] = word
+    return values
+
+
+def _sop_word(node, fanin_words: List[int], mask: int) -> int:
+    cover = node.cover
+    acc = 0
+    for cube in cover.cubes:
+        term = mask
+        for lit, word in zip(cube, fanin_words):
+            if lit == "1":
+                term &= word
+            elif lit == "0":
+                term &= ~word
+        acc |= term
+    if cover.output_value == "0":
+        acc ^= mask
+    return acc
+
+
+def pack_words(arrays: Mapping[str, np.ndarray]) -> Dict[str, int]:
+    """Pack equal-length boolean arrays into words, element ``k`` at bit ``k``."""
+    names = list(arrays)
+    if not names:
+        return {}
+    packed = np.packbits(
+        np.stack([np.asarray(arrays[name], dtype=bool) for name in names]),
+        axis=1,
+        bitorder="little",
+    )
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    return {
+        name: int.from_bytes(raw[i * width : (i + 1) * width], "little")
+        for i, name in enumerate(names)
+    }
+
+
+def unpack_word(word: int, n_vectors: int) -> np.ndarray:
+    """The boolean array of ``n_vectors`` elements a word packs."""
+    raw = np.frombuffer(word.to_bytes((n_vectors + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_vectors, bitorder="little").view(bool)
+
+
 def simulate_batch(
     network: LogicNetwork, source_values: Mapping[str, np.ndarray]
 ) -> Dict[str, np.ndarray]:
-    """Vectorised zero-delay evaluation over a batch of vectors.
+    """Zero-delay evaluation over a batch of vectors, as boolean arrays.
 
     ``source_values`` maps every PI (and latch output) name to a boolean
-    array of shape ``(batch,)``.  Returns arrays for every node.
+    array of shape ``(batch,)``.  Returns arrays for every node.  The
+    sources are packed into words for :func:`simulate_words` and the
+    results unpacked.
     """
-    values: Dict[str, np.ndarray] = {}
+    sources: Dict[str, np.ndarray] = {}
     batch = None
     for name, arr in source_values.items():
         arr = np.asarray(arr, dtype=bool)
-        values[name] = arr
+        sources[name] = arr
         batch = len(arr) if batch is None else batch
         if len(arr) != batch:
             raise PowerError("inconsistent batch sizes in source_values")
     if batch is None:
         raise PowerError("no source values supplied")
-
-    for name in network.topological_order():
-        if name in values:
-            continue
-        node = network.nodes[name]
-        t = node.gate_type
-        if t is GateType.INPUT or t is GateType.LATCH:
-            raise PowerError(f"missing batch values for source {name!r}")
-        if t is GateType.CONST0:
-            values[name] = np.zeros(batch, dtype=bool)
-            continue
-        if t is GateType.CONST1:
-            values[name] = np.ones(batch, dtype=bool)
-            continue
-        fanin_arrays = [values[fi] for fi in node.fanins]
-        if t is GateType.BUF:
-            values[name] = fanin_arrays[0]
-        elif t is GateType.NOT:
-            values[name] = ~fanin_arrays[0]
-        elif t is GateType.AND:
-            values[name] = np.logical_and.reduce(fanin_arrays)
-        elif t is GateType.OR:
-            values[name] = np.logical_or.reduce(fanin_arrays)
-        elif t is GateType.NAND:
-            values[name] = ~np.logical_and.reduce(fanin_arrays)
-        elif t is GateType.NOR:
-            values[name] = ~np.logical_or.reduce(fanin_arrays)
-        elif t is GateType.XOR:
-            values[name] = np.logical_xor.reduce(fanin_arrays)
-        elif t is GateType.XNOR:
-            values[name] = ~np.logical_xor.reduce(fanin_arrays)
-        elif t is GateType.MUX:
-            sel, d0, d1 = fanin_arrays
-            values[name] = np.where(sel, d1, d0)
-        elif t is GateType.SOP:
-            values[name] = _sop_batch(node, fanin_arrays, batch)
-        else:  # pragma: no cover - exhaustive over GateType
-            raise PowerError(f"cannot simulate node {name} of type {t.value}")
+    words = simulate_words(network, pack_words(sources), batch)
+    values: Dict[str, np.ndarray] = dict(sources)
+    for name, word in words.items():
+        if name not in values:
+            values[name] = unpack_word(word, batch)
     return values
-
-
-def _sop_batch(node, fanin_arrays: List[np.ndarray], batch: int) -> np.ndarray:
-    cover = node.cover
-    acc = np.zeros(batch, dtype=bool)
-    for cube in cover.cubes:
-        term = np.ones(batch, dtype=bool)
-        for lit, arr in zip(cube, fanin_arrays):
-            if lit == "1":
-                term &= arr
-            elif lit == "0":
-                term &= ~arr
-        acc |= term
-    if cover.output_value == "0":
-        acc = ~acc
-    return acc
 
 
 def random_source_batch(
@@ -157,8 +226,8 @@ def monte_carlo_probabilities(
 ) -> Dict[str, float]:
     """Signal probability of every node by random simulation."""
     batch = random_source_batch(network, input_probs, n_vectors, seed)
-    values = simulate_batch(network, batch)
-    return {name: float(arr.mean()) for name, arr in values.items()}
+    words = simulate_words(network, pack_words(batch), n_vectors)
+    return {name: word.bit_count() / n_vectors for name, word in words.items()}
 
 
 def bdd_probabilities(

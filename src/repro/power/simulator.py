@@ -32,7 +32,7 @@ from repro.network.duplication import DominoImplementation, Polarity, Ref
 from repro.network.netlist import LogicNetwork
 from repro.phase import Phase
 from repro.power.estimator import DominoPowerModel
-from repro.power.probability import random_source_batch
+from repro.power.probability import pack_words, random_source_batch, simulate_words
 
 
 @dataclass
@@ -231,37 +231,35 @@ class SequentialPowerSimulator:
     ) -> Dict[str, float]:
         """Returns per-node average firing rate plus a ``__energy__`` total.
 
-        ``n_streams`` independent trajectories are simulated in a
-        vectorised batch to reduce variance; ``warmup`` initial cycles
-        are discarded so latch state reaches steady distribution.
+        ``n_streams`` independent trajectories are simulated at once, as
+        the bits of one word per signal, to reduce variance; ``warmup``
+        initial cycles are discarded so latch state reaches steady
+        distribution.
         """
-        from repro.network.netlist import GateType
-        from repro.power.probability import simulate_batch
-
         net = self.network
         if input_probs is None:
             input_probs = {s: 0.5 for s in net.inputs}
         rng = np.random.default_rng(seed)
-        state = {
-            latch.name: np.full(n_streams, latch.init_value == 1, dtype=bool)
-            for latch in net.latches
-        }
-        fire_sums: Dict[str, float] = {n.name: 0.0 for n in net.gates}
+        order = net.topological_order()
+        gates = [gate.name for gate in net.gates]
+        latches = [(latch.name, latch.fanins[0]) for latch in net.latches]
+        ones = (1 << n_streams) - 1
+        state = {latch.name: ones if latch.init_value == 1 else 0 for latch in net.latches}
+        fire_sums: Dict[str, float] = {name: 0.0 for name in gates}
         counted = 0
         for cycle in range(n_cycles + warmup):
-            sources: Dict[str, np.ndarray] = {}
+            draws: Dict[str, np.ndarray] = {}
             for name in net.inputs:
                 p = input_probs.get(name, 0.5)
-                sources[name] = rng.random(n_streams) < p
+                draws[name] = rng.random(n_streams) < p
+            sources = pack_words(draws)
             sources.update(state)
-            values = simulate_batch(net, sources)
+            values = simulate_words(net, sources, n_streams, order=order)
             if cycle >= warmup:
                 counted += 1
-                for gate in net.gates:
-                    fire_sums[gate.name] += float(values[gate.name].mean())
-            state = {
-                latch.name: values[latch.fanins[0]] for latch in net.latches
-            }
+                for name in gates:
+                    fire_sums[name] += values[name].bit_count() / n_streams
+            state = {name: values[data] for name, data in latches}
         rates = {name: s / max(counted, 1) for name, s in fire_sums.items()}
         energy = 0.0
         for gate in net.gates:

@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.bench.generators import GeneratorConfig, random_control_network
-from repro.errors import NetworkError
+from repro.domino.timing import ResizeResult, TimingReport
+from repro.errors import NetworkError, PowerError
 from repro.network.blif import write_blif
 from repro.network.minimize import MinimizationResult
-from repro.network.netlist import SopCover
+from repro.network.netlist import GateType, LogicNetwork, SopCover
+from repro.power.probability import random_source_batch
 
 
 def all_input_vectors(names):
@@ -190,3 +194,380 @@ def reference_minimize_cover(
         original_literals=original.original_literals,
         minimized_literals=_literals(chosen),
     )
+
+
+# ----------------------------------------------------------------------
+# Reference structural walk: the per-visit ``_comb_fanins`` DFS that
+# LogicNetwork.topological_order and the cycle check of validate() used
+# before they shared one post-order walk.
+
+_COMB_SOURCES = (GateType.INPUT, GateType.CONST0, GateType.CONST1, GateType.LATCH)
+
+
+def _reference_comb_fanins(network: LogicNetwork, name: str) -> List[str]:
+    node = network.nodes[name]
+    if node.gate_type in _COMB_SOURCES:
+        return []
+    return node.fanins
+
+
+def reference_topological_order(network: LogicNetwork) -> List[str]:
+    order: List[str] = []
+    visited: Dict[str, int] = {}
+    for root in network.nodes:
+        if root in visited:
+            continue
+        stack: List[Tuple[str, Iterator[str]]] = [
+            (root, iter(_reference_comb_fanins(network, root)))
+        ]
+        visited[root] = 1
+        while stack:
+            name, it = stack[-1]
+            advanced = False
+            for fi in it:
+                if fi not in visited:
+                    visited[fi] = 1
+                    stack.append((fi, iter(_reference_comb_fanins(network, fi))))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(name)
+                stack.pop()
+    return order
+
+
+def reference_check_acyclic(network: LogicNetwork) -> None:
+    """The old three-colour cycle check; raises :class:`NetworkError`."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {name: WHITE for name in network.nodes}
+    for start in network.nodes:
+        if color[start] != WHITE:
+            continue
+        stack: List[Tuple[str, Iterator[str]]] = [
+            (start, iter(_reference_comb_fanins(network, start)))
+        ]
+        color[start] = GRAY
+        while stack:
+            name, it = stack[-1]
+            advanced = False
+            for fi in it:
+                if color[fi] == GRAY:
+                    raise NetworkError(f"combinational cycle through node {fi!r}")
+                if color[fi] == WHITE:
+                    color[fi] = GRAY
+                    stack.append((fi, iter(_reference_comb_fanins(network, fi))))
+                    advanced = True
+                    break
+            if not advanced:
+                color[name] = BLACK
+                stack.pop()
+
+
+# ----------------------------------------------------------------------
+# Reference simulators: the numpy bool-array bodies that the packed-word
+# simulator replaced.  Every rate they give is a float64 mean of 0/1
+# values, which the bit counts must equal exactly.
+
+
+def _reference_sop_batch(node, fanin_arrays: List[np.ndarray], batch: int) -> np.ndarray:
+    cover = node.cover
+    acc = np.zeros(batch, dtype=bool)
+    for cube in cover.cubes:
+        term = np.ones(batch, dtype=bool)
+        for lit, arr in zip(cube, fanin_arrays):
+            if lit == "1":
+                term &= arr
+            elif lit == "0":
+                term &= ~arr
+        acc |= term
+    if cover.output_value == "0":
+        acc = ~acc
+    return acc
+
+
+def reference_simulate_batch(
+    network: LogicNetwork, source_values: Mapping[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    values: Dict[str, np.ndarray] = {}
+    batch = None
+    for name, arr in source_values.items():
+        arr = np.asarray(arr, dtype=bool)
+        values[name] = arr
+        batch = len(arr) if batch is None else batch
+        if len(arr) != batch:
+            raise PowerError("inconsistent batch sizes in source_values")
+    if batch is None:
+        raise PowerError("no source values supplied")
+
+    for name in reference_topological_order(network):
+        if name in values:
+            continue
+        node = network.nodes[name]
+        t = node.gate_type
+        if t is GateType.INPUT or t is GateType.LATCH:
+            raise PowerError(f"missing batch values for source {name!r}")
+        if t is GateType.CONST0:
+            values[name] = np.zeros(batch, dtype=bool)
+            continue
+        if t is GateType.CONST1:
+            values[name] = np.ones(batch, dtype=bool)
+            continue
+        fanin_arrays = [values[fi] for fi in node.fanins]
+        if t is GateType.BUF:
+            values[name] = fanin_arrays[0]
+        elif t is GateType.NOT:
+            values[name] = ~fanin_arrays[0]
+        elif t is GateType.AND:
+            values[name] = np.logical_and.reduce(fanin_arrays)
+        elif t is GateType.OR:
+            values[name] = np.logical_or.reduce(fanin_arrays)
+        elif t is GateType.NAND:
+            values[name] = ~np.logical_and.reduce(fanin_arrays)
+        elif t is GateType.NOR:
+            values[name] = ~np.logical_or.reduce(fanin_arrays)
+        elif t is GateType.XOR:
+            values[name] = np.logical_xor.reduce(fanin_arrays)
+        elif t is GateType.XNOR:
+            values[name] = ~np.logical_xor.reduce(fanin_arrays)
+        elif t is GateType.MUX:
+            sel, d0, d1 = fanin_arrays
+            values[name] = np.where(sel, d1, d0)
+        elif t is GateType.SOP:
+            values[name] = _reference_sop_batch(node, fanin_arrays, batch)
+        else:
+            raise PowerError(f"cannot simulate node {name} of type {t.value}")
+    return values
+
+
+def reference_monte_carlo_probabilities(
+    network: LogicNetwork, input_probs: Mapping[str, float], n_vectors: int, seed: int
+) -> Dict[str, float]:
+    batch = random_source_batch(network, input_probs, n_vectors, seed)
+    values = reference_simulate_batch(network, batch)
+    return {name: float(arr.mean()) for name, arr in values.items()}
+
+
+def reference_simulate_mapped_power(
+    design,
+    input_probs: Optional[Mapping[str, float]] = None,
+    n_vectors: int = 4096,
+    seed: int = 0,
+    current_scale: float = 1.0,
+) -> Dict[str, float]:
+    net = design.network
+    if input_probs is None:
+        input_probs = {s: 0.5 for s in net.sources()}
+    batch = random_source_batch(net, input_probs, n_vectors, seed)
+    values = reference_simulate_batch(net, batch)
+
+    domino_energy = 0.0
+    clock_energy = 0.0
+    static_energy = 0.0
+    for node in net.gates:
+        cell = design.cells.get(node.name)
+        if cell is None:
+            continue
+        arr = values[node.name]
+        cap = cell.output_cap * design.size_factors[node.name]
+        if cell.is_domino:
+            domino_energy += float(arr.mean()) * cap
+            clock_energy += cell.clock_cap * design.size_factors[node.name]
+        else:
+            driver = net.nodes[node.fanins[0]]
+            if driver.gate_type in (GateType.INPUT, GateType.LATCH):
+                toggles = float(np.mean(arr[1:] != arr[:-1])) if len(arr) > 1 else 0.0
+                static_energy += toggles * cap
+            else:
+                drv = values[node.fanins[0]]
+                static_energy += float(drv.mean()) * cap
+    total = domino_energy + clock_energy + static_energy
+    return {
+        "domino": domino_energy,
+        "clock": clock_energy,
+        "static": static_energy,
+        "total": total,
+        "current_ma": total * current_scale,
+    }
+
+
+def reference_sequential_power(
+    simulator,
+    input_probs: Optional[Mapping[str, float]] = None,
+    n_cycles: int = 1024,
+    n_streams: int = 32,
+    seed: int = 0,
+    warmup: int = 16,
+) -> Dict[str, float]:
+    """``SequentialPowerSimulator.run`` on bool arrays."""
+    net = simulator.network
+    if input_probs is None:
+        input_probs = {s: 0.5 for s in net.inputs}
+    rng = np.random.default_rng(seed)
+    state = {
+        latch.name: np.full(n_streams, latch.init_value == 1, dtype=bool)
+        for latch in net.latches
+    }
+    fire_sums: Dict[str, float] = {n.name: 0.0 for n in net.gates}
+    counted = 0
+    for cycle in range(n_cycles + warmup):
+        sources: Dict[str, np.ndarray] = {}
+        for name in net.inputs:
+            p = input_probs.get(name, 0.5)
+            sources[name] = rng.random(n_streams) < p
+        sources.update(state)
+        values = reference_simulate_batch(net, sources)
+        if cycle >= warmup:
+            counted += 1
+            for gate in net.gates:
+                fire_sums[gate.name] += float(values[gate.name].mean())
+        state = {latch.name: values[latch.fanins[0]] for latch in net.latches}
+    rates = {name: s / max(counted, 1) for name, s in fire_sums.items()}
+    energy = 0.0
+    for gate in net.gates:
+        cap = simulator.model.gate_factor(gate.gate_type, len(gate.fanins))
+        energy += rates[gate.name] * cap
+    rates["__energy__"] = energy
+    return rates
+
+
+# ----------------------------------------------------------------------
+# Reference timing: the name-keyed arrival loop over a fresh topological
+# order and fanout map, which the compiled netlist replaced.
+
+
+def reference_analyze_timing(design) -> TimingReport:
+    net = design.network
+    fanouts = net.fanout_map()
+    arrival: Dict[str, float] = {}
+    best_pred: Dict[str, Optional[str]] = {}
+    for name in reference_topological_order(net):
+        node = net.nodes[name]
+        t = node.gate_type
+        if t in _COMB_SOURCES:
+            arrival[name] = 0.0
+            best_pred[name] = None
+            continue
+        cell = design.cells.get(name)
+        if cell is None:  # BUF feedthrough
+            arrival[name] = max((arrival[fi] for fi in node.fanins), default=0.0)
+            best_pred[name] = max(node.fanins, key=lambda fi: arrival[fi], default=None)
+            continue
+        load = 0.0
+        for sink in fanouts.get(name, []):
+            sink_cell = design.cells.get(sink)
+            if sink_cell is None:
+                continue
+            load += sink_cell.input_cap * design.size_factors[sink]
+        delay = cell.delay(load, design.size_factors[name])
+        worst_in = 0.0
+        worst_fi: Optional[str] = None
+        for fi in node.fanins:
+            if arrival[fi] >= worst_in:
+                worst_in = arrival[fi]
+                worst_fi = fi
+        arrival[name] = worst_in + delay
+        best_pred[name] = worst_fi
+
+    endpoints = [driver for _, driver in net.outputs]
+    endpoints.extend(latch.fanins[0] for latch in net.latches)
+    if not endpoints:
+        return TimingReport(arrival=arrival, critical_delay=0.0, critical_path=[])
+    end = max(endpoints, key=lambda e: arrival[e])
+    path: List[str] = []
+    cur: Optional[str] = end
+    while cur is not None:
+        path.append(cur)
+        cur = best_pred.get(cur)
+    path.reverse()
+    return TimingReport(arrival=arrival, critical_delay=arrival[end], critical_path=path)
+
+
+def reference_timing_target(design, slack_fraction: float = 0.85) -> float:
+    report = reference_analyze_timing(design)
+    if report.critical_delay == 0.0:
+        return 1.0
+    return report.critical_delay * slack_fraction
+
+
+def reference_resize(
+    design, target: float, step: float = 1.2, max_size: float = 4.0, max_iterations: int = 200
+) -> ResizeResult:
+    """The resize loop with a full reference analysis every iteration."""
+    report = reference_analyze_timing(design)
+    initial = report.critical_delay
+    iterations = 0
+    touched = set()
+    while report.critical_delay > target and iterations < max_iterations:
+        iterations += 1
+        progressed = False
+        for name in report.critical_path:
+            if name in design.cells and design.size_factors[name] < max_size:
+                design.size_factors[name] = min(design.size_factors[name] * step, max_size)
+                touched.add(name)
+                progressed = True
+        if not progressed:
+            break
+        report = reference_analyze_timing(design)
+    return ResizeResult(
+        met_timing=report.critical_delay <= target,
+        target=target,
+        initial_delay=initial,
+        final_delay=report.critical_delay,
+        iterations=iterations,
+        upsized_cells=len(touched),
+    )
+
+
+# ----------------------------------------------------------------------
+# Seeded networks for the differential tests.
+
+
+def random_mixed_network(
+    seed: int, n_inputs: int = 6, n_gates: int = 40, n_latches: int = 0
+) -> LogicNetwork:
+    """An acyclic network using every gate type: SOP on-set and off-set
+    covers, MUX, XOR/XNOR, NAND/NOR, BUF, NOT and both constants, with
+    ``n_latches`` latch outputs read as sources."""
+    rng = random.Random(seed)
+    net = LogicNetwork(f"mixed{seed}")
+    pool: List[str] = []
+    for i in range(n_inputs):
+        net.add_input(f"x{i}")
+        pool.append(f"x{i}")
+    net.add_gate("c0", GateType.CONST0, [])
+    net.add_gate("c1", GateType.CONST1, [])
+    pool.extend(["c0", "c1"])
+    latches = [f"l{i}" for i in range(n_latches)]
+    for name in latches:
+        net.add_latch(name, "x0", init_value=rng.choice((0, 1)))
+    pool.extend(latches)
+    kinds = (
+        GateType.AND, GateType.OR, GateType.NAND, GateType.NOR, GateType.XOR,
+        GateType.XNOR, GateType.NOT, GateType.BUF, GateType.MUX, GateType.SOP,
+    )
+    for g in range(n_gates):
+        kind = kinds[g % len(kinds)] if g < len(kinds) else rng.choice(kinds)
+        name = f"g{g}"
+        if kind in (GateType.NOT, GateType.BUF):
+            net.add_gate(name, kind, [rng.choice(pool)])
+        elif kind is GateType.MUX:
+            net.add_gate(name, kind, [rng.choice(pool) for _ in range(3)])
+        elif kind is GateType.SOP:
+            k = rng.randint(1, 4)
+            fanins = rng.sample(pool, k)
+            cubes = [
+                "".join(rng.choice("01-") for _ in range(k))
+                for _ in range(rng.randint(0, 4))
+            ]
+            cover = SopCover(cubes=cubes, output_value=rng.choice("01"))
+            net.add_gate(name, kind, fanins, cover=cover)
+        else:
+            net.add_gate(name, kind, [rng.choice(pool) for _ in range(rng.randint(1, 4))])
+        pool.append(name)
+    gates = [f"g{g}" for g in range(n_gates)]
+    for latch in net.latches:
+        latch.fanins = [rng.choice(gates)]
+    for i, name in enumerate(rng.sample(gates, min(4, n_gates))):
+        net.add_output(f"o{i}", name)
+    net.validate()
+    return net

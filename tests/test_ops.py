@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import NetworkError
+from repro.network.blif import parse_blif
 from repro.network.netlist import GateType, LogicNetwork, SopCover
 from repro.network.ops import (
     cleanup,
@@ -16,7 +17,7 @@ from repro.network.ops import (
     to_aoi,
 )
 
-from helpers import all_input_vectors
+from helpers import all_input_vectors, random_mixed_network, small_pool_blif
 
 
 def _xor_net():
@@ -274,3 +275,25 @@ class TestEquivalenceChecker:
         assert networks_equivalent(
             medium_random, medium_random.copy(), exhaustive_limit=8
         )
+
+
+class TestCleanupCopiesOnce:
+    """``cleanup`` copies once and runs every pass in place on the copy;
+    it must equal the composed passes, each of which copies."""
+
+    def _networks(self):
+        for seed in range(10):
+            yield to_aoi(random_mixed_network(seed, n_gates=40, n_latches=seed % 3))
+        for index in range(20):
+            yield to_aoi(parse_blif(small_pool_blif(index)))
+
+    def test_same_fingerprint_as_composed_passes(self):
+        folded = 0
+        for net in self._networks():
+            before = net.fingerprint()
+            out = cleanup(net)
+            assert out.fingerprint() == collapse_buffers(propagate_constants(net)).fingerprint()
+            assert net.fingerprint() == before
+            assert not any(out.nodes[name] is net.nodes.get(name) for name in out.nodes)
+            folded += len(out.nodes) < len(net.nodes)
+        assert folded > 10
