@@ -6,9 +6,9 @@ evaluation, the phase transform, mask-based power queries (random
 access and the hill climb's one-flip pattern), one whole minimum-area
 hill climb, one pairwise pair pick, and the vectorised Monte-Carlo
 simulator.  Also the two-level minimisation every BLIF input goes
-through (an already-minimum cover and a wide one), the timing-repair
-loop and the power measurement of one small mapped design, and one
-structural validation of a 56-output network.
+through (an already-minimum cover and a wide one), the transform and
+mapping, the timing-repair loop and the power measurement of one small
+mapped design, and one structural validation of a 56-output network.
 """
 
 import random
@@ -202,9 +202,8 @@ def bench_minimize_cover_wide(benchmark):
 
 
 @pytest.fixture(scope="module")
-def small_design():
-    """The unsized, all-positive mapped design of small-pool circuit 6
-    as perfbench generates it."""
+def small_aoi():
+    """Small-pool circuit 6 as perfbench generates it, prepared."""
     rng = random.Random(6)
     n_outputs = rng.randint(2, 8)
     config = GeneratorConfig(
@@ -213,10 +212,31 @@ def small_design():
         n_gates=rng.randint(4, 10) * n_outputs,
         seed=6,
     )
-    network = cleanup(to_aoi(random_control_network("S6", config)))
+    return cleanup(to_aoi(random_control_network("S6", config)))
+
+
+@pytest.fixture(scope="module")
+def small_design(small_aoi):
+    """The unsized, all-positive mapped design of small-pool circuit 6."""
     return map_implementation(
-        phase_transform(network, PhaseAssignment.all_positive(network.output_names()))
+        phase_transform(small_aoi, PhaseAssignment.all_positive(small_aoi.output_names()))
     )
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_transform_small(benchmark, small_aoi):
+    """The flow's ``transform_map`` of one variant of the small-pool
+    circuit: the phase transform over the evaluator's polarity space,
+    then technology mapping."""
+    space = PhaseEvaluator(small_aoi, method="bdd").space
+    assignment = PhaseAssignment.random(small_aoi.output_names(), seed=1)
+
+    def run():
+        return map_implementation(phase_transform(small_aoi, assignment, space))
+
+    design = benchmark(run)
+    _record_kernel(benchmark, "transform_small", cells=design.n_cells)
+    assert design.n_cells > 0
 
 
 @pytest.mark.benchmark(group="kernels")

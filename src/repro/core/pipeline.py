@@ -254,10 +254,11 @@ def _variant_assignments(ctx: PipelineContext) -> List[Tuple[str, PhaseAssignmen
 
 
 def _stage_transform_map(ctx: PipelineContext) -> Dict[str, VariantBuild]:
-    """Phase transform + technology mapping of each variant."""
+    """Phase transform (a walk of the evaluator's polarity space) +
+    technology mapping of each variant."""
     builds: Dict[str, VariantBuild] = {}
     for label, assignment, est_power in _variant_assignments(ctx):
-        impl = phase_transform(ctx.aoi, assignment)
+        impl = phase_transform(ctx.aoi, assignment, ctx.evaluator.space)
         builds[label] = VariantBuild(
             label=label,
             assignment=assignment,

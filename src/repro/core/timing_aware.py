@@ -91,22 +91,12 @@ class PhaseTimingModel:
                 return lib.inverter_delay if ref.polarity is Polarity.NEG else 0.0
             return self._arrival[self.space.gate_index[ref.key]]
 
-        # Polarity-space slots in dependency order: reuse the original
-        # network's topological order, which is valid for both polarities
-        # because fanin structure is polarity-independent.
-        for name in network.topological_order():
-            node = network.nodes[name]
-            if node.gate_type not in (GateType.AND, GateType.OR):
-                continue
-            n_fo = len(fanouts[name])
-            for pol in (Polarity.POS, Polarity.NEG):
-                key = (name, pol)
-                idx = self.space.gate_index[key]
-                gt = self.space.gate_type_of(key)
-                worst_in = max(
-                    (ref_arrival(r) for r in self.space.gate_fanins(key)), default=0.0
-                )
-                self._arrival[idx] = worst_in + gate_delay(gt, len(node.fanins), n_fo)
+        # The space stores its slots in dependency order.
+        for key, gate in self.space.gates.items():
+            worst_in = max((ref_arrival(r) for r in gate.fanins), default=0.0)
+            self._arrival[self.space.gate_index[key]] = worst_in + gate_delay(
+                gate.gate_type, len(gate.fanins), len(fanouts[gate.name])
+            )
 
         self._driver_arrival: Dict[Tuple[str, Phase], float] = {}
         for po, driver in network.outputs:

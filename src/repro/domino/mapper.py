@@ -164,10 +164,6 @@ class MappedDesign:
         cell = self.cells[name]
         return cell.output_cap * self.size_factors[name]
 
-    def node_clock_cap(self, name: str) -> float:
-        cell = self.cells[name]
-        return cell.clock_cap * self.size_factors[name]
-
     def counts_by_cell(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}
         for cell in self.cells.values():

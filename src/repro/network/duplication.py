@@ -1,4 +1,4 @@
-"""Inverter-free phase transform with logic-duplication accounting.
+"""Polarity resolution and the inverter-free phase transform.
 
 This implements the synthesis step of Puri et al. (ICCAD '96, reference
 [15] in the paper) that the phase-assignment algorithms drive: given a
@@ -21,16 +21,23 @@ value).  Demands propagate through the cone:
 
 A node demanded in *both* polarities is realised twice — this is
 exactly the paper's "trapped inverter" logic duplication.
+
+Polarity is resolved in one place: :class:`PolaritySpace` applies these
+rules once per network, to every node in both polarities, and builds
+the domino gate of every (AND/OR node, polarity) slot.  The power
+estimator and the timing-aware model read the space, and an
+implementation is a walk of it: :func:`phase_transform` keeps the gates
+reachable from the outputs' driver references, in dependency order.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
-from repro.errors import NetworkError, PhaseError
-from repro.network.netlist import GateType, LogicNetwork, Node
+from repro.errors import NetworkError, PowerError
+from repro.network.netlist import GateType, LogicNetwork
 from repro.phase import Phase, PhaseAssignment
 
 
@@ -39,10 +46,6 @@ class Polarity(enum.Enum):
 
     POS = "+"
     NEG = "-"
-
-    @property
-    def flipped(self) -> "Polarity":
-        return Polarity.NEG if self is Polarity.POS else Polarity.POS
 
     @classmethod
     def from_phase(cls, phase: Phase) -> "Polarity":
@@ -63,14 +66,18 @@ class Ref:
         return (self.name, self.polarity)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DominoGate:
-    """One gate instance inside the inverter-free domino block."""
+    """One gate instance inside the inverter-free domino block.
+
+    Frozen: a :class:`PolaritySpace` and every implementation walked
+    from it share one object per slot.
+    """
 
     name: str  # original network node name
     polarity: Polarity
     gate_type: GateType  # AND or OR (BUF never materialises)
-    fanins: List[Ref] = field(default_factory=list)
+    fanins: Tuple[Ref, ...] = ()
 
     @property
     def key(self) -> Tuple[str, Polarity]:
@@ -80,6 +87,78 @@ class DominoGate:
     def instance_name(self) -> str:
         suffix = "p" if self.polarity is Polarity.POS else "n"
         return f"{self.name}${suffix}"
+
+
+_AOI_OK = (GateType.AND, GateType.OR, GateType.NOT, GateType.BUF)
+
+
+class PolaritySpace:
+    """Every node of an AOI network resolved in both polarities.
+
+    :meth:`resolve` gives the :class:`Ref` realising a (node, polarity)
+    demand, with NOT/BUF chains resolved away, and :attr:`gates` holds
+    the :class:`DominoGate` of every slot — each AND/OR node in both
+    polarities — in dependency order.  Slots ``2 i`` (positive) and
+    ``2 i + 1`` (negative) belong to the ``i``-th AND/OR node of
+    ``network.gates`` (:attr:`gate_index`).
+    """
+
+    def __init__(self, network: LogicNetwork):
+        self.network = network
+        offenders = [n.name for n in network.gates if n.gate_type not in _AOI_OK]
+        if offenders:
+            raise PowerError(
+                f"PolaritySpace requires an AOI network; offending nodes: {offenders[:5]}"
+            )
+        self.gate_index: Dict[Tuple[str, Polarity], int] = {}
+        for node in network.gates:
+            if node.gate_type is GateType.AND or node.gate_type is GateType.OR:
+                self.gate_index[(node.name, Polarity.POS)] = len(self.gate_index)
+                self.gate_index[(node.name, Polarity.NEG)] = len(self.gate_index)
+        self.n_slots = len(self.gate_index)
+
+        self.sources: List[str] = network.sources()
+        self.source_index: Dict[str, int] = {s: i for i, s in enumerate(self.sources)}
+
+        #: (AND/OR node, polarity) -> DominoGate, in dependency order.
+        self.gates: Dict[Tuple[str, Polarity], DominoGate] = {}
+        # polarity -> node name -> the Ref realising the node in it
+        self._refs: Dict[Polarity, Dict[str, Ref]] = {Polarity.POS: {}, Polarity.NEG: {}}
+        self._resolve_all()
+
+    def resolve(self, name: str, pol: Polarity) -> Ref:
+        return self._refs[pol][name]
+
+    def _resolve_all(self) -> None:
+        pos, neg = self._refs[Polarity.POS], self._refs[Polarity.NEG]
+        nodes = self.network.nodes
+        for name in self.network.topological_order():
+            node = nodes[name]
+            t = node.gate_type
+            if t is GateType.INPUT or t is GateType.LATCH:
+                kind = "latch" if t is GateType.LATCH else "input"
+                pos[name] = Ref(kind, name, Polarity.POS)
+                neg[name] = Ref(kind, name, Polarity.NEG)
+            elif t is GateType.CONST0 or t is GateType.CONST1:
+                value = t is GateType.CONST1
+                pos[name] = Ref("const", name, Polarity.POS, value=value)
+                neg[name] = Ref("const", name, Polarity.NEG, value=not value)
+            elif t is GateType.NOT:  # flips the demand
+                fanin = node.fanins[0]
+                pos[name], neg[name] = neg[fanin], pos[fanin]
+            elif t is GateType.BUF:  # passes it on
+                fanin = node.fanins[0]
+                pos[name], neg[name] = pos[fanin], neg[fanin]
+            else:  # AND / OR, realised as the DeMorgan dual under a negative demand
+                fanins = node.fanins
+                self.gates[(name, Polarity.POS)] = DominoGate(
+                    name, Polarity.POS, t, tuple([pos[fi] for fi in fanins])
+                )
+                self.gates[(name, Polarity.NEG)] = DominoGate(
+                    name, Polarity.NEG, t.dual, tuple([neg[fi] for fi in fanins])
+                )
+                pos[name] = Ref("gate", name, Polarity.POS)
+                neg[name] = Ref("gate", name, Polarity.NEG)
 
 
 class DominoImplementation:
@@ -92,7 +171,8 @@ class DominoImplementation:
     assignment:
         The phase assignment that produced this implementation.
     gates:
-        Mapping ``(node name, polarity) -> DominoGate``.
+        Mapping ``(node name, polarity) -> DominoGate``, in dependency
+        order (fanins first).
     input_inverters:
         Names of sources (PIs or latch outputs) required in negative
         polarity; each needs one static inverter at the block input.
@@ -140,33 +220,9 @@ class DominoImplementation:
         return len(self.gates) / len(distinct)
 
     def topological_gate_order(self) -> List[DominoGate]:
-        """Gates in dependency order (fanins before fanouts)."""
-        order: List[DominoGate] = []
-        visited: Set[Tuple[str, Polarity]] = set()
-
-        for start_key in self.gates:
-            if start_key in visited:
-                continue
-            stack: List[Tuple[Tuple[str, Polarity], int]] = [(start_key, 0)]
-            visited.add(start_key)
-            while stack:
-                key, idx = stack[-1]
-                gate = self.gates[key]
-                advanced = False
-                while idx < len(gate.fanins):
-                    ref = gate.fanins[idx]
-                    idx += 1
-                    if ref.kind == "gate" and ref.key not in visited:
-                        visited.add(ref.key)
-                        stack[-1] = (key, idx)
-                        stack.append((ref.key, 0))
-                        advanced = True
-                        break
-                if advanced:
-                    continue
-                order.append(gate)
-                stack.pop()
-        return order
+        """Gates in dependency order (fanins before fanouts): the order
+        :func:`phase_transform` stored them in."""
+        return list(self.gates.values())
 
     # -- semantics --------------------------------------------------------
     def _source_value(self, ref: Ref, sources: Mapping[str, bool]) -> bool:
@@ -248,11 +304,10 @@ class DominoImplementation:
         )
 
 
-_AOI_OK = (GateType.AND, GateType.OR, GateType.NOT, GateType.BUF)
-
-
 def phase_transform(
-    network: LogicNetwork, assignment: PhaseAssignment
+    network: LogicNetwork,
+    assignment: PhaseAssignment,
+    space: Optional[PolaritySpace] = None,
 ) -> DominoImplementation:
     """Build the inverter-free domino implementation for an assignment.
 
@@ -261,84 +316,55 @@ def phase_transform(
     as block inputs, latch data inputs as block outputs are *not*
     handled here — partition sequential circuits first (see
     :mod:`repro.seq.partition`).
+
+    The block is a depth-first walk of the network's polarity space
+    from each output's driver reference, outputs in order and each
+    gate's fanins in order: a gate is stored once all of its fanin
+    gates are, and a source reached in negative polarity gets an input
+    inverter.  ``space`` is the network's precomputed
+    :class:`PolaritySpace` (a flow passes its evaluator's); without one
+    a space is built.  No result depends on it.
     """
     for po in network.output_names():
         assignment[po]  # raises PhaseError when missing
-    for node in network.gates:
-        if node.gate_type not in _AOI_OK:
-            raise NetworkError(
-                f"phase_transform requires an AOI network; node {node.name} "
-                f"is {node.gate_type.value} (run to_aoi first)"
-            )
+    if space is None:
+        for node in network.gates:
+            if node.gate_type not in _AOI_OK:
+                raise NetworkError(
+                    f"phase_transform requires an AOI network; node {node.name} "
+                    f"is {node.gate_type.value} (run to_aoi first)"
+                )
+        space = PolaritySpace(network)
+    elif space.network is not network:
+        raise NetworkError(
+            f"phase_transform got the polarity space of network "
+            f"{space.network.name!r}, not of {network.name!r}"
+        )
 
     impl = DominoImplementation(network, assignment)
-    memo: Dict[Tuple[str, Polarity], Ref] = {}
-
-    def resolve(name: str, pol: Polarity) -> Ref:
-        """Iteratively resolve the Ref realising ``name`` in ``pol``."""
-        root = (name, pol)
-        if root in memo:
-            return memo[root]
-        stack: List[Tuple[str, Polarity, int]] = [(name, pol, 0)]
-        while stack:
-            cur_name, cur_pol, idx = stack[-1]
-            key = (cur_name, cur_pol)
-            if key in memo:
-                stack.pop()
-                continue
-            node = network.node(cur_name)
-            t = node.gate_type
-
-            if t is GateType.INPUT or t is GateType.LATCH:
-                if cur_pol is Polarity.NEG:
-                    impl.input_inverters.add(cur_name)
-                memo[key] = Ref("latch" if t is GateType.LATCH else "input", cur_name, cur_pol)
-                stack.pop()
-                continue
-            if t is GateType.CONST0 or t is GateType.CONST1:
-                base = t is GateType.CONST1
-                val = base if cur_pol is Polarity.POS else not base
-                memo[key] = Ref("const", cur_name, cur_pol, value=val)
-                stack.pop()
-                continue
-            if t is GateType.NOT:
-                child = (node.fanins[0], cur_pol.flipped)
-                if child in memo:
-                    memo[key] = memo[child]
-                    stack.pop()
-                else:
-                    stack.append((child[0], child[1], 0))
-                continue
-            if t is GateType.BUF:
-                child = (node.fanins[0], cur_pol)
-                if child in memo:
-                    memo[key] = memo[child]
-                    stack.pop()
-                else:
-                    stack.append((child[0], child[1], 0))
-                continue
-            # AND / OR gate: make sure all fanins are resolved first.
-            if idx < len(node.fanins):
-                child = (node.fanins[idx], cur_pol)
-                stack[-1] = (cur_name, cur_pol, idx + 1)
-                if child not in memo:
-                    stack.append((child[0], child[1], 0))
-                continue
-            gate_type = node.gate_type if cur_pol is Polarity.POS else node.gate_type.dual
-            gate = DominoGate(
-                name=cur_name,
-                polarity=cur_pol,
-                gate_type=gate_type,
-                fanins=[memo[(fi, cur_pol)] for fi in node.fanins],
-            )
-            impl.gates[gate.key] = gate
-            memo[key] = Ref("gate", cur_name, cur_pol)
-            stack.pop()
-        return memo[root]
-
     for po, driver in network.outputs:
-        pol = Polarity.from_phase(assignment[po])
-        impl.output_refs[po] = resolve(driver, pol)
+        impl.output_refs[po] = space.resolve(driver, Polarity.from_phase(assignment[po]))
+    slots, stored, inverters = space.gates, impl.gates, impl.input_inverters
+    # (gate to store, its refs still to visit); the bottom entry visits
+    # the output refs and stores nothing.
+    stack: List[Tuple[Optional[DominoGate], Iterator[Ref]]] = [
+        (None, iter(impl.output_refs.values()))
+    ]
+    while stack:
+        gate, refs = stack[-1]
+        for ref in refs:
+            if ref.kind == "gate":
+                key = ref.key
+                if key not in stored:
+                    child = slots[key]
+                    stack.append((child, iter(child.fanins)))
+                    break
+            elif ref.kind != "const" and ref.polarity is Polarity.NEG:
+                inverters.add(ref.name)
+        else:
+            stack.pop()
+            if gate is not None:
+                stored[gate.key] = gate
     return impl
 
 

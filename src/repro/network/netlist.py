@@ -59,18 +59,22 @@ class GateType(enum.Enum):
 
         Raises :class:`NetworkError` for gates without a simple dual.
         """
-        duals = {
-            GateType.AND: GateType.OR,
-            GateType.OR: GateType.AND,
-            GateType.NAND: GateType.NOR,
-            GateType.NOR: GateType.NAND,
-            GateType.BUF: GateType.BUF,
-            GateType.CONST0: GateType.CONST1,
-            GateType.CONST1: GateType.CONST0,
-        }
-        if self not in duals:
+        dual = _DUALS.get(self)
+        if dual is None:
             raise NetworkError(f"gate type {self.value} has no DeMorgan dual")
-        return duals[self]
+        return dual
+
+
+#: The DeMorgan dual of every gate type that has one.
+_DUALS: Dict[GateType, GateType] = {
+    GateType.AND: GateType.OR,
+    GateType.OR: GateType.AND,
+    GateType.NAND: GateType.NOR,
+    GateType.NOR: GateType.NAND,
+    GateType.BUF: GateType.BUF,
+    GateType.CONST0: GateType.CONST1,
+    GateType.CONST1: GateType.CONST0,
+}
 
 
 # A cube is a mapping position -> literal value: '0', '1' or '-'.

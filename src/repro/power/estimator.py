@@ -14,7 +14,11 @@ each node is materialised.  So:
    probability ``1 - p`` (paper Property 4.1).
 2. Precompute, for every primary output ``o`` and phase ``q``, the set
    ``S(o, q)`` of (node, polarity) gates its cone materialises, as a
-   numpy boolean mask over the 2N-element polarity universe.
+   numpy boolean mask over the 2N-element polarity universe.  The cones
+   are read from the network's
+   :class:`~repro.network.duplication.PolaritySpace`, the one place
+   polarity is resolved; a phase transform walks the same space, so
+   the union of the selected cones is exactly the block it builds.
 3. Pack each mask, with the matching source-inverter mask, into one
    Python int per (output, phase), and for every run of eight outputs
    tabulate the union each of its 256 phase patterns selects.  The area
@@ -31,8 +35,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import PowerError
-from repro.network.duplication import Polarity, Ref, phase_transform
+from repro.network.duplication import Polarity, PolaritySpace, Ref, phase_transform
 from repro.network.netlist import GateType, LogicNetwork
 from repro.phase import Phase, PhaseAssignment
 from repro.power.activity import (
@@ -111,102 +114,28 @@ class PowerBreakdown:
         return self.n_gates + self.n_input_inverters + self.n_output_inverters
 
 
-class PolaritySpace:
-    """Polarity-resolved view of an AOI network.
-
-    Enumerates the universe of possible domino gates — every AND/OR node
-    in both polarities — with their fanin references, and resolves
-    NOT/BUF chains away.  This is the shared machinery behind both the
-    estimator masks and consistency checks against
-    :func:`~repro.network.duplication.phase_transform`.
-    """
-
-    def __init__(self, network: LogicNetwork):
-        self.network = network
-        offenders = [
-            n.name
-            for n in network.gates
-            if n.gate_type not in (GateType.AND, GateType.OR, GateType.NOT, GateType.BUF)
-        ]
-        if offenders:
-            raise PowerError(
-                f"PolaritySpace requires an AOI network; offending nodes: {offenders[:5]}"
-            )
-        self.gate_nodes: List[str] = [
-            n.name for n in network.gates if n.gate_type in (GateType.AND, GateType.OR)
-        ]
-        self.gate_index: Dict[Tuple[str, Polarity], int] = {}
-        for i, name in enumerate(self.gate_nodes):
-            self.gate_index[(name, Polarity.POS)] = 2 * i
-            self.gate_index[(name, Polarity.NEG)] = 2 * i + 1
-        self.n_slots = 2 * len(self.gate_nodes)
-
-        self.sources: List[str] = network.sources()
-        self.source_index: Dict[str, int] = {s: i for i, s in enumerate(self.sources)}
-
-        self._ref_memo: Dict[Tuple[str, Polarity], Ref] = {}
-        self._gate_fanins: Dict[Tuple[str, Polarity], List[Ref]] = {}
-        self._resolve_all()
-
-    # -- resolution ------------------------------------------------------
-    def resolve(self, name: str, pol: Polarity) -> Ref:
-        return self._ref_memo[(name, pol)]
-
-    def _resolve_all(self) -> None:
-        net = self.network
-        order = net.topological_order()
-        memo = self._ref_memo
-        for name in order:
-            node = net.nodes[name]
-            t = node.gate_type
-            for pol in (Polarity.POS, Polarity.NEG):
-                if t is GateType.INPUT or t is GateType.LATCH:
-                    kind = "latch" if t is GateType.LATCH else "input"
-                    memo[(name, pol)] = Ref(kind, name, pol)
-                elif t in (GateType.CONST0, GateType.CONST1):
-                    base = t is GateType.CONST1
-                    val = base if pol is Polarity.POS else not base
-                    memo[(name, pol)] = Ref("const", name, pol, value=val)
-                elif t is GateType.NOT:
-                    memo[(name, pol)] = memo[(node.fanins[0], pol.flipped)]
-                elif t is GateType.BUF:
-                    memo[(name, pol)] = memo[(node.fanins[0], pol)]
-                else:  # AND / OR
-                    self._gate_fanins[(name, pol)] = [
-                        memo[(fi, pol)] for fi in node.fanins
-                    ]
-                    memo[(name, pol)] = Ref("gate", name, pol)
-
-    def gate_fanins(self, key: Tuple[str, Polarity]) -> List[Ref]:
-        return self._gate_fanins[key]
-
-    def gate_type_of(self, key: Tuple[str, Polarity]) -> GateType:
-        base = self.network.nodes[key[0]].gate_type
-        return base if key[1] is Polarity.POS else base.dual
-
-    # -- cone masks --------------------------------------------------------
-    def cone_masks(self, root_ref: Ref) -> Tuple[np.ndarray, np.ndarray]:
-        """(gate mask over the 2N universe, source-inverter mask) for the
-        logic reachable from ``root_ref``."""
-        gates = np.zeros(self.n_slots, dtype=bool)
-        invs = np.zeros(len(self.sources), dtype=bool)
-        stack = [root_ref]
-        seen: Set[Tuple[str, Polarity]] = set()
-        while stack:
-            ref = stack.pop()
-            if ref.kind == "const":
-                continue
-            if ref.kind in ("input", "latch"):
-                if ref.polarity is Polarity.NEG:
-                    invs[self.source_index[ref.name]] = True
-                continue
-            key = ref.key
-            if key in seen:
-                continue
-            seen.add(key)
-            gates[self.gate_index[key]] = True
-            stack.extend(self.gate_fanins(key))
-        return gates, invs
+def cone_masks(space: PolaritySpace, root_ref: Ref) -> Tuple[np.ndarray, np.ndarray]:
+    """(gate mask over the space's slots, source-inverter mask) for the
+    logic reachable from ``root_ref``."""
+    gates = np.zeros(space.n_slots, dtype=bool)
+    invs = np.zeros(len(space.sources), dtype=bool)
+    stack = [root_ref]
+    seen: Set[Tuple[str, Polarity]] = set()
+    while stack:
+        ref = stack.pop()
+        if ref.kind == "const":
+            continue
+        if ref.kind in ("input", "latch"):
+            if ref.polarity is Polarity.NEG:
+                invs[space.source_index[ref.name]] = True
+            continue
+        key = ref.key
+        if key in seen:
+            continue
+        seen.add(key)
+        gates[space.gate_index[key]] = True
+        stack.extend(space.gates[key].fanins)
+    return gates, invs
 
 
 #: Outputs per union table.  A query makes one lookup per run of this
@@ -278,16 +207,16 @@ class PhaseEvaluator:
         n = self.space.n_slots
         self.slot_probs = np.zeros(n)
         self.slot_caps = np.zeros(n)
-        for (name, pol), idx in self.space.gate_index.items():
+        for key, idx in self.space.gate_index.items():
+            name, pol = key
             p = self.node_probs.get(name)
             if p is None:
                 # Node outside every PO cone: probability irrelevant but
                 # must exist; compute from a quick local default.
                 p = 0.5
             self.slot_probs[idx] = p if pol is Polarity.POS else 1.0 - p
-            gt = self.space.gate_type_of((name, pol))
-            n_fanins = len(self.network.nodes[name].fanins)
-            self.slot_caps[idx] = self.model.gate_factor(gt, n_fanins)
+            gate = self.space.gates[key]
+            self.slot_caps[idx] = self.model.gate_factor(gate.gate_type, len(gate.fanins))
 
         self._slot_weights = self.slot_probs * self.slot_caps
         self.source_inv_cost = np.array(
@@ -313,7 +242,7 @@ class PhaseEvaluator:
                 pol = Polarity.POS if phase is Phase.POSITIVE else Polarity.NEG
                 ref = self.space.resolve(driver, pol)
                 self._driver_ref[(po, phase)] = ref
-                gates, invs = self.space.cone_masks(ref)
+                gates, invs = cone_masks(self.space, ref)
                 self._rows.append(_pack(gates) | _pack(invs) << self._inv_shift)
         self._row_of: Dict[str, int] = {po: 2 * k for k, po in enumerate(self.outputs)}
         self._tables = _union_tables(self._rows)
@@ -452,8 +381,10 @@ def estimate_power(
 ) -> PowerBreakdown:
     """One-shot power estimate via an explicit phase transform.
 
-    Slower than :class:`PhaseEvaluator` for repeated queries but
-    independent of its mask machinery — used as a cross-check in tests.
+    Slower than :class:`PhaseEvaluator` for repeated queries, and
+    independent of its cone masks and union tables — used as a
+    cross-check in tests.  It shares the polarity resolution
+    (:class:`PolaritySpace`) with the evaluator.
     """
     model = model or DominoPowerModel()
     impl = phase_transform(network, assignment)

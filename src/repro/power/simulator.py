@@ -16,8 +16,9 @@ simulator would see in a domino block, up to a calibration constant.
    toggles, and the clock load every cycle;
 4. reports a calibrated "mA" figure (``current_scale``).
 
-Per-gate capacitance overrides let the timing engine's transistor
-resizing feed back into measured power (Table 2 flow).
+This measures the unmapped block (Figure 5's switching counts use it).
+The synthesis flow measures the mapped design, resized for Table 2 or
+not, with :func:`repro.domino.mapper.simulate_mapped_power`.
 """
 
 from __future__ import annotations
@@ -106,16 +107,8 @@ def simulate_power(
     model: Optional[DominoPowerModel] = None,
     n_vectors: int = 4096,
     seed: int = 0,
-    gate_cap_overrides: Optional[Mapping[Tuple[str, Polarity], float]] = None,
-    inverter_cap_overrides: Optional[Mapping[str, float]] = None,
 ) -> SimulatedPower:
-    """Measure power of a domino implementation by Monte-Carlo simulation.
-
-    ``gate_cap_overrides`` maps (node, polarity) keys to capacitances —
-    this is the hook the resizing engine uses.  Inverter overrides are
-    keyed by source name (input inverters) or PO name (output
-    inverters).
-    """
+    """Measure power of a domino implementation by Monte-Carlo simulation."""
     model = model or DominoPowerModel()
     network = impl.network
     if input_probs is None:
@@ -123,32 +116,13 @@ def simulate_power(
     source_arrays = random_source_batch(network, input_probs, n_vectors, seed)
     gate_values = evaluate_implementation_batch(impl, source_arrays)
 
-    gate_cap_overrides = gate_cap_overrides or {}
-    inverter_cap_overrides = inverter_cap_overrides or {}
-
     domino_energy = 0.0
     for gate in impl.gates.values():
-        cap = gate_cap_overrides.get(
-            gate.key, model.gate_factor(gate.gate_type, len(gate.fanins))
-        )
+        cap = model.gate_factor(gate.gate_type, len(gate.fanins))
         fire_rate = float(gate_values[gate.key].mean())
         domino_energy += fire_rate * cap
 
     clock_energy = model.clock_cap_per_gate * impl.n_gates
-    # Clock pins can also be resized; scale clock load with the average
-    # override ratio if any overrides exist.
-    if gate_cap_overrides and model.clock_cap_per_gate > 0.0:
-        base_total = sum(
-            model.gate_factor(g.gate_type, len(g.fanins)) for g in impl.gates.values()
-        )
-        over_total = sum(
-            gate_cap_overrides.get(
-                g.key, model.gate_factor(g.gate_type, len(g.fanins))
-            )
-            for g in impl.gates.values()
-        )
-        if base_total > 0:
-            clock_energy *= over_total / base_total
 
     input_inv_energy = 0.0
     output_inv_energy = 0.0
@@ -157,16 +131,14 @@ def simulate_power(
             arr = source_arrays[src]
             # Static inverter: toggles whenever consecutive values differ.
             toggles = float(np.mean(arr[1:] != arr[:-1])) if len(arr) > 1 else 0.0
-            cap = inverter_cap_overrides.get(src, model.inverter_cap)
-            input_inv_energy += toggles * cap
+            input_inv_energy += toggles * model.inverter_cap
         for po in impl.output_inverters:
             ref = impl.output_refs[po]
             arr = _ref_values(ref, source_arrays, gate_values, n_vectors)
             # Boundary inverter on a domino output follows the monotonic
             # pulse: it toggles exactly in the cycles the gate fires.
             fire_rate = float(arr.mean())
-            cap = inverter_cap_overrides.get(po, model.inverter_cap)
-            output_inv_energy += fire_rate * cap
+            output_inv_energy += fire_rate * model.inverter_cap
 
     return SimulatedPower(
         domino_energy=domino_energy,

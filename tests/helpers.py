@@ -18,8 +18,10 @@ from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.domino.timing import ResizeResult, TimingReport
 from repro.errors import NetworkError, PowerError
 from repro.network.blif import write_blif
+from repro.network.duplication import DominoGate, DominoImplementation, Polarity, Ref
 from repro.network.minimize import MinimizationResult
 from repro.network.netlist import GateType, LogicNetwork, SopCover
+from repro.phase import PhaseAssignment
 from repro.power.probability import random_source_batch
 
 
@@ -516,6 +518,113 @@ def reference_resize(
         iterations=iterations,
         upsized_cells=len(touched),
     )
+
+
+# ----------------------------------------------------------------------
+# Reference phase transform: the private resolver phase_transform ran
+# before it walked the PolaritySpace, and the DFS that
+# topological_gate_order ran over the stored gates.
+
+
+def reference_topological_gate_order(impl: DominoImplementation) -> List[DominoGate]:
+    order: List[DominoGate] = []
+    visited: Set[Tuple[str, Polarity]] = set()
+    for start_key in impl.gates:
+        if start_key in visited:
+            continue
+        stack: List[Tuple[Tuple[str, Polarity], int]] = [(start_key, 0)]
+        visited.add(start_key)
+        while stack:
+            key, idx = stack[-1]
+            gate = impl.gates[key]
+            advanced = False
+            while idx < len(gate.fanins):
+                ref = gate.fanins[idx]
+                idx += 1
+                if ref.kind == "gate" and ref.key not in visited:
+                    visited.add(ref.key)
+                    stack[-1] = (key, idx)
+                    stack.append((ref.key, 0))
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            order.append(gate)
+            stack.pop()
+    return order
+
+
+class _ReferenceImplementation(DominoImplementation):
+    """An implementation whose gate order is the old DFS, so that
+    :func:`~repro.network.duplication.implementation_network` builds the
+    block the old code built."""
+
+    def topological_gate_order(self) -> List[DominoGate]:
+        return reference_topological_gate_order(self)
+
+
+def reference_phase_transform(
+    network: LogicNetwork, assignment: PhaseAssignment
+) -> DominoImplementation:
+    """Resolve each output's polarity demand with a memoised stack
+    machine of its own, storing a gate once its fanins are resolved."""
+    impl = _ReferenceImplementation(network, assignment)
+    memo: Dict[Tuple[str, Polarity], Ref] = {}
+
+    def resolve(name: str, pol: Polarity) -> Ref:
+        root = (name, pol)
+        if root in memo:
+            return memo[root]
+        stack: List[Tuple[str, Polarity, int]] = [(name, pol, 0)]
+        while stack:
+            cur_name, cur_pol, idx = stack[-1]
+            key = (cur_name, cur_pol)
+            if key in memo:
+                stack.pop()
+                continue
+            node = network.node(cur_name)
+            t = node.gate_type
+            if t is GateType.INPUT or t is GateType.LATCH:
+                if cur_pol is Polarity.NEG:
+                    impl.input_inverters.add(cur_name)
+                memo[key] = Ref("latch" if t is GateType.LATCH else "input", cur_name, cur_pol)
+                stack.pop()
+                continue
+            if t is GateType.CONST0 or t is GateType.CONST1:
+                base = t is GateType.CONST1
+                val = base if cur_pol is Polarity.POS else not base
+                memo[key] = Ref("const", cur_name, cur_pol, value=val)
+                stack.pop()
+                continue
+            if t is GateType.NOT or t is GateType.BUF:
+                pol = cur_pol
+                if t is GateType.NOT:
+                    pol = Polarity.NEG if cur_pol is Polarity.POS else Polarity.POS
+                child = (node.fanins[0], pol)
+                if child in memo:
+                    memo[key] = memo[child]
+                    stack.pop()
+                else:
+                    stack.append((child[0], child[1], 0))
+                continue
+            # AND / OR gate: make sure all fanins are resolved first.
+            if idx < len(node.fanins):
+                child = (node.fanins[idx], cur_pol)
+                stack[-1] = (cur_name, cur_pol, idx + 1)
+                if child not in memo:
+                    stack.append((child[0], child[1], 0))
+                continue
+            gate_type = node.gate_type if cur_pol is Polarity.POS else node.gate_type.dual
+            impl.gates[key] = DominoGate(
+                cur_name, cur_pol, gate_type, tuple(memo[(fi, cur_pol)] for fi in node.fanins)
+            )
+            memo[key] = Ref("gate", cur_name, cur_pol)
+            stack.pop()
+        return memo[root]
+
+    for po, driver in network.outputs:
+        impl.output_refs[po] = resolve(driver, Polarity.from_phase(assignment[po]))
+    return impl
 
 
 # ----------------------------------------------------------------------

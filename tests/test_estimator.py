@@ -10,6 +10,7 @@ from repro.power.estimator import (
     DominoPowerModel,
     PhaseEvaluator,
     PolaritySpace,
+    cone_masks,
     estimate_power,
 )
 
@@ -46,7 +47,7 @@ class TestPolaritySpace:
             invs = set()
             for po, driver in fig3_aoi.outputs:
                 pol = Polarity.POS if a[po] is Phase.POSITIVE else Polarity.NEG
-                gmask, imask = space.cone_masks(space.resolve(driver, pol))
+                gmask, imask = cone_masks(space, space.resolve(driver, pol))
                 for key, idx in space.gate_index.items():
                     if gmask[idx]:
                         union.add(key)

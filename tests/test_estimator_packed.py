@@ -1,7 +1,7 @@
 """The packed PhaseEvaluator query against the per-output mask loop it replaced.
 
 :func:`reference` rebuilds the unpacked algorithm from public pieces: one
-boolean mask per (output, phase) from :meth:`PolaritySpace.cone_masks`,
+boolean mask per (output, phase) from :func:`cone_masks`,
 ORed output by output, then the same dot products and the same
 left-to-right output-inverter sum.  The packed query must agree with it
 exactly (``==``, not approx) on every field, on circuits whose slot and
@@ -31,6 +31,7 @@ from repro.power.estimator import (
     DominoPowerModel,
     PhaseEvaluator,
     PowerBreakdown,
+    cone_masks,
     estimate_power,
 )
 
@@ -54,7 +55,7 @@ def reference(ev: PhaseEvaluator) -> Query:
     for po, driver in ev.network.outputs:
         for phase, pol in ((Phase.POSITIVE, Polarity.POS), (Phase.NEGATIVE, Polarity.NEG)):
             ref = space.resolve(driver, pol)
-            masks[(po, phase)] = space.cone_masks(ref) + (ref,)
+            masks[(po, phase)] = cone_masks(space, ref) + (ref,)
 
     def query(assignment: PhaseAssignment) -> Tuple[int, PowerBreakdown]:
         gates = np.zeros(space.n_slots, dtype=bool)

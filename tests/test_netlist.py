@@ -40,6 +40,23 @@ class TestGateType:
         with pytest.raises(NetworkError):
             GateType.XOR.dual
 
+    def test_dual_of_every_type(self):
+        pairs = [
+            (GateType.AND, GateType.OR),
+            (GateType.NAND, GateType.NOR),
+            (GateType.BUF, GateType.BUF),
+            (GateType.CONST0, GateType.CONST1),
+        ]
+        duals = {a: b for a, b in pairs}
+        duals.update({b: a for a, b in pairs})
+        assert len(duals) == 7
+        for gate_type in GateType:
+            if gate_type in duals:
+                assert gate_type.dual is duals[gate_type]
+            else:
+                with pytest.raises(NetworkError, match="has no DeMorgan dual"):
+                    gate_type.dual
+
 
 class TestSopCover:
     def test_onset_evaluation(self):

@@ -55,18 +55,6 @@ class TestSimulatorMechanics:
         sim = simulate_power(impl, model=model, n_vectors=256, seed=0)
         assert sim.current_ma == pytest.approx(0.5 * sim.energy_per_cycle)
 
-    def test_gate_cap_overrides(self, fig3_aoi):
-        a = PhaseAssignment({"f": Phase.NEGATIVE, "g": Phase.POSITIVE})
-        impl = phase_transform(fig3_aoi, a)
-        base = simulate_power(impl, n_vectors=2048, seed=0)
-        doubled = simulate_power(
-            impl,
-            n_vectors=2048,
-            seed=0,
-            gate_cap_overrides={key: 2.0 for key in impl.gates},
-        )
-        assert doubled.domino_energy == pytest.approx(2 * base.domino_energy)
-
     def test_batch_evaluation_matches_scalar(self, small_random):
         a = PhaseAssignment.random(small_random.output_names(), seed=2)
         impl = phase_transform(small_random, a)
