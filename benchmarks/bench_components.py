@@ -2,13 +2,15 @@
 
 Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
-evaluation, the phase transform, mask-based power queries (random
-access and the hill climb's one-flip pattern), one whole minimum-area
-hill climb, one pairwise pair pick, and the vectorised Monte-Carlo
-simulator.  Also the two-level minimisation every BLIF input goes
-through (an already-minimum cover and a wide one), the transform and
-mapping, the timing-repair loop and the power measurement of one small
-mapped design, and one structural validation of a 56-output network.
+evaluation, the phase transform, the evaluator build and its packed
+power queries (random access and the hill climb's one-flip pattern),
+one whole minimum-area hill climb, one pairwise pair pick, and the
+Monte-Carlo power simulation of an unmapped block over packed words.
+Also the unit-delay glitch report and the Property 2.2 check, the
+two-level minimisation every BLIF input goes through (an
+already-minimum cover and a wide one), the transform and mapping, the
+timing-repair loop and the power measurement of one small mapped
+design, and one structural validation of a 56-output network.
 """
 
 import random
@@ -31,6 +33,7 @@ from repro.network.netlist import SopCover
 from repro.network.ops import cleanup, to_aoi
 from repro.phase import PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
+from repro.power.glitch import domino_glitch_check, unit_delay_glitch_report
 from repro.power.probability import uniform_input_probabilities
 from repro.power.simulator import simulate_power
 
@@ -116,6 +119,18 @@ def large56_evaluator(large56_aoi):
 
 
 @pytest.mark.benchmark(group="kernels")
+def bench_evaluator_build_large56(benchmark, large56_aoi):
+    """One evaluator build (polarity space, exact probabilities, every
+    (output, phase) cone and the union tables) of the 56-output
+    generated circuit."""
+    evaluator = benchmark(PhaseEvaluator, large56_aoi, method="bdd")
+    _record_kernel(
+        benchmark, "evaluator_build_large56", slots=evaluator.space.n_slots
+    )
+    assert len(evaluator.outputs) == 56
+
+
+@pytest.mark.benchmark(group="kernels")
 def bench_evaluator_area_flip(benchmark, large56_evaluator):
     """The MA hill climb's query: one output flipped from a fixed base,
     on a 56-output generated circuit."""
@@ -169,6 +184,27 @@ def bench_monte_carlo_simulation(benchmark, apex7_aoi):
     sim = benchmark(simulate_power, impl, None, None, 2048, 0)
     _record_kernel(benchmark, "monte_carlo_simulation", n_vectors=2048)
     assert sim.energy_per_cycle > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_glitch_report_apex7(benchmark, apex7_aoi):
+    """The unit-delay glitch report of apex7 as a static circuit, 1024
+    cycles."""
+    report = benchmark(unit_delay_glitch_report, apex7_aoi, None, 1024, 0)
+    _record_kernel(benchmark, "glitch_report_apex7", n_cycles=1024)
+    assert report.glitch_transitions > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_glitch_check_apex7(benchmark, apex7_aoi):
+    """The Property 2.2 check of apex7's all-positive domino block, 512
+    cycles."""
+    impl = phase_transform(
+        apex7_aoi, PhaseAssignment.all_positive(apex7_aoi.output_names())
+    )
+    monotone = benchmark(domino_glitch_check, impl, None, 512, 0)
+    _record_kernel(benchmark, "glitch_check_apex7", n_cycles=512)
+    assert monotone
 
 
 @pytest.mark.benchmark(group="kernels")

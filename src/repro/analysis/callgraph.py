@@ -32,7 +32,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.base import Project, SourceFile, import_table, resolve_name
 

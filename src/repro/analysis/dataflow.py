@@ -43,7 +43,6 @@ from repro.analysis.base import (
     Finding,
     Project,
     Rule,
-    SourceFile,
     import_table,
     register_rule,
     resolve_name,

@@ -9,7 +9,7 @@ designed to maximise).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.errors import BddError
 from repro.network.netlist import GateType, LogicNetwork

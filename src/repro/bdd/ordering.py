@@ -20,7 +20,7 @@ topological (first-visit, *not* reversed) ordering and a deterministic
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set
+from typing import List, Optional, Sequence, Set
 
 from repro.network.netlist import GateType, LogicNetwork
 from repro.network.topo import fanout_cone_sizes, levels

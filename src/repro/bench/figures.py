@@ -10,8 +10,6 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
-
 from repro.network.netlist import GateType, LogicNetwork
 
 

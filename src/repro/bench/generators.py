@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List
 
 from repro.errors import ReproError
 from repro.network.netlist import GateType, LogicNetwork

@@ -13,7 +13,7 @@ one-liner with :func:`repro.network.blif.load_blif`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError

@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import PhaseError
 from repro.network.netlist import LogicNetwork
 from repro.network.topo import cone_overlap, output_cones
-from repro.phase import Phase, PhaseAssignment
 
 
 class Move(enum.Enum):

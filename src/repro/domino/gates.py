@@ -12,7 +12,7 @@ up to 4x static power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ReproError
 from repro.network.netlist import GateType

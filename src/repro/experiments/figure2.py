@@ -8,7 +8,7 @@ probability is swept so its output probability covers [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 

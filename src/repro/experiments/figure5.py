@@ -12,12 +12,12 @@ minimum-area choice.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List
 
 from repro.bench.figures import FIGURE5_INPUT_PROBABILITY, figure3_network
 from repro.network.duplication import phase_transform
 from repro.network.ops import cleanup, to_aoi
-from repro.phase import Phase, PhaseAssignment, enumerate_assignments
+from repro.phase import PhaseAssignment, enumerate_assignments
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator
 from repro.power.simulator import measure_switching_counts
 

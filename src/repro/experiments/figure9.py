@@ -11,7 +11,7 @@ exact branch-and-bound solver.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.seq.mfvs import exact_mfvs, greedy_mfvs, verify_feedback_set
 from repro.seq.transforms import figure9_graph, reduce_graph

@@ -45,7 +45,7 @@ import logging
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import FleetError, ProtocolError
 from repro.core.batch import Outcome

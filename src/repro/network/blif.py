@@ -13,7 +13,7 @@ AND/OR/NOT gates for the domino flow.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.errors import BlifError
 from repro.network.netlist import GateType, LogicNetwork, SopCover

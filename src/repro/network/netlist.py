@@ -18,7 +18,7 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 

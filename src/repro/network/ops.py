@@ -8,10 +8,10 @@ constant propagation, buffer elision and double-inverter removal.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.errors import NetworkError
-from repro.network.netlist import GateType, LogicNetwork, Node, SopCover
+from repro.network.netlist import GateType, LogicNetwork, Node
 
 #: Gate types allowed after :func:`to_aoi` lowering.
 AOI_TYPES = (GateType.AND, GateType.OR, GateType.NOT, GateType.BUF)

@@ -16,7 +16,7 @@ compared literally).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.network.netlist import GateType, LogicNetwork
 

@@ -7,9 +7,8 @@ quantities the phase-assignment cost function of Section 4.1 consumes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set
 
-from repro.errors import NetworkError
 from repro.network.netlist import GateType, LogicNetwork
 
 

@@ -21,13 +21,11 @@ from repro.power.probability import (
     monte_carlo_probabilities,
     node_probabilities,
     random_source_batch,
-    simulate_batch,
     uniform_input_probabilities,
 )
 from repro.power.simulator import (
     SequentialPowerSimulator,
     SimulatedPower,
-    evaluate_implementation_batch,
     measure_switching_counts,
     simulate_power,
 )
@@ -60,11 +58,9 @@ __all__ = [
     "monte_carlo_probabilities",
     "node_probabilities",
     "random_source_batch",
-    "simulate_batch",
     "uniform_input_probabilities",
     "SequentialPowerSimulator",
     "SimulatedPower",
-    "evaluate_implementation_batch",
     "measure_switching_counts",
     "simulate_power",
 ]

@@ -23,7 +23,7 @@ Boundary inverters need care (they are the static cells in Figure 5):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, List
 
 
 def domino_switching(signal_probability: float) -> float:

@@ -23,7 +23,7 @@ disadvantage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.network.netlist import GateType, LogicNetwork
 from repro.phase import PhaseAssignment

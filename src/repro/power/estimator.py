@@ -13,15 +13,15 @@ each node is materialised.  So:
    (:mod:`repro.power.probability`); the negative realisation has
    probability ``1 - p`` (paper Property 4.1).
 2. Precompute, for every primary output ``o`` and phase ``q``, the set
-   ``S(o, q)`` of (node, polarity) gates its cone materialises, as a
-   numpy boolean mask over the 2N-element polarity universe.  The cones
-   are read from the network's
-   :class:`~repro.network.duplication.PolaritySpace`, the one place
-   polarity is resolved; a phase transform walks the same space, so
-   the union of the selected cones is exactly the block it builds.
-3. Pack each mask, with the matching source-inverter mask, into one
-   Python int per (output, phase), and for every run of eight outputs
-   tabulate the union each of its 256 phase patterns selects.  The area
+   ``S(o, q)`` of (node, polarity) gates its cone materialises, with
+   the source inverters it needs, as one Python int over the
+   2N-element polarity universe and the sources.  The cones are read
+   from the network's :class:`~repro.network.duplication.PolaritySpace`,
+   the one place polarity is resolved, in one pass over its gates; a
+   phase transform walks the same space, so the union of the selected
+   cones is exactly the block it builds.
+3. For every run of eight outputs, tabulate the union each of its 256
+   phase patterns selects.  The area
    of an arbitrary assignment is then one table lookup per eight
    outputs, ORed together, and a popcount; its power unpacks the union
    back to the boolean mask and takes a dot product — no re-synthesis
@@ -30,8 +30,8 @@ each node is materialised.  So:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.power.activity import (
     boundary_input_inverter_switching,
     boundary_output_inverter_switching,
 )
-from repro.power.probability import ProbabilityResult, node_probabilities
+from repro.power.probability import node_probabilities
 
 
 @dataclass
@@ -112,30 +112,6 @@ class PowerBreakdown:
     def area_cells(self) -> int:
         """Unmapped cell-count proxy: gates plus boundary inverters."""
         return self.n_gates + self.n_input_inverters + self.n_output_inverters
-
-
-def cone_masks(space: PolaritySpace, root_ref: Ref) -> Tuple[np.ndarray, np.ndarray]:
-    """(gate mask over the space's slots, source-inverter mask) for the
-    logic reachable from ``root_ref``."""
-    gates = np.zeros(space.n_slots, dtype=bool)
-    invs = np.zeros(len(space.sources), dtype=bool)
-    stack = [root_ref]
-    seen: Set[Tuple[str, Polarity]] = set()
-    while stack:
-        ref = stack.pop()
-        if ref.kind == "const":
-            continue
-        if ref.kind in ("input", "latch"):
-            if ref.polarity is Polarity.NEG:
-                invs[space.source_index[ref.name]] = True
-            continue
-        key = ref.key
-        if key in seen:
-            continue
-        seen.add(key)
-        gates[space.gate_index[key]] = True
-        stack.extend(space.gates[key].fanins)
-    return gates, invs
 
 
 #: Outputs per union table.  A query makes one lookup per run of this
@@ -236,14 +212,14 @@ class PhaseEvaluator:
         self._gate_bytes = -(-n // 8)
         self._n_bytes = self._gate_bytes + -(-len(self.space.sources) // 8)
         self._inv_shift = 8 * self._gate_bytes
+        cones = self._slot_cones()
         self._rows: List[int] = []
         for po, driver in network.outputs:
             for phase in (Phase.POSITIVE, Phase.NEGATIVE):
                 pol = Polarity.POS if phase is Phase.POSITIVE else Polarity.NEG
                 ref = self.space.resolve(driver, pol)
                 self._driver_ref[(po, phase)] = ref
-                gates, invs = cone_masks(self.space, ref)
-                self._rows.append(_pack(gates) | _pack(invs) << self._inv_shift)
+                self._rows.append(self._ref_cone(ref, cones))
         self._row_of: Dict[str, int] = {po: 2 * k for k, po in enumerate(self.outputs)}
         self._tables = _union_tables(self._rows)
         # Boundary-inverter term of each output when it is negative.
@@ -256,6 +232,33 @@ class PhaseEvaluator:
                 * self.model.inverter_cap
                 for po in self.outputs
             ]
+
+    # -- cones ---------------------------------------------------------------
+    def _slot_cones(self) -> Dict[Tuple[str, Polarity], int]:
+        """Every slot's cone, in one pass over the space's gates, which
+        are in dependency order: a slot's own bit, ORed with its gate
+        fanins' cones and the inverter bit of each negative source
+        fanin."""
+        cones: Dict[Tuple[str, Polarity], int] = {}
+        gate_index, source_index = self.space.gate_index, self.space.source_index
+        for key, gate in self.space.gates.items():
+            cone = 1 << gate_index[key]
+            for ref in gate.fanins:
+                if ref.kind == "gate":
+                    cone |= cones[ref.name, ref.polarity]
+                elif ref.kind != "const" and ref.polarity is Polarity.NEG:
+                    cone |= 1 << (self._inv_shift + source_index[ref.name])
+            cones[key] = cone
+        return cones
+
+    def _ref_cone(self, ref: Ref, cones: Mapping[Tuple[str, Polarity], int]) -> int:
+        """The cone a reference reads: its gate's cone, the inverter bit
+        of a source in negative polarity, or nothing."""
+        if ref.kind == "gate":
+            return cones[ref.key]
+        if ref.kind != "const" and ref.polarity is Polarity.NEG:
+            return 1 << (self._inv_shift + self.space.source_index[ref.name])
+        return 0
 
     # -- reference probabilities ------------------------------------------
     def ref_probability(self, ref: Ref) -> float:
@@ -342,14 +345,9 @@ class PhaseEvaluator:
         return self._cone_gates(po, phase or Phase.POSITIVE).bit_count()
 
 
-def _pack(mask: np.ndarray) -> int:
-    """A bool mask as an int: element ``i`` is bit ``i``."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 def _unpack(packed: bytes, n: int) -> np.ndarray:
-    """The first ``n`` bits of little-endian ``packed``: the exact bool
-    mask :func:`_pack` was given."""
+    """The first ``n`` bits of little-endian ``packed`` as a bool mask,
+    bit ``i`` at element ``i``."""
     return np.unpackbits(
         np.frombuffer(packed, dtype=np.uint8), count=n, bitorder="little"
     ).view(bool)
@@ -382,9 +380,11 @@ def estimate_power(
     """One-shot power estimate via an explicit phase transform.
 
     Slower than :class:`PhaseEvaluator` for repeated queries, and
-    independent of its cone masks and union tables — used as a
-    cross-check in tests.  It shares the polarity resolution
-    (:class:`PolaritySpace`) with the evaluator.
+    independent of its cones and union tables — used as a cross-check
+    in tests.  It shares the polarity resolution
+    (:class:`PolaritySpace`) with the evaluator.  Input inverters are
+    summed in sorted name order, so the float does not depend on set
+    iteration order.
     """
     model = model or DominoPowerModel()
     impl = phase_transform(network, assignment)
@@ -405,7 +405,7 @@ def estimate_power(
     input_inv = 0.0
     output_inv = 0.0
     if model.include_boundary_inverters:
-        for src in impl.input_inverters:
+        for src in sorted(impl.input_inverters):
             input_inv += (
                 boundary_input_inverter_switching(input_p[src]) * model.inverter_cap
             )

@@ -18,14 +18,18 @@ domino implementation provably does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Mapping, Optional
 
 from repro.errors import PowerError
-from repro.network.netlist import GateType, LogicNetwork
+from repro.network.duplication import DominoImplementation, implementation_network
+from repro.network.netlist import LogicNetwork
 from repro.network.topo import depth as network_depth
-from repro.power.probability import random_source_batch, simulate_batch
+from repro.power.probability import (
+    _evaluate_words,
+    pack_words,
+    random_source_batch,
+    simulate_words,
+)
 
 
 @dataclass
@@ -60,7 +64,9 @@ def unit_delay_glitch_report(
     The network is treated as a *static* implementation: every gate has
     one unit of delay.  For each consecutive input-vector pair the
     simulator plays out ``depth + 1`` time frames and counts every
-    output change of every gate (vectorised over all cycle pairs).
+    output change of every gate.  All cycle pairs run at once, one bit
+    each of a word per signal, and a frame is one pass of the zero-delay
+    simulator's gate loop that reads its fanins from the previous frame.
     Sequential networks are rejected — partition first.
     """
     if not network.is_combinational:
@@ -71,106 +77,54 @@ def unit_delay_glitch_report(
         input_probs = {pi: 0.5 for pi in network.inputs}
 
     batch = random_source_batch(network, input_probs, n_cycles, seed=seed)
-    order = [
-        name
-        for name in network.topological_order()
-        if not network.nodes[name].gate_type.is_source
-    ]
-    gates = [name for name in order if network.nodes[name].gate_type is not GateType.LATCH]
+    nodes = network.nodes
+    order = network.topological_order()
+    gates = [name for name in order if not nodes[name].gate_type.is_source]
 
     # Zero-delay reference: settled values each cycle.
-    settled = simulate_batch(network, batch)
-    zero_delay = 0.0
-    for name in gates:
-        arr = settled[name]
-        zero_delay += float(np.sum(arr[1:] != arr[:-1]))
-
-    # Unit-delay time frames.  State: current waveform value per node,
-    # initialised to the settled values of cycle 0; then for each cycle
-    # step the inputs to the next vector and propagate frame by frame.
+    settled = simulate_words(network, pack_words(batch), n_cycles, order=order)
+    # Bit k of a pair word belongs to the step from vector k to k + 1.
     n_pairs = n_cycles - 1
-    current: Dict[str, np.ndarray] = {}
-    for name in network.inputs:
-        current[name] = batch[name][:-1].copy()
-    for name in gates:
-        current[name] = settled[name][:-1].copy()
-
-    next_inputs = {name: batch[name][1:] for name in network.inputs}
-    transitions: Dict[str, np.ndarray] = {
-        name: np.zeros(n_pairs, dtype=np.int64) for name in gates
+    pair_mask = (1 << n_pairs) - 1
+    settled_changes = {
+        name: ((settled[name] ^ (settled[name] >> 1)) & pair_mask).bit_count()
+        for name in gates
     }
 
-    frames = network_depth(network) + 1
-    # Apply the input step at frame 0.
-    for name in network.inputs:
-        current[name] = next_inputs[name]
-    for _frame in range(frames):
-        new_values: Dict[str, np.ndarray] = {}
-        for name in gates:
-            node = network.nodes[name]
-            fanin_arrays = [current[fi] for fi in node.fanins]
-            t = node.gate_type
-            if t is GateType.AND:
-                val = np.logical_and.reduce(fanin_arrays)
-            elif t is GateType.OR:
-                val = np.logical_or.reduce(fanin_arrays)
-            elif t is GateType.NOT:
-                val = ~fanin_arrays[0]
-            elif t is GateType.BUF:
-                val = fanin_arrays[0]
-            elif t is GateType.NAND:
-                val = ~np.logical_and.reduce(fanin_arrays)
-            elif t is GateType.NOR:
-                val = ~np.logical_or.reduce(fanin_arrays)
-            elif t is GateType.XOR:
-                val = np.logical_xor.reduce(fanin_arrays)
-            elif t is GateType.XNOR:
-                val = ~np.logical_xor.reduce(fanin_arrays)
-            elif t is GateType.MUX:
-                sel, d0, d1 = fanin_arrays
-                val = np.where(sel, d1, d0)
-            elif t is GateType.SOP:
-                val = _sop_batch(node, fanin_arrays, n_pairs)
-            elif t in (GateType.CONST0, GateType.CONST1):
-                val = np.full(n_pairs, t is GateType.CONST1, dtype=bool)
-            else:  # pragma: no cover
-                raise PowerError(f"cannot glitch-simulate {t.value}")
-            new_values[name] = val
-        for name in gates:
-            transitions[name] += (new_values[name] != current[name]).astype(np.int64)
-            current[name] = new_values[name]
-
-    unit_delay = float(sum(int(tr.sum()) for tr in transitions.values()))
-    per_node = {}
+    # Unit-delay time frames.  Every gate starts at its settled value
+    # under the earlier vector; the inputs step to the later vector at
+    # frame 0 and constants hold, so every source is held at its
+    # settled word shifted to the later vector.
+    held = {name: settled[name] >> 1 for name in order if nodes[name].gate_type.is_source}
+    current = dict(held)
     for name in gates:
-        settled_changes = float(np.sum(settled[name][1:] != settled[name][:-1]))
-        per_node[name] = (float(transitions[name].sum()) - settled_changes) / n_pairs
+        current[name] = settled[name] & pair_mask
+    transitions = dict.fromkeys(gates, 0)
+    for _frame in range(network_depth(network) + 1):
+        frame = dict(held)
+        _evaluate_words(nodes, gates, frame, current, pair_mask)
+        for name in gates:
+            transitions[name] += (frame[name] ^ current[name]).bit_count()
+        current = frame
 
+    per_node = {
+        name: (float(transitions[name]) - float(settled_changes[name])) / n_pairs
+        for name in gates
+    }
     return GlitchReport(
-        zero_delay_transitions=zero_delay / n_pairs,
-        unit_delay_transitions=unit_delay / n_pairs,
+        zero_delay_transitions=float(sum(settled_changes.values())) / n_pairs,
+        unit_delay_transitions=float(sum(transitions.values())) / n_pairs,
         per_node_glitches=per_node,
         n_cycles=n_cycles,
     )
 
 
-def _sop_batch(node, fanin_arrays: List[np.ndarray], batch: int) -> np.ndarray:
-    cover = node.cover
-    acc = np.zeros(batch, dtype=bool)
-    for cube in cover.cubes:
-        term = np.ones(batch, dtype=bool)
-        for lit, arr in zip(cube, fanin_arrays):
-            if lit == "1":
-                term &= arr
-            elif lit == "0":
-                term &= ~arr
-        acc |= term
-    if cover.output_value == "0":
-        acc = ~acc
-    return acc
-
-
-def domino_glitch_check(impl, input_probs=None, n_cycles: int = 512, seed: int = 0) -> bool:
+def domino_glitch_check(
+    impl: DominoImplementation,
+    input_probs: Optional[Mapping[str, float]] = None,
+    n_cycles: int = 512,
+    seed: int = 0,
+) -> bool:
     """Verify Property 2.2 on a domino implementation.
 
     A domino gate's evaluation is monotonic within a cycle: with all
@@ -179,42 +133,35 @@ def domino_glitch_check(impl, input_probs=None, n_cycles: int = 512, seed: int =
     wiggle to add.  The check recomputes each gate's value from partial
     (frame-limited) fanin information and asserts monotone 0->1
     behaviour: a gate that is 1 at frame t stays 1 at frame t+1.
-    """
-    from repro.network.duplication import DominoImplementation
-    from repro.power.simulator import evaluate_implementation_batch
 
-    assert isinstance(impl, DominoImplementation)
+    Every domino gate starts precharged (0 at the buffered output); the
+    sources, constants and static input inverters hold their settled
+    words.  Each frame evaluates every gate from the previous frame's
+    words, until a frame changes no word; the result must then equal
+    the zero-delay values.
+    """
     network = impl.network
     if input_probs is None:
         input_probs = {s: 0.5 for s in network.sources()}
+    block = implementation_network(impl)
     batch = random_source_batch(network, input_probs, n_cycles, seed=seed)
+    settled = simulate_words(block, pack_words(batch), n_cycles)
 
-    # Frame-by-frame monotone evaluation: gates start precharged (0 at
-    # the buffered output) and may only rise as fanins arrive.
-    gate_order = impl.topological_gate_order()
-    frames = len(gate_order) + 1
-    values = {gate.key: np.zeros(n_cycles, dtype=bool) for gate in gate_order}
-    final = evaluate_implementation_batch(impl, batch)
-    for _frame in range(frames):
-        for gate in gate_order:
-            fanin_vals = []
-            for ref in gate.fanins:
-                if ref.kind == "gate":
-                    fanin_vals.append(values[ref.key])
-                else:
-                    from repro.power.simulator import _ref_values
-
-                    fanin_vals.append(_ref_values(ref, batch, values, n_cycles))
-            if gate.gate_type is GateType.AND:
-                new = np.logical_and.reduce(fanin_vals)
-            else:
-                new = np.logical_or.reduce(fanin_vals)
-            # Monotonicity: once high, stays high within the cycle.
-            if np.any(values[gate.key] & ~new):
-                return False
-            values[gate.key] = values[gate.key] | new
-    # And the monotone fixpoint equals the zero-delay result.
-    for key, arr in final.items():
-        if not np.array_equal(values[key], arr):
+    domino = [gate.instance_name for gate in impl.gates.values()]
+    held = dict(settled)
+    for name in domino:
+        del held[name]
+    previous = dict(held)
+    previous.update(dict.fromkeys(domino, 0))
+    mask = (1 << n_cycles) - 1
+    for _frame in range(len(domino) + 1):
+        frame = dict(held)
+        _evaluate_words(block.nodes, domino, frame, previous, mask)
+        # Monotonicity: once high, stays high within the cycle.
+        if any(previous[name] & ~frame[name] for name in domino):
             return False
-    return True
+        if frame == previous:
+            break
+        previous = frame
+    # And the monotone fixpoint equals the zero-delay result.
+    return all(previous[name] == settled[name] for name in domino)

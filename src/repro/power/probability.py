@@ -11,9 +11,11 @@ Simulation is zero-delay over packed words (:func:`simulate_words`):
 each signal is one Python int whose bit ``k`` is its value under vector
 ``k``, so a node costs one bitwise operation per fanin whatever the
 vector count, and a signal probability is a bit count over the vector
-count.  :func:`simulate_batch` is the same simulator behind a boolean
-array interface.  Source vectors are drawn by
-:func:`random_source_batch` as boolean arrays and packed.
+count.  Its gate loop, :func:`_evaluate_words`, is the power layer's only
+gate evaluator: the unit-delay frames of :mod:`repro.power.glitch` run
+it too, reading each frame's fanins from the previous frame.  Source
+vectors are drawn by :func:`random_source_batch` as boolean arrays and
+packed.
 
 Latch outputs are treated as additional inputs; sequential circuits
 should be partitioned first (:mod:`repro.seq.partition`), which also
@@ -23,12 +25,12 @@ supplies latch-output probabilities via fixed-point iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import BddError, PowerError
-from repro.network.netlist import GateType, LogicNetwork
+from repro.network.netlist import GateType, LogicNetwork, Node
 from repro.bdd.builder import build_node_bdds
 
 
@@ -66,10 +68,33 @@ def simulate_words(
     Returns the words of the given sources followed by every other node
     in topological order.
     """
-    mask = (1 << n_vectors) - 1
     values: Dict[str, int] = dict(source_words)
-    nodes = network.nodes
-    for name in network.topological_order() if order is None else order:
+    _evaluate_words(
+        network.nodes,
+        network.topological_order() if order is None else order,
+        values,
+        values,
+        (1 << n_vectors) - 1,
+    )
+    return values
+
+
+def _evaluate_words(
+    nodes: Mapping[str, Node],
+    order: Sequence[str],
+    values: Dict[str, int],
+    fanin_words: Mapping[str, int],
+    mask: int,
+) -> None:
+    """Evaluate each node of ``order`` not yet in ``values`` into it,
+    reading the fanin words from ``fanin_words``; ``mask`` has one bit
+    per vector.
+
+    :func:`simulate_words` passes ``values`` as ``fanin_words``, so a
+    node reads the words its fanins got earlier in ``order`` (zero
+    delay); a unit-delay frame passes the previous frame's words.
+    """
+    for name in order:
         if name in values:
             continue
         node = nodes[name]
@@ -77,27 +102,27 @@ def simulate_words(
         if t is _AND or t is _NAND:
             word = mask
             for fi in node.fanins:
-                word &= values[fi]
+                word &= fanin_words[fi]
             if t is _NAND:
                 word ^= mask
         elif t is _OR or t is _NOR:
             word = 0
             for fi in node.fanins:
-                word |= values[fi]
+                word |= fanin_words[fi]
             if t is _NOR:
                 word ^= mask
         elif t is _NOT:
-            word = values[node.fanins[0]] ^ mask
+            word = fanin_words[node.fanins[0]] ^ mask
         elif t is _BUF:
-            word = values[node.fanins[0]]
+            word = fanin_words[node.fanins[0]]
         elif t is _SOP:
-            word = _sop_word(node, [values[fi] for fi in node.fanins], mask)
+            word = _sop_word(node, [fanin_words[fi] for fi in node.fanins], mask)
         elif t is _XOR or t is _XNOR:
             word = 0 if t is _XOR else mask
             for fi in node.fanins:
-                word ^= values[fi]
+                word ^= fanin_words[fi]
         elif t is _MUX:
-            sel, d0, d1 = (values[fi] for fi in node.fanins)
+            sel, d0, d1 = (fanin_words[fi] for fi in node.fanins)
             word = (sel & d1) | ((sel ^ mask) & d0)
         elif t is _CONST0:
             word = 0
@@ -108,7 +133,6 @@ def simulate_words(
         else:  # pragma: no cover - exhaustive over GateType
             raise PowerError(f"cannot simulate node {name} of type {t.value}")
         values[name] = word
-    return values
 
 
 def _sop_word(node, fanin_words: List[int], mask: int) -> int:
@@ -143,40 +167,6 @@ def pack_words(arrays: Mapping[str, np.ndarray]) -> Dict[str, int]:
         name: int.from_bytes(raw[i * width : (i + 1) * width], "little")
         for i, name in enumerate(names)
     }
-
-
-def unpack_word(word: int, n_vectors: int) -> np.ndarray:
-    """The boolean array of ``n_vectors`` elements a word packs."""
-    raw = np.frombuffer(word.to_bytes((n_vectors + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n_vectors, bitorder="little").view(bool)
-
-
-def simulate_batch(
-    network: LogicNetwork, source_values: Mapping[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Zero-delay evaluation over a batch of vectors, as boolean arrays.
-
-    ``source_values`` maps every PI (and latch output) name to a boolean
-    array of shape ``(batch,)``.  Returns arrays for every node.  The
-    sources are packed into words for :func:`simulate_words` and the
-    results unpacked.
-    """
-    sources: Dict[str, np.ndarray] = {}
-    batch = None
-    for name, arr in source_values.items():
-        arr = np.asarray(arr, dtype=bool)
-        sources[name] = arr
-        batch = len(arr) if batch is None else batch
-        if len(arr) != batch:
-            raise PowerError("inconsistent batch sizes in source_values")
-    if batch is None:
-        raise PowerError("no source values supplied")
-    words = simulate_words(network, pack_words(sources), batch)
-    values: Dict[str, np.ndarray] = dict(sources)
-    for name, word in words.items():
-        if name not in values:
-            values[name] = unpack_word(word, batch)
-    return values
 
 
 def random_source_batch(

@@ -10,7 +10,9 @@ simulator would see in a domino block, up to a calibration constant.
 
 1. draws ``n_vectors`` random input vectors with the requested signal
    probabilities (the paper's "statistically generated input vectors");
-2. evaluates the inverter-free block cycle by cycle (vectorised);
+2. evaluates the inverter-free block, as the plain network
+   :func:`~repro.network.duplication.implementation_network` builds,
+   over all vectors at once (:func:`~repro.power.probability.simulate_words`);
 3. charges ``C_gate`` whenever a domino gate fires (discharge +
    precharge pair), ``C_inv`` whenever a static boundary inverter
    toggles, and the clock load every cycle;
@@ -24,14 +26,12 @@ not, with :func:`repro.domino.mapper.simulate_mapped_power`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
-from repro.errors import PowerError
-from repro.network.duplication import DominoImplementation, Polarity, Ref
+from repro.network.duplication import DominoImplementation, implementation_network
 from repro.network.netlist import LogicNetwork
-from repro.phase import Phase
 from repro.power.estimator import DominoPowerModel
 from repro.power.probability import pack_words, random_source_batch, simulate_words
 
@@ -62,45 +62,6 @@ class SimulatedPower:
         return self.energy_per_cycle * self.current_scale
 
 
-def _ref_values(
-    ref: Ref,
-    source_arrays: Mapping[str, np.ndarray],
-    gate_values: Mapping[Tuple[str, Polarity], np.ndarray],
-    n: int,
-) -> np.ndarray:
-    if ref.kind == "const":
-        return np.full(n, ref.value, dtype=bool)
-    if ref.kind in ("input", "latch"):
-        arr = source_arrays[ref.name]
-        return ~arr if ref.polarity is Polarity.NEG else arr
-    return gate_values[ref.key]
-
-
-def evaluate_implementation_batch(
-    impl: DominoImplementation,
-    source_arrays: Mapping[str, np.ndarray],
-) -> Dict[Tuple[str, Polarity], np.ndarray]:
-    """Vectorised evaluation of every domino gate over a vector batch."""
-    n = None
-    for arr in source_arrays.values():
-        n = len(arr)
-        break
-    if n is None:
-        raise PowerError("no source arrays supplied")
-    from repro.network.netlist import GateType
-
-    gate_values: Dict[Tuple[str, Polarity], np.ndarray] = {}
-    for gate in impl.topological_gate_order():
-        fanin_arrays = [
-            _ref_values(r, source_arrays, gate_values, n) for r in gate.fanins
-        ]
-        if gate.gate_type is GateType.AND:
-            gate_values[gate.key] = np.logical_and.reduce(fanin_arrays)
-        else:
-            gate_values[gate.key] = np.logical_or.reduce(fanin_arrays)
-    return gate_values
-
-
 def simulate_power(
     impl: DominoImplementation,
     input_probs: Optional[Mapping[str, float]] = None,
@@ -108,37 +69,48 @@ def simulate_power(
     n_vectors: int = 4096,
     seed: int = 0,
 ) -> SimulatedPower:
-    """Measure power of a domino implementation by Monte-Carlo simulation."""
+    """Measure power of a domino implementation by Monte-Carlo simulation.
+
+    A rate is a bit count over the vector count, the same float as the
+    mean of the 0/1 values.  Input inverters are summed in sorted name
+    order, so the float does not depend on set iteration order.
+    """
     model = model or DominoPowerModel()
     network = impl.network
     if input_probs is None:
         input_probs = {s: 0.5 for s in network.sources()}
-    source_arrays = random_source_batch(network, input_probs, n_vectors, seed)
-    gate_values = evaluate_implementation_batch(impl, source_arrays)
+    block = implementation_network(impl)
+    batch = random_source_batch(network, input_probs, n_vectors, seed)
+    words = simulate_words(block, pack_words(batch), n_vectors)
 
     domino_energy = 0.0
     for gate in impl.gates.values():
         cap = model.gate_factor(gate.gate_type, len(gate.fanins))
-        fire_rate = float(gate_values[gate.key].mean())
-        domino_energy += fire_rate * cap
+        domino_energy += words[gate.instance_name].bit_count() / n_vectors * cap
 
     clock_energy = model.clock_cap_per_gate * impl.n_gates
 
     input_inv_energy = 0.0
     output_inv_energy = 0.0
     if model.include_boundary_inverters:
-        for src in impl.input_inverters:
-            arr = source_arrays[src]
+        # bits 0 .. n-2 of ``x ^ x >> 1`` flag a change between vectors k and k+1
+        low_mask = (1 << (n_vectors - 1)) - 1 if n_vectors > 1 else 0
+        for src in sorted(impl.input_inverters):
+            word = words[src]
             # Static inverter: toggles whenever consecutive values differ.
-            toggles = float(np.mean(arr[1:] != arr[:-1])) if len(arr) > 1 else 0.0
+            toggles = (
+                ((word ^ (word >> 1)) & low_mask).bit_count() / (n_vectors - 1)
+                if n_vectors > 1
+                else 0.0
+            )
             input_inv_energy += toggles * model.inverter_cap
+        drivers = dict(block.outputs)
         for po in impl.output_inverters:
-            ref = impl.output_refs[po]
-            arr = _ref_values(ref, source_arrays, gate_values, n_vectors)
-            # Boundary inverter on a domino output follows the monotonic
-            # pulse: it toggles exactly in the cycles the gate fires.
-            fire_rate = float(arr.mean())
-            output_inv_energy += fire_rate * model.inverter_cap
+            # The boundary inverter on a domino output follows the
+            # monotonic pulse: it toggles exactly in the cycles its
+            # driver (the inverter's fanin) fires.
+            inner = block.nodes[drivers[po]].fanins[0]
+            output_inv_energy += words[inner].bit_count() / n_vectors * model.inverter_cap
 
     return SimulatedPower(
         domino_energy=domino_energy,

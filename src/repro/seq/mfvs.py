@@ -15,11 +15,11 @@ heuristic of [2] enhanced by the symmetry transformation.  We provide:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import SequentialError
 from repro.seq.sgraph import SGraph
-from repro.seq.transforms import ReductionResult, reduce_graph
+from repro.seq.transforms import reduce_graph
 
 
 @dataclass

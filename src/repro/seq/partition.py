@@ -15,13 +15,13 @@ each round.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import SequentialError
 from repro.network.netlist import GateType, LogicNetwork
 from repro.network.topo import transitive_fanin
-from repro.power.probability import ProbabilityResult, node_probabilities
+from repro.power.probability import node_probabilities
 from repro.seq.mfvs import MfvsResult, mfvs, verify_feedback_set
 from repro.seq.sgraph import SGraph, extract_sgraph
 

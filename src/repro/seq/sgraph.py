@@ -13,8 +13,7 @@ can mutate weights/supervertices freely without dragging in networkx.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import SequentialError
 from repro.network.netlist import GateType, LogicNetwork

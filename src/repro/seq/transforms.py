@@ -23,7 +23,7 @@ cutting the group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.seq.sgraph import SGraph
 

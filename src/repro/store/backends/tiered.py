@@ -26,14 +26,13 @@ import atexit
 import queue
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 from repro.store.backends.base import (
     BlobKey,
     BlobStat,
     GCReport,
     StoreBackend,
-    gc_entry,
 )
 
 #: Queue slots before a put degrades to a synchronous shared write.

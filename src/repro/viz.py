@@ -6,7 +6,7 @@ Pure string generation — no graphviz dependency.  Render with e.g.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.network.duplication import DominoImplementation, Polarity
 from repro.network.netlist import GateType, LogicNetwork

@@ -18,11 +18,21 @@ from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.domino.timing import ResizeResult, TimingReport
 from repro.errors import NetworkError, PowerError
 from repro.network.blif import write_blif
-from repro.network.duplication import DominoGate, DominoImplementation, Polarity, Ref
+from repro.network.duplication import (
+    DominoGate,
+    DominoImplementation,
+    Polarity,
+    PolaritySpace,
+    Ref,
+)
 from repro.network.minimize import MinimizationResult
 from repro.network.netlist import GateType, LogicNetwork, SopCover
+from repro.network.topo import depth as network_depth
 from repro.phase import PhaseAssignment
+from repro.power.estimator import DominoPowerModel
+from repro.power.glitch import GlitchReport
 from repro.power.probability import random_source_batch
+from repro.power.simulator import SimulatedPower
 
 
 def all_input_vectors(names):
@@ -432,6 +442,205 @@ def reference_sequential_power(
     return rates
 
 
+def unpack_word(word: int, n_vectors: int) -> np.ndarray:
+    """The boolean array of ``n_vectors`` elements a word packs."""
+    raw = np.frombuffer(word.to_bytes((n_vectors + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n_vectors, bitorder="little").view(bool)
+
+
+def _reference_ref_values(
+    ref: Ref,
+    source_arrays: Mapping[str, np.ndarray],
+    gate_values: Mapping[Tuple[str, Polarity], np.ndarray],
+    n: int,
+) -> np.ndarray:
+    if ref.kind == "const":
+        return np.full(n, ref.value, dtype=bool)
+    if ref.kind in ("input", "latch"):
+        arr = source_arrays[ref.name]
+        return ~arr if ref.polarity is Polarity.NEG else arr
+    return gate_values[ref.key]
+
+
+def reference_evaluate_implementation_batch(
+    impl: DominoImplementation, source_arrays: Mapping[str, np.ndarray]
+) -> Dict[Tuple[str, Polarity], np.ndarray]:
+    """Every domino gate of ``impl`` over a vector batch, as bool arrays."""
+    n = len(next(iter(source_arrays.values())))
+    gate_values: Dict[Tuple[str, Polarity], np.ndarray] = {}
+    for gate in impl.topological_gate_order():
+        fanin_arrays = [
+            _reference_ref_values(r, source_arrays, gate_values, n) for r in gate.fanins
+        ]
+        if gate.gate_type is GateType.AND:
+            gate_values[gate.key] = np.logical_and.reduce(fanin_arrays)
+        else:
+            gate_values[gate.key] = np.logical_or.reduce(fanin_arrays)
+    return gate_values
+
+
+def reference_simulate_power(
+    impl: DominoImplementation,
+    input_probs: Optional[Mapping[str, float]] = None,
+    model=None,
+    n_vectors: int = 4096,
+    seed: int = 0,
+) -> SimulatedPower:
+    """``simulate_power`` on bool arrays, input inverters summed in
+    sorted name order."""
+    model = model or DominoPowerModel()
+    network = impl.network
+    if input_probs is None:
+        input_probs = {s: 0.5 for s in network.sources()}
+    source_arrays = random_source_batch(network, input_probs, n_vectors, seed)
+    gate_values = reference_evaluate_implementation_batch(impl, source_arrays)
+
+    domino_energy = 0.0
+    for gate in impl.gates.values():
+        cap = model.gate_factor(gate.gate_type, len(gate.fanins))
+        domino_energy += float(gate_values[gate.key].mean()) * cap
+
+    input_inv_energy = 0.0
+    output_inv_energy = 0.0
+    if model.include_boundary_inverters:
+        for src in sorted(impl.input_inverters):
+            arr = source_arrays[src]
+            toggles = float(np.mean(arr[1:] != arr[:-1])) if len(arr) > 1 else 0.0
+            input_inv_energy += toggles * model.inverter_cap
+        for po in impl.output_inverters:
+            arr = _reference_ref_values(
+                impl.output_refs[po], source_arrays, gate_values, n_vectors
+            )
+            output_inv_energy += float(arr.mean()) * model.inverter_cap
+
+    return SimulatedPower(
+        domino_energy=domino_energy,
+        input_inverter_energy=input_inv_energy,
+        output_inverter_energy=output_inv_energy,
+        clock_energy=model.clock_cap_per_gate * impl.n_gates,
+        n_vectors=n_vectors,
+        current_scale=model.current_scale,
+    )
+
+
+def reference_unit_delay_glitch_report(
+    network: LogicNetwork,
+    input_probs: Optional[Mapping[str, float]] = None,
+    n_cycles: int = 1024,
+    seed: int = 0,
+) -> GlitchReport:
+    """``unit_delay_glitch_report`` on bool arrays, one numpy operation
+    per gate type, with constants held at their value in every frame."""
+    if input_probs is None:
+        input_probs = {pi: 0.5 for pi in network.inputs}
+    batch = random_source_batch(network, input_probs, n_cycles, seed=seed)
+    order = [
+        name
+        for name in network.topological_order()
+        if not network.nodes[name].gate_type.is_source
+    ]
+    gates = [name for name in order if network.nodes[name].gate_type is not GateType.LATCH]
+
+    settled = reference_simulate_batch(network, batch)
+    zero_delay = 0.0
+    for name in gates:
+        arr = settled[name]
+        zero_delay += float(np.sum(arr[1:] != arr[:-1]))
+
+    n_pairs = n_cycles - 1
+    current: Dict[str, np.ndarray] = {}
+    for name in network.inputs:
+        current[name] = batch[name][:-1].copy()
+    for name in gates:
+        current[name] = settled[name][:-1].copy()
+    for node in network.nodes.values():
+        if node.gate_type is GateType.CONST0 or node.gate_type is GateType.CONST1:
+            current[node.name] = np.full(n_pairs, node.gate_type is GateType.CONST1)
+
+    next_inputs = {name: batch[name][1:] for name in network.inputs}
+    transitions: Dict[str, np.ndarray] = {
+        name: np.zeros(n_pairs, dtype=np.int64) for name in gates
+    }
+    frames = network_depth(network) + 1
+    for name in network.inputs:
+        current[name] = next_inputs[name]
+    for _frame in range(frames):
+        new_values: Dict[str, np.ndarray] = {}
+        for name in gates:
+            node = network.nodes[name]
+            fanin_arrays = [current[fi] for fi in node.fanins]
+            t = node.gate_type
+            if t is GateType.AND:
+                val = np.logical_and.reduce(fanin_arrays)
+            elif t is GateType.OR:
+                val = np.logical_or.reduce(fanin_arrays)
+            elif t is GateType.NOT:
+                val = ~fanin_arrays[0]
+            elif t is GateType.BUF:
+                val = fanin_arrays[0]
+            elif t is GateType.NAND:
+                val = ~np.logical_and.reduce(fanin_arrays)
+            elif t is GateType.NOR:
+                val = ~np.logical_or.reduce(fanin_arrays)
+            elif t is GateType.XOR:
+                val = np.logical_xor.reduce(fanin_arrays)
+            elif t is GateType.XNOR:
+                val = ~np.logical_xor.reduce(fanin_arrays)
+            elif t is GateType.MUX:
+                sel, d0, d1 = fanin_arrays
+                val = np.where(sel, d1, d0)
+            elif t is GateType.SOP:
+                val = _reference_sop_batch(node, fanin_arrays, n_pairs)
+            else:
+                raise PowerError(f"cannot glitch-simulate {t.value}")
+            new_values[name] = val
+        for name in gates:
+            transitions[name] += (new_values[name] != current[name]).astype(np.int64)
+            current[name] = new_values[name]
+
+    unit_delay = float(sum(int(tr.sum()) for tr in transitions.values()))
+    per_node = {}
+    for name in gates:
+        settled_changes = float(np.sum(settled[name][1:] != settled[name][:-1]))
+        per_node[name] = (float(transitions[name].sum()) - settled_changes) / n_pairs
+    return GlitchReport(
+        zero_delay_transitions=zero_delay / n_pairs,
+        unit_delay_transitions=unit_delay / n_pairs,
+        per_node_glitches=per_node,
+        n_cycles=n_cycles,
+    )
+
+
+def reference_domino_glitch_check(
+    impl: DominoImplementation,
+    input_probs: Optional[Mapping[str, float]] = None,
+    n_cycles: int = 512,
+    seed: int = 0,
+) -> bool:
+    """``domino_glitch_check`` on bool arrays: ``len(gates) + 1`` frames,
+    each updating the gates in place in dependency order."""
+    network = impl.network
+    if input_probs is None:
+        input_probs = {s: 0.5 for s in network.sources()}
+    batch = random_source_batch(network, input_probs, n_cycles, seed=seed)
+    gate_order = impl.topological_gate_order()
+    values = {gate.key: np.zeros(n_cycles, dtype=bool) for gate in gate_order}
+    final = reference_evaluate_implementation_batch(impl, batch)
+    for _frame in range(len(gate_order) + 1):
+        for gate in gate_order:
+            fanin_vals = [
+                _reference_ref_values(ref, batch, values, n_cycles) for ref in gate.fanins
+            ]
+            if gate.gate_type is GateType.AND:
+                new = np.logical_and.reduce(fanin_vals)
+            else:
+                new = np.logical_or.reduce(fanin_vals)
+            if np.any(values[gate.key] & ~new):
+                return False
+            values[gate.key] = values[gate.key] | new
+    return all(np.array_equal(values[key], arr) for key, arr in final.items())
+
+
 # ----------------------------------------------------------------------
 # Reference timing: the name-keyed arrival loop over a fresh topological
 # order and fanout map, which the compiled netlist replaced.
@@ -625,6 +834,40 @@ def reference_phase_transform(
     for po, driver in network.outputs:
         impl.output_refs[po] = resolve(driver, Polarity.from_phase(assignment[po]))
     return impl
+
+
+# ----------------------------------------------------------------------
+# Reference cones: the per-(output, phase) DFS that PhaseEvaluator ran
+# before it built every slot's cone in one pass.
+
+
+def cone_masks(space: PolaritySpace, root_ref: Ref) -> Tuple[np.ndarray, np.ndarray]:
+    """(gate mask over the space's slots, source-inverter mask) for the
+    logic reachable from ``root_ref``."""
+    gates = np.zeros(space.n_slots, dtype=bool)
+    invs = np.zeros(len(space.sources), dtype=bool)
+    stack = [root_ref]
+    seen: Set[Tuple[str, Polarity]] = set()
+    while stack:
+        ref = stack.pop()
+        if ref.kind == "const":
+            continue
+        if ref.kind in ("input", "latch"):
+            if ref.polarity is Polarity.NEG:
+                invs[space.source_index[ref.name]] = True
+            continue
+        key = ref.key
+        if key in seen:
+            continue
+        seen.add(key)
+        gates[space.gate_index[key]] = True
+        stack.extend(space.gates[key].fanins)
+    return gates, invs
+
+
+def pack_mask(mask: np.ndarray) -> int:
+    """A bool mask as an int: element ``i`` is bit ``i``."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,10 @@ from repro.power.estimator import (
     DominoPowerModel,
     PhaseEvaluator,
     PolaritySpace,
-    cone_masks,
     estimate_power,
 )
+
+from helpers import cone_masks
 
 
 class TestPolaritySpace:

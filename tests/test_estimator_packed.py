@@ -1,7 +1,8 @@
 """The packed PhaseEvaluator query against the per-output mask loop it replaced.
 
 :func:`reference` rebuilds the unpacked algorithm from public pieces: one
-boolean mask per (output, phase) from :func:`cone_masks`,
+boolean mask per (output, phase) from the reference DFS
+``helpers.cone_masks``,
 ORed output by output, then the same dot products and the same
 left-to-right output-inverter sum.  The packed query must agree with it
 exactly (``==``, not approx) on every field, on circuits whose slot and
@@ -22,6 +23,7 @@ import pytest
 from repro.bench.figures import figure3_network
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.errors import PhaseError
+from repro.network.blif import parse_blif
 from repro.network.duplication import Polarity
 from repro.network.netlist import GateType, LogicNetwork
 from repro.network.ops import cleanup, to_aoi
@@ -31,9 +33,10 @@ from repro.power.estimator import (
     DominoPowerModel,
     PhaseEvaluator,
     PowerBreakdown,
-    cone_masks,
     estimate_power,
 )
+
+from helpers import cone_masks, pack_mask, small_pool_blif
 
 N_RANDOM = 200
 N_WALK = 200
@@ -208,6 +211,28 @@ def test_word_boundary_counts(evaluators, name):
 @pytest.mark.parametrize("k", CHUNK_SIDES)
 def test_chunk_boundary_output_counts(evaluators, k):
     assert len(evaluators[(f"outputs{k}", "default")].outputs) == k
+
+
+def _reference_rows(ev: PhaseEvaluator) -> List[int]:
+    """Each (output, phase) row as the reference DFS's two masks, packed."""
+    rows = []
+    for _po, driver in ev.network.outputs:
+        for pol in (Polarity.POS, Polarity.NEG):
+            gates, invs = cone_masks(ev.space, ev.space.resolve(driver, pol))
+            rows.append(pack_mask(gates) | pack_mask(invs) << ev._inv_shift)
+    return rows
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUITS))
+def test_rows_equal_reference_cones(evaluators, name):
+    ev = evaluators[(name, "default")]
+    assert ev._rows == _reference_rows(ev)
+
+
+def test_small_pool_rows_equal_reference_cones():
+    for index in range(40):
+        ev = PhaseEvaluator(cleanup(to_aoi(parse_blif(small_pool_blif(index)))), method="bdd")
+        assert ev._rows == _reference_rows(ev), index
 
 
 @pytest.mark.parametrize("model", sorted(MODELS))

@@ -22,9 +22,7 @@ from repro.power.probability import (
     monte_carlo_probabilities,
     pack_words,
     random_source_batch,
-    simulate_batch,
     simulate_words,
-    unpack_word,
 )
 from repro.power.simulator import SequentialPowerSimulator
 
@@ -35,6 +33,7 @@ from helpers import (
     reference_simulate_batch,
     reference_simulate_mapped_power,
     small_pool_blif,
+    unpack_word,
 )
 
 VECTOR_COUNTS = (1, 7, 8, 63, 64, 65, 2048)
@@ -44,11 +43,11 @@ def _mixed(seed):
     return random_mixed_network(seed, n_inputs=5 + seed % 4, n_gates=40, n_latches=seed % 3)
 
 
-def _assert_same_arrays(values, reference):
-    assert list(values) == list(reference)
+def _assert_same_words(words, reference, n_vectors):
+    assert list(words) == list(reference)
     for name, arr in reference.items():
-        assert values[name].dtype == bool, name
-        assert np.array_equal(values[name], arr), name
+        assert words[name] >> n_vectors == 0, name
+        assert np.array_equal(unpack_word(words[name], n_vectors), arr), name
 
 
 class TestWords:
@@ -61,20 +60,7 @@ class TestWords:
                 net, {}, n_vectors, seed=seed, correlation=correlation
             )
             words = simulate_words(net, pack_words(batch), n_vectors)
-            reference = reference_simulate_batch(net, batch)
-            assert list(words) == list(reference)
-            for name, arr in reference.items():
-                assert words[name] >> n_vectors == 0, name
-                assert np.array_equal(unpack_word(words[name], n_vectors), arr), name
-
-    @pytest.mark.parametrize("n_vectors", VECTOR_COUNTS)
-    def test_simulate_batch_matches_reference(self, n_vectors):
-        for seed in range(6):
-            net = _mixed(seed)
-            batch = random_source_batch(net, {}, n_vectors, seed=seed + 100, correlation=0.5)
-            _assert_same_arrays(
-                simulate_batch(net, batch), reference_simulate_batch(net, batch)
-            )
+            _assert_same_words(words, reference_simulate_batch(net, batch), n_vectors)
 
     @pytest.mark.parametrize("n_vectors", VECTOR_COUNTS)
     def test_monte_carlo_matches_reference(self, n_vectors):
@@ -103,7 +89,8 @@ class TestWords:
         batch = random_source_batch(net, {}, 65, seed=4)
         gate = next(n.name for n in net.gates)
         batch[gate] = np.ones(65, dtype=bool)
-        _assert_same_arrays(simulate_batch(net, batch), reference_simulate_batch(net, batch))
+        words = simulate_words(net, pack_words(batch), 65)
+        _assert_same_words(words, reference_simulate_batch(net, batch), 65)
 
     def test_pack_round_trip(self):
         rng = np.random.default_rng(0)

@@ -9,8 +9,9 @@ from repro.power.probability import (
     bdd_probabilities,
     monte_carlo_probabilities,
     node_probabilities,
+    pack_words,
     random_source_batch,
-    simulate_batch,
+    simulate_words,
     uniform_input_probabilities,
 )
 
@@ -31,31 +32,16 @@ class TestSimulateBatch:
         batch = {
             pi: rng.random(32) < 0.5 for pi in small_random.inputs
         }
-        values = simulate_batch(small_random, batch)
+        words = simulate_words(small_random, pack_words(batch), 32)
         for k in range(32):
             vec = {pi: bool(batch[pi][k]) for pi in small_random.inputs}
             ref = small_random.evaluate(vec)
-            for name, arr in values.items():
-                assert bool(arr[k]) == ref[name], name
+            for name, word in words.items():
+                assert bool(word >> k & 1) == ref[name], name
 
     def test_missing_source_raises(self, simple_and_or):
         with pytest.raises(PowerError):
-            simulate_batch(simple_and_or, {"a": np.array([True])})
-
-    def test_inconsistent_batch_raises(self, simple_and_or):
-        with pytest.raises(PowerError):
-            simulate_batch(
-                simple_and_or,
-                {
-                    "a": np.array([True]),
-                    "b": np.array([True, False]),
-                    "c": np.array([False]),
-                },
-            )
-
-    def test_empty_sources_raise(self, simple_and_or):
-        with pytest.raises(PowerError):
-            simulate_batch(simple_and_or, {})
+            simulate_words(simple_and_or, {"a": 1}, 1)
 
     def test_all_gate_types_batch(self):
         net = LogicNetwork("m")
@@ -69,12 +55,12 @@ class TestSimulateBatch:
             net.add_output(f"po_{g}", g)
         rng = np.random.default_rng(1)
         batch = {pi: rng.random(64) < 0.5 for pi in net.inputs}
-        values = simulate_batch(net, batch)
+        words = simulate_words(net, pack_words(batch), 64)
         for k in range(64):
             vec = {pi: bool(batch[pi][k]) for pi in net.inputs}
             ref = net.evaluate(vec)
             for g in ("nand2", "nor2", "xnor2", "mux"):
-                assert bool(values[g][k]) == ref[g]
+                assert bool(words[g] >> k & 1) == ref[g]
 
 
 class TestRandomSourceBatch:

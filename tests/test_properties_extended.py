@@ -15,7 +15,7 @@ from repro.phase import PhaseAssignment
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator, estimate_power
 from repro.power.glitch import domino_glitch_check
 
-from helpers import bitset, cube_minterms, reference_minimize_cover
+from helpers import bitset, cube_minterms, reference_domino_glitch_check, reference_minimize_cover
 from test_properties import aoi_networks, SETTINGS
 
 
@@ -98,7 +98,9 @@ class TestDominoMonotonicityProperty:
             net.output_names(), bits % (1 << len(net.outputs))
         )
         impl = phase_transform(net, a)
-        assert domino_glitch_check(impl, n_cycles=32, seed=0)
+        result = domino_glitch_check(impl, n_cycles=32, seed=0)
+        assert result is True
+        assert result == reference_domino_glitch_check(impl, n_cycles=32, seed=0)
 
 
 class TestEstimatorModelProperties:

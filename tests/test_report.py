@@ -153,18 +153,21 @@ class TestCorrelatedStreams:
     def test_domino_insensitive_static_sensitive(self, fig3_aoi):
         """Key domino property: correlation changes static-inverter power
         but not domino switching (domino pays per evaluation)."""
-        from repro.network.duplication import phase_transform
+        from repro.network.duplication import implementation_network, phase_transform
         from repro.phase import Phase, PhaseAssignment
-        from repro.power.simulator import evaluate_implementation_batch
+        from repro.power.probability import pack_words, simulate_words
 
         a = PhaseAssignment({"f": Phase.POSITIVE, "g": Phase.NEGATIVE})
         impl = phase_transform(fig3_aoi, a)
+        block = implementation_network(impl)
         probs = {pi: 0.5 for pi in fig3_aoi.inputs}
         results = {}
         for corr in (0.0, 0.85):
             batch = random_source_batch(fig3_aoi, probs, 30000, seed=3, correlation=corr)
-            values = evaluate_implementation_batch(impl, batch)
-            fire = float(np.mean([arr.mean() for arr in values.values()]))
+            words = simulate_words(block, pack_words(batch), 30000)
+            fire = float(
+                np.mean([words[g.instance_name].bit_count() / 30000 for g in impl.gates.values()])
+            )
             toggles = float(
                 np.mean(
                     [

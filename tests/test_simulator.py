@@ -1,17 +1,27 @@
 """Unit tests for the Monte-Carlo power simulator (PowerMill substitute)."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.network.duplication import phase_transform
+from repro.bench.mcnc import spec_by_name
+from repro.network.duplication import implementation_network, phase_transform
+from repro.network.netlist import GateType, LogicNetwork
+from repro.network.ops import cleanup, to_aoi
 from repro.phase import Phase, PhaseAssignment
 from repro.power.estimator import DominoPowerModel, PhaseEvaluator
 from repro.power.simulator import (
     SequentialPowerSimulator,
-    evaluate_implementation_batch,
     measure_switching_counts,
     simulate_power,
 )
-from repro.power.probability import random_source_batch
+from repro.power.probability import pack_words, random_source_batch, simulate_words
+
+from helpers import reference_simulate_power
 
 
 class TestSimulateAgainstEstimator:
@@ -59,12 +69,12 @@ class TestSimulatorMechanics:
         a = PhaseAssignment.random(small_random.output_names(), seed=2)
         impl = phase_transform(small_random, a)
         batch = random_source_batch(small_random, {pi: 0.5 for pi in small_random.inputs}, 32, seed=4)
-        values = evaluate_implementation_batch(impl, batch)
+        words = simulate_words(implementation_network(impl), pack_words(batch), 32)
         for k in range(32):
             vec = {pi: bool(batch[pi][k]) for pi in small_random.inputs}
             ref = impl.evaluate_gates(vec)
-            for key, arr in values.items():
-                assert bool(arr[k]) == ref[key]
+            for gate in impl.gates.values():
+                assert bool(words[gate.instance_name] >> k & 1) == ref[gate.key]
 
     def test_measure_switching_counts_keys(self, fig3_aoi):
         a = PhaseAssignment({"f": Phase.POSITIVE, "g": Phase.NEGATIVE})
@@ -97,3 +107,96 @@ class TestSequentialSimulator:
         r1 = sim.run(n_cycles=64, n_streams=8, seed=9)
         r2 = sim.run(n_cycles=64, n_streams=8, seed=9)
         assert r1 == r2
+
+
+MODELS = (
+    DominoPowerModel(),
+    DominoPowerModel(
+        cap_per_fanin=0.25, inverter_cap=0.7, clock_cap_per_gate=0.1,
+        and_series_penalty=0.3, current_scale=1.9,
+    ),
+    DominoPowerModel(include_boundary_inverters=False, clock_cap_per_gate=0.2),
+)
+
+
+def _skewed_probs(network, seed):
+    rng = random.Random(seed)
+    return {s: rng.uniform(0.05, 0.95) for s in network.sources()}
+
+
+class TestAgainstReference:
+    """``simulate_power`` on words against the bool-array body it
+    replaced, with ``==`` on every field; the reference sums the input
+    inverters in sorted order."""
+
+    @pytest.mark.parametrize("bits", range(4))
+    def test_fig3_every_assignment(self, fig3_aoi, bits):
+        impl = phase_transform(fig3_aoi, PhaseAssignment.from_bits(fig3_aoi.output_names(), bits))
+        for k, model in enumerate(MODELS):
+            for probs in (None, _skewed_probs(fig3_aoi, bits)):
+                for n_vectors in (1, 2, 63, 64, 65, 1000):
+                    args = (impl, probs, model, n_vectors, k)
+                    assert simulate_power(*args) == reference_simulate_power(*args)
+
+    @pytest.mark.parametrize("name", ["apex7", "x3"])
+    def test_suite_circuits_seeded_assignments(self, name):
+        aoi = cleanup(to_aoi(spec_by_name(name).build()))
+        for seed in range(3):
+            impl = phase_transform(aoi, PhaseAssignment.random(aoi.output_names(), seed=seed))
+            model = MODELS[seed]
+            args = (impl, _skewed_probs(aoi, seed), model, 257, seed)
+            assert simulate_power(*args) == reference_simulate_power(*args)
+
+    def test_constant_and_source_outputs(self):
+        net = LogicNetwork("boundary")
+        for pi in ("a", "b"):
+            net.add_input(pi)
+        net.add_gate("c1", GateType.CONST1, [])
+        net.add_gate("c0", GateType.CONST0, [])
+        net.add_gate("g", GateType.AND, ["a", "c1"])
+        net.add_gate("h", GateType.OR, ["b", "c0", "g"])
+        net.add_output("k", "c1")
+        net.add_output("w", "a")
+        net.add_output("g")
+        net.add_output("h")
+        for bits in range(1 << len(net.outputs)):
+            impl = phase_transform(net, PhaseAssignment.from_bits(net.output_names(), bits))
+            for model in MODELS:
+                args = (impl, _skewed_probs(net, bits), model, 99, bits)
+                assert simulate_power(*args) == reference_simulate_power(*args)
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from repro.bench.generators import GeneratorConfig, random_control_network
+from repro.network.duplication import phase_transform
+from repro.network.ops import cleanup, to_aoi
+from repro.phase import PhaseAssignment
+from repro.power.estimator import estimate_power
+from repro.power.simulator import simulate_power
+
+aoi = cleanup(to_aoi(random_control_network("wide56", GeneratorConfig(
+    n_inputs=92, n_outputs=56, n_gates=550, seed=1, support_size=12,
+    or_probability=0.45, pi_literal_negation_probability=0.5))))
+impl = phase_transform(aoi, PhaseAssignment.random(aoi.output_names(), seed=3))
+rng = random.Random(5)
+probs = {pi: rng.uniform(0.05, 0.95) for pi in aoi.inputs}
+print(repr(simulate_power(impl, probs, n_vectors=256, seed=0)))
+print(repr(estimate_power(aoi, impl.assignment, input_probs=probs, method="bdd")))
+"""
+
+
+def test_sums_do_not_depend_on_the_hash_seed():
+    """Input inverters come from a set of names; a sum in its iteration
+    order changes with ``PYTHONHASHSEED`` (summed that way, both floats
+    differ between each two of these seeds)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for hash_seed in ("0", "1", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
