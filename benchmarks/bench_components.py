@@ -4,8 +4,9 @@ Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
 evaluation, the phase transform, the evaluator build and its packed
 power queries (random access and the hill climb's one-flip pattern),
-one whole minimum-area hill climb, one pairwise pair pick, and the
-Monte-Carlo power simulation of an unmapped block over packed words.
+one whole minimum-area hill climb, one pairwise pair pick, one whole
+pairwise MP search, and the Monte-Carlo power simulation of an
+unmapped block over packed words.
 Also the unit-delay glitch report and the Property 2.2 check, the
 two-level minimisation every BLIF input goes through (an
 already-minimum cover and a wide one), the transform and mapping, the
@@ -13,6 +14,7 @@ timing-repair loop and the power measurement of one small mapped
 design, and one structural validation of a 56-output network.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.network.duplication import phase_transform
 from repro.network.minimize import minimize_cover
 from repro.network.netlist import SopCover
 from repro.network.ops import cleanup, to_aoi
+from repro.optimize.strategies import PairwiseStrategy
 from repro.phase import PhaseAssignment
 from repro.power.estimator import PhaseEvaluator
 from repro.power.glitch import domino_glitch_check, unit_delay_glitch_report
@@ -82,15 +85,20 @@ def bench_phase_transform(benchmark, apex7_aoi):
 
 @pytest.mark.benchmark(group="kernels")
 def bench_evaluator_power_query(benchmark, apex7_evaluator):
-    """The inner-loop operation of the Section 4.1 search."""
-    assignments = [
-        PhaseAssignment.random(apex7_evaluator.outputs, seed=s) for s in range(16)
-    ]
+    """The inner-loop operation of the Section 4.1 search: 16 power
+    queries of random assignments.  Each round gets 16 assignments of
+    seeds no earlier round used, built untimed, so every query is
+    computed, not answered from the evaluator's memo."""
+    outputs = apex7_evaluator.outputs
+    seeds = itertools.count()
 
-    def run():
+    def fresh_assignments():
+        return ([PhaseAssignment.random(outputs, seed=next(seeds)) for _ in range(16)],), {}
+
+    def run(assignments):
         return [apex7_evaluator.power(a) for a in assignments]
 
-    powers = benchmark(run)
+    powers = benchmark.pedantic(run, setup=fresh_assignments, rounds=200)
     _record_kernel(benchmark, "evaluator_power_query", queries=16)
     assert len(powers) == 16
 
@@ -174,6 +182,29 @@ def bench_pairwise_step(benchmark):
     i, j, _combo, cost = benchmark(best_pair_and_combo, data, avg, remaining, stack)
     _record_kernel(benchmark, "pairwise_step", outputs=n)
     assert i < j and np.isfinite(cost)
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_pairwise_search_large56(benchmark, large56_aoi, large56_evaluator):
+    """The MP search of a flow on the 56-output generated circuit: the
+    pairwise strategy (cost data, pair picks and power queries) from
+    the MA assignment.  Each round searches on a fresh evaluator, built
+    untimed, as each flow does."""
+    start = minimize_area(large56_evaluator).assignment
+    strategy = PairwiseStrategy()
+
+    def fresh_evaluator():
+        evaluator = PhaseEvaluator(large56_aoi, method="bdd")
+        initial = PhaseAssignment.from_bits(
+            evaluator.outputs, start.as_bits(evaluator.outputs)
+        )
+        return (evaluator,), {"initial": initial}
+
+    result = benchmark.pedantic(strategy.optimize, setup=fresh_evaluator, rounds=20)
+    _record_kernel(
+        benchmark, "pairwise_search_large56", outputs=56, evaluations=result.evaluations
+    )
+    assert result.method == "pairwise" and result.power <= result.initial_power
 
 
 @pytest.mark.benchmark(group="kernels")

@@ -37,11 +37,12 @@ class NetworkBdds:
     def probabilities(
         self, var_probs: Mapping[str, float]
     ) -> Dict[str, float]:
-        """Signal probability of every node with a BDD."""
-        return {
-            name: self.manager.probability(f, var_probs)
-            for name, f in self.node_bdds.items()
-        }
+        """Signal probability of every node with a BDD, in
+        :attr:`node_bdds` order: :meth:`BddManager.probabilities` of
+        every manager node in one pass, so a BDD node shared by many
+        functions is evaluated once."""
+        probs = self.manager.probabilities(var_probs)
+        return {name: probs[f] for name, f in self.node_bdds.items()}
 
     def shared_size(self, names: Optional[Iterable[str]] = None) -> int:
         """Distinct BDD nodes used by the given node functions (Fig. 10 metric)."""

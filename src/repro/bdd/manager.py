@@ -190,6 +190,20 @@ class BddManager:
             stack.pop()
         return memo[f]
 
+    def probabilities(self, var_probs: Mapping[str, float]) -> List[float]:
+        """:meth:`probability` of every node, indexed by node id.
+
+        :meth:`_mk` appends, so a node's children have lower ids than
+        the node: one pass in id order finds both children computed and
+        gives each node the float :meth:`probability` gives it.
+        """
+        level_probs = [var_probs.get(v, 0.5) for v in self.variables]
+        probs = [0.0, 1.0]
+        for level, lo, hi in self._nodes[2:]:
+            p = level_probs[level]
+            probs.append(p * probs[hi] + (1.0 - p) * probs[lo])
+        return probs
+
     def dag_size(self, roots: Iterable[int]) -> int:
         """Number of distinct non-terminal nodes reachable from ``roots``.
 

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.errors import PhaseError
 from repro.network.netlist import LogicNetwork
-from repro.network.topo import cone_overlap, output_cones
 
 
 class Move(enum.Enum):
@@ -121,17 +120,37 @@ class CostModelData:
 
     @classmethod
     def from_network(cls, network: LogicNetwork) -> "CostModelData":
-        cones = output_cones(network, include_sources=False)
+        """Sizes and overlaps of the outputs' logic cones, each cone an
+        int bitset from one topological pass: a gate's cone is its own
+        bit ORed with its fanins' cones, and inputs, constants and latch
+        outputs add nothing.  The counts are those of
+        :func:`~repro.network.topo.output_cones` and
+        :func:`~repro.network.topo.cone_overlap`."""
+        cones: Dict[str, int] = {}
+        nodes = network.nodes
+        for bit, name in enumerate(network.topological_order()):
+            node = nodes[name]
+            if node.gate_type.is_comb_source:
+                cones[name] = 0
+                continue
+            cone = 1 << bit
+            for fanin in node.fanins:
+                cone |= cones[fanin]
+            cones[name] = cone
         outputs = network.output_names()
-        sizes = np.array([len(cones[po]) for po in outputs], dtype=float)
+        cone_list = [cones[driver] for _po, driver in network.outputs]
+        counts = [cone.bit_count() for cone in cone_list]
+        sizes = np.array(counts, dtype=float)
         n = len(outputs)
         overlap = np.zeros((n, n))
-        cone_list = [cones[po] for po in outputs]
         for a in range(n):
+            cone_a, size_a = cone_list[a], counts[a]
             for b in range(a + 1, n):
-                o = cone_overlap(cone_list[a], cone_list[b])
-                overlap[a, b] = o
-                overlap[b, a] = o
+                denom = size_a + counts[b]
+                if denom:
+                    o = (cone_a & cone_list[b]).bit_count() / denom
+                    overlap[a, b] = o
+                    overlap[b, a] = o
         return cls(outputs=outputs, sizes=sizes, overlap=overlap)
 
     def index_of(self, po: str) -> int:

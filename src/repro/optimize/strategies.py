@@ -108,6 +108,14 @@ def pairwise_loop(
     records its power in the history.  ``start`` is the already
     measured ``(assignment, (score, power))`` to improve on; the final
     pair comes back with the commit history.
+
+    Every step measures its candidate, as the paper's loop does, although
+    most candidates were measured before: the ``(+, +)`` combination is
+    the current assignment, and different pairs propose the same single
+    flip (on 56-output circuits only a few hundred of some 1,540 steps
+    are distinct).  Their power comes from the memo of
+    :meth:`~repro.power.estimator.PhaseEvaluator.breakdown`, so a
+    repeated candidate costs a dict lookup, not a query.
     """
     from repro.core import cost  # here, not at the top: repro.core imports us
 

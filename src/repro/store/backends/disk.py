@@ -141,6 +141,10 @@ class LocalDiskBackend(StoreBackend):
 
     def put(self, kind: str, fingerprint: str, digest: str, entry: Dict[str, Any]) -> Path:
         path = self.blob_path(kind, fingerprint, digest)
+        # json.dumps runs the C encoder (json.dump the pure-Python one)
+        # and writes the same text; encoding first means an entry that
+        # cannot be encoded leaves no temp file behind
+        text = json.dumps(entry)
         path.parent.mkdir(parents=True, exist_ok=True)
         # pid alone is not unique enough: two threads of one process
         # (the serve path) writing the same entry would race on a shared
@@ -148,7 +152,7 @@ class LocalDiskBackend(StoreBackend):
         tmp = tmp_sibling(path)
         try:
             with open(tmp, "w", encoding="utf-8") as f:
-                json.dump(entry, f)
+                f.write(text)
             os.replace(tmp, path)
         except BaseException:
             self._discard(tmp)

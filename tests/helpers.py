@@ -27,6 +27,7 @@ from repro.network.duplication import (
 )
 from repro.network.minimize import MinimizationResult
 from repro.network.netlist import GateType, LogicNetwork, SopCover
+from repro.network.ops import cleanup, to_aoi
 from repro.network.topo import depth as network_depth
 from repro.phase import PhaseAssignment
 from repro.power.estimator import DominoPowerModel
@@ -53,6 +54,16 @@ def small_pool_blif(index: int) -> str:
         seed=index,
     )
     return write_blif(random_control_network(f"S{index}", config))
+
+
+def large_pool_network(seed: int) -> LogicNetwork:
+    """A 56-output generated circuit, built the way perfbench's large
+    pool builds circuit ``L<seed>`` and prepared (AOI, cleaned up)."""
+    config = GeneratorConfig(
+        n_inputs=92, n_outputs=56, n_gates=550, seed=seed,
+        support_size=12, or_probability=0.45,
+    )
+    return cleanup(to_aoi(random_control_network(f"L{seed}", config)))
 
 
 def ranked_pairs(data):

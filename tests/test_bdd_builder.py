@@ -1,6 +1,7 @@
 """Unit tests for network-to-BDD construction and orderings."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,9 +14,18 @@ from repro.bdd.ordering import (
     naive_topological_order,
     order_variables,
 )
+from repro.bench.figures import figure7_network
+from repro.bench.generators import random_sequential_network
+from repro.network.blif import parse_blif
 from repro.network.netlist import GateType, LogicNetwork, SopCover
+from repro.network.ops import cleanup, to_aoi
 
-from helpers import all_input_vectors
+from helpers import (
+    all_input_vectors,
+    large_pool_network,
+    random_mixed_network,
+    small_pool_blif,
+)
 
 
 class TestBuilderCorrectness:
@@ -86,6 +96,38 @@ class TestBuilderCorrectness:
     def test_latch_outputs_are_variables(self, fig7):
         bdds = build_node_bdds(fig7, roots=["g1"])
         assert "l1" in bdds.manager.variables
+
+
+def _probability_networks():
+    nets = [cleanup(to_aoi(parse_blif(small_pool_blif(index)))) for index in range(0, 40, 3)]
+    nets.append(figure7_network())
+    for seed in range(4):
+        nets.append(random_sequential_network(f"q{seed}", 8, 4, 40, seed=seed))
+        nets.append(random_mixed_network(seed, n_latches=2))
+    nets.append(large_pool_network(1))
+    return nets
+
+
+class TestProbabilities:
+    def test_one_pass_equals_per_node_probability(self):
+        """``probabilities`` gives every node the float, and the order,
+        of one ``manager.probability`` call per node, under non-uniform
+        probabilities on inputs and latch variables, with some variables
+        left at the 0.5 default."""
+        latch_vars = 0
+        for index, net in enumerate(_probability_networks()):
+            bdds = build_node_bdds(net)
+            rng = random.Random(index)
+            var_probs = {
+                v: rng.random() for v in bdds.manager.variables if rng.random() < 0.9
+            }
+            latch_vars += sum(latch.name in var_probs for latch in net.latches)
+            expected = {
+                name: bdds.manager.probability(f, var_probs)
+                for name, f in bdds.node_bdds.items()
+            }
+            assert list(bdds.probabilities(var_probs).items()) == list(expected.items())
+        assert latch_vars > 0
 
 
 class TestSharedSize:

@@ -1,9 +1,14 @@
 """Unit tests for the Section 4.1 pairwise cost function."""
 
+from typing import Callable, Dict, List, Tuple
+
 import numpy as np
 import pytest
 
-from helpers import ranked_pairs
+from helpers import large_pool_network, random_mixed_network, ranked_pairs, small_pool_blif
+from repro.bench.figures import figure7_network
+from repro.bench.generators import random_sequential_network
+from repro.bench.mcnc import TABLE1_SUITE
 from repro.core.cost import (
     COMBOS,
     CostModelData,
@@ -15,6 +20,10 @@ from repro.core.cost import (
     pair_cost,
 )
 from repro.errors import PhaseError
+from repro.network.blif import parse_blif
+from repro.network.netlist import LogicNetwork
+from repro.network.ops import cleanup, to_aoi
+from repro.network.topo import cone_overlap, output_cones
 
 
 class TestScalarCost:
@@ -62,6 +71,52 @@ class TestCostModelData:
         assert data.index_of("y") == 1
         with pytest.raises(PhaseError):
             data.index_of("zzz")
+
+
+def reference_cost_arrays(network: LogicNetwork) -> Tuple[np.ndarray, np.ndarray]:
+    """``sizes`` and ``overlap`` from the set definition: each output's
+    :func:`output_cones` set and :func:`cone_overlap` of every pair."""
+    by_output = output_cones(network)
+    cones = [by_output[po] for po in network.output_names()]
+    n = len(cones)
+    overlap = np.zeros((n, n))
+    for a in range(n):
+        for b in range(a + 1, n):
+            overlap[a, b] = overlap[b, a] = cone_overlap(cones[a], cones[b])
+    return np.array([len(cone) for cone in cones], dtype=float), overlap
+
+
+def _sequential() -> List[LogicNetwork]:
+    nets = [figure7_network()]
+    for seed in range(6):
+        net = random_sequential_network(f"q{seed}", 8, 4, 40, seed=seed, twin_groups=seed % 2)
+        nets += [net, cleanup(to_aoi(net))]
+    return nets + [random_mixed_network(seed, n_latches=seed % 3) for seed in range(6)]
+
+
+#: family -> the networks it checks.
+COST_FAMILIES: Dict[str, Callable[[], List[LogicNetwork]]] = {
+    "small_pool": lambda: [
+        cleanup(to_aoi(parse_blif(small_pool_blif(index)))) for index in range(40)
+    ],
+    "large56": lambda: [large_pool_network(seed) for seed in (1, 3, 4)],
+    "suite": lambda: [
+        net for spec in TABLE1_SUITE for net in (spec.build(), cleanup(to_aoi(spec.build())))
+    ],
+    "sequential": _sequential,
+}
+
+
+@pytest.mark.parametrize("family", sorted(COST_FAMILIES))
+def test_cone_bitsets_equal_the_set_definition(family):
+    """``from_network``'s one bitset pass gives the bytes the cone sets
+    give; latch outputs end a cone as inputs do."""
+    for net in COST_FAMILIES[family]():
+        data = CostModelData.from_network(net)
+        sizes, overlap = reference_cost_arrays(net)
+        assert data.outputs == net.output_names()
+        assert data.sizes.tobytes() == sizes.tobytes(), net.name
+        assert data.overlap.tobytes() == overlap.tobytes(), net.name
 
 
 class TestVectorisedCost:

@@ -3,6 +3,7 @@ ArtifactStore (cold/warm equivalence, corruption tolerance, gc), the
 store-backed Pipeline/run_many/run_table paths, and the RunStore
 registry."""
 
+import io
 import json
 import os
 
@@ -16,6 +17,7 @@ from repro.network.blif import parse_blif, write_blif
 from repro.network.netlist import GateType
 from repro.report import flow_result_from_dict, flow_result_to_dict
 from repro.store import (
+    ARTIFACT_KINDS,
     ArtifactStore,
     RunStore,
     RunStoreError,
@@ -246,6 +248,38 @@ class TestCorruption:
         self._populate(store)
         assert store.clear() > 0
         assert store.stats().total_entries == 0
+
+
+# ----------------------------------------------------------------------
+# entry encoding
+
+
+class TestEntryEncoding:
+    def test_entry_files_are_json_dump_bytes(self, store, monkeypatch):
+        """Every artefact kind a flow writes lands as the bytes
+        ``json.dump`` writes for its entry."""
+        from repro.store.backends.disk import LocalDiskBackend
+
+        written = []
+        real_put = LocalDiskBackend.put
+
+        def recording_put(backend, kind, fingerprint, digest, entry):
+            path = real_put(backend, kind, fingerprint, digest, entry)
+            written.append((kind, path, entry))
+            return path
+
+        monkeypatch.setattr(LocalDiskBackend, "put", recording_put)
+        Pipeline(FAST, store=store).run(tiny_network())
+        assert sorted(kind for kind, _, _ in written) == sorted(ARTIFACT_KINDS)
+        for kind, path, entry in written:
+            expected = io.StringIO()
+            json.dump(entry, expected)
+            assert path.read_bytes() == expected.getvalue().encode("utf-8"), kind
+
+    def test_unencodable_entry_leaves_no_file(self, store):
+        with pytest.raises(TypeError):
+            store.put("probs", "ab" * 8, ("k",), {"v": object()})
+        assert [p for p in store.root.rglob("*") if p.is_file()] == []
 
 
 # ----------------------------------------------------------------------
