@@ -18,6 +18,10 @@ from repro.power.estimator import PhaseEvaluator
 
 from conftest import print_block
 
+#: Timed rounds per bench; each searches fresh evaluators, built
+#: untimed, so no round is answered from an earlier round's memo.
+_ROUNDS = 20
+
 
 def _evaluator(seed: int, n_outputs: int = 6) -> PhaseEvaluator:
     cfg = GeneratorConfig(
@@ -27,11 +31,14 @@ def _evaluator(seed: int, n_outputs: int = 6) -> PhaseEvaluator:
     return PhaseEvaluator(net, method="bdd")
 
 
+def _fresh(seeds, n_outputs: int = 6):
+    """A ``benchmark.pedantic`` setup: new evaluators for one round."""
+    return lambda: (([_evaluator(seed, n_outputs) for seed in seeds],), {})
+
+
 @pytest.mark.benchmark(group="ablation-optimizer")
 def bench_pairwise_vs_exhaustive(benchmark):
-    evaluators = [_evaluator(seed) for seed in range(5)]
-
-    def run():
+    def run(evaluators):
         rows = []
         for ev in evaluators:
             pw = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
@@ -39,7 +46,7 @@ def bench_pairwise_vs_exhaustive(benchmark):
             rows.append((pw.power, ex.power, pw.evaluations, ex.evaluations))
         return rows
 
-    rows = benchmark(run)
+    rows = benchmark.pedantic(run, setup=_fresh(range(5)), rounds=_ROUNDS)
     body = f"{'pairwise':>10} {'exhaustive':>11} {'pw evals':>9} {'ex evals':>9}\n"
     body += "\n".join(
         f"{p:>10.3f} {e:>11.3f} {pe:>9} {ee:>9}" for p, e, pe, ee in rows
@@ -55,9 +62,7 @@ def bench_pairwise_vs_exhaustive(benchmark):
 
 @pytest.mark.benchmark(group="ablation-optimizer")
 def bench_pairwise_vs_random(benchmark):
-    evaluators = [_evaluator(seed + 100, n_outputs=8) for seed in range(5)]
-
-    def run():
+    def run(evaluators):
         rows = []
         for ev in evaluators:
             pw = make_strategy("pairwise", exhaustive_limit=0).optimize(ev)
@@ -67,7 +72,8 @@ def bench_pairwise_vs_random(benchmark):
             rows.append((pw.power, rnd.power))
         return rows
 
-    rows = benchmark(run)
+    setup = _fresh(range(100, 105), n_outputs=8)
+    rows = benchmark.pedantic(run, setup=setup, rounds=_ROUNDS)
     body = "\n".join(f"pairwise={p:.3f}  random={r:.3f}" for p, r in rows)
     print_block("Pairwise-K vs random search (equal evaluation budget)", body)
 
@@ -77,8 +83,14 @@ def bench_pairwise_vs_random(benchmark):
 
 @pytest.mark.benchmark(group="ablation-optimizer")
 def bench_commit_rule_monotonicity(benchmark):
-    ev = _evaluator(7, n_outputs=8)
-    result = benchmark(make_strategy("pairwise", exhaustive_limit=0).optimize, ev)
+    strategy = make_strategy("pairwise", exhaustive_limit=0)
+
+    def fresh_evaluator():
+        return (_evaluator(7, n_outputs=8),), {}
+
+    result = benchmark.pedantic(
+        strategy.optimize, setup=fresh_evaluator, rounds=_ROUNDS
+    )
     committed = [r.candidate_power for r in result.history if r.committed]
     body = (
         f"initial={result.initial_power:.3f} final={result.power:.3f} "

@@ -23,6 +23,10 @@ _BENCH_PARAMS = {
     "anneal": {"steps": 128},
 }
 
+#: Timed rounds per bench; each searches fresh evaluators, built
+#: untimed, so no round is answered from an earlier round's memo.
+_ROUNDS = 20
+
 
 def _evaluator(seed: int, n_outputs: int = 7) -> PhaseEvaluator:
     cfg = GeneratorConfig(
@@ -30,6 +34,11 @@ def _evaluator(seed: int, n_outputs: int = 7) -> PhaseEvaluator:
     )
     net = cleanup(to_aoi(random_control_network(f"opt{seed}", cfg)))
     return PhaseEvaluator(net, method="bdd")
+
+
+def _fresh(seeds, n_outputs: int = 7):
+    """A ``benchmark.pedantic`` setup: new evaluators for one round."""
+    return lambda: (([_evaluator(seed, n_outputs) for seed in seeds],), {})
 
 
 def _strategies():
@@ -42,10 +51,9 @@ def _strategies():
 @pytest.mark.benchmark(group="optimizers")
 def bench_power_vs_evaluations(benchmark):
     """Unbudgeted: each strategy's natural power/evaluations trade-off."""
-    evaluators = [_evaluator(seed) for seed in range(4)]
     strategies = _strategies()
 
-    def run():
+    def run(evaluators):
         table = {}
         for name, strategy in strategies:
             powers, evals = [], []
@@ -59,7 +67,7 @@ def bench_power_vs_evaluations(benchmark):
             )
         return table
 
-    table = benchmark(run)
+    table = benchmark.pedantic(run, setup=_fresh(range(4)), rounds=_ROUNDS)
     optimum = table["exhaustive"][0]
     body = f"{'strategy':<12} {'avg power':>10} {'avg evals':>10} {'vs opt':>8}\n"
     body += "\n".join(
@@ -93,10 +101,9 @@ def bench_power_vs_evaluations(benchmark):
 def bench_fixed_budget(benchmark):
     """Budgeted: every strategy gets the same 24-evaluation allowance."""
     budget = OptimizerBudget(max_evaluations=24)
-    evaluators = [_evaluator(seed + 50, n_outputs=9) for seed in range(4)]
     strategies = _strategies()
 
-    def run():
+    def run(evaluators):
         table = {}
         for name, strategy in strategies:
             powers, evals = [], []
@@ -107,7 +114,8 @@ def bench_fixed_budget(benchmark):
             table[name] = (sum(powers) / len(powers), max(evals))
         return table
 
-    table = benchmark(run)
+    setup = _fresh(range(50, 54), n_outputs=9)
+    table = benchmark.pedantic(run, setup=setup, rounds=_ROUNDS)
     body = f"{'strategy':<12} {'power/start':>12} {'max evals':>10}\n"
     body += "\n".join(
         f"{name:<12} {ratio:>12.4f} {evals:>10}"

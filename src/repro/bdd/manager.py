@@ -229,41 +229,5 @@ class BddManager:
             node = hi if values.get(self.variables[level], False) else lo
         return node == ONE
 
-    def support_of(self, f: int) -> Set[str]:
-        """Variable names the function actually depends on."""
-        seen: Set[int] = set()
-        out: Set[str] = set()
-        stack = [f]
-        while stack:
-            node = stack.pop()
-            if node <= ONE or node in seen:
-                continue
-            seen.add(node)
-            level, lo, hi = self._nodes[node]
-            out.add(self.variables[level])
-            stack.append(lo)
-            stack.append(hi)
-        return out
-
-    def count_minterms(self, f: int, n_vars: Optional[int] = None) -> int:
-        """Number of satisfying assignments over ``n_vars`` variables."""
-        n = n_vars if n_vars is not None else len(self.variables)
-        memo: Dict[int, float] = {}
-
-        def sat(node: int) -> float:
-            # Fraction of the full space that satisfies the function.
-            if node == ZERO:
-                return 0.0
-            if node == ONE:
-                return 1.0
-            if node in memo:
-                return memo[node]
-            _, lo, hi = self._nodes[node]
-            val = 0.5 * sat(lo) + 0.5 * sat(hi)
-            memo[node] = val
-            return val
-
-        return round(sat(f) * (2 ** n))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<BddManager {len(self.variables)} vars, {self.node_count} nodes>"

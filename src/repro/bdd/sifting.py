@@ -32,11 +32,6 @@ class SiftResult:
     moves: int
     rebuilds: int
 
-    @property
-    def improvement_percent(self) -> float:
-        if self.initial_size == 0:
-            return 0.0
-        return 100.0 * (self.initial_size - self.final_size) / self.initial_size
 
 
 def _shared_size(

@@ -25,7 +25,8 @@ concerns of large heterogeneous suites:
   serialising at the tail of a FIFO schedule.  Results still come back
   in input order and are bit-identical either way.
 * **per-item timeouts** (``timeout_s=...``) — a hung circuit becomes a
-  failed :class:`BatchItem` instead of stalling the whole pool.
+  failed :class:`BatchItem` instead of stalling the whole pool; one
+  ``SIGALRM`` timer on the running process's main thread enforces it.
 * **persistent caching** (``store=...``) — each worker runs its
   pipeline against a shared :class:`repro.store.ArtifactStore`, so
   circuits whose (fingerprint, config) pair is already archived are
@@ -226,19 +227,13 @@ def predicted_cost(kind: str, payload) -> float:
 class ItemTimeout(Exception):
     """Raised inside a worker when one circuit exceeds ``timeout_s``."""
 
-    def __str__(self) -> str:
-        # the watchdog guard raises the bare class via
-        # PyThreadState_SetAsyncExc (no constructor call) — keep the
-        # error text informative either way
-        return super().__str__() or "flow exceeded its timeout_s budget"
-
 
 def check_timeout(timeout_s: Optional[float], error: type = BatchError) -> None:
     """Raise ``error`` unless ``timeout_s`` is ``None`` or a budget the
-    guards can arm: ``0 < timeout_s <= threading.TIMEOUT_MAX``.
+    guard can arm: ``0 < timeout_s <= threading.TIMEOUT_MAX``.
 
     NaN fails the comparison; ``inf`` and anything above
-    ``TIMEOUT_MAX`` overflow both ``setitimer`` and ``threading.Timer``.
+    ``TIMEOUT_MAX`` overflow ``setitimer``.
     """
     if timeout_s is not None and not 0 < timeout_s <= threading.TIMEOUT_MAX:
         raise error(
@@ -247,24 +242,36 @@ def check_timeout(timeout_s: Optional[float], error: type = BatchError) -> None:
         )
 
 
-def _sigalrm_guard(timeout_s: float):
-    """SIGALRM-based guard (POSIX main thread only); ``None`` if arming
-    failed, so the caller can fall back to the thread-based guard.  The
-    previous handler is restored whenever arming raises."""
+def _can_arm_alarm() -> bool:
+    """Whether the calling thread can arm :func:`_timeout_guard`."""
+    main = threading.current_thread() is threading.main_thread()
+    return main and hasattr(signal, "SIGALRM")
+
+
+def _timeout_guard(timeout_s: float) -> Callable[[], None]:
+    """Arm a ``SIGALRM`` timer raising :class:`ItemTimeout` after
+    ``timeout_s``; returns the disarm callable for a ``finally`` block.
+
+    It interrupts even blocking C calls, but only the main thread of a
+    POSIX process can arm it: anywhere else this raises
+    :class:`BatchError` naming ``SIGALRM``.  A failed arming restores
+    the previous handler.
+    """
+    if not _can_arm_alarm():
+        raise BatchError(
+            f"timeout_s={timeout_s:g} needs SIGALRM, which only the main "
+            "thread of a POSIX process can arm"
+        )
 
     def _raise_timeout(signum, frame):
         raise ItemTimeout(f"flow exceeded timeout_s={timeout_s:g}")
 
     previous = signal.signal(signal.SIGALRM, _raise_timeout)
-    armed = False
     try:
         signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        armed = True
-    except (ValueError, OSError):
-        return None
-    finally:
-        if not armed:
-            signal.signal(signal.SIGALRM, previous)
+    except BaseException:
+        signal.signal(signal.SIGALRM, previous)
+        raise
 
     def disarm() -> None:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
@@ -273,158 +280,19 @@ def _sigalrm_guard(timeout_s: float):
     return disarm
 
 
-#: Guards the per-thread watchdog generation tokens (and each
-#: watchdog's ``fired`` flag): the fire/disarm race is decided by who
-#: takes this lock first.
-_WATCHDOG_LOCK = threading.Lock()
-
-#: Monotonic generation token per thread ident.  Arming a watchdog
-#: bumps the thread's token; the watchdog re-reads it *before* raising
-#: and stands down on a mismatch, so a timer that out-lives its item
-#: can never inject into the thread's next item.  Tokens are never
-#: deleted (idents can be recycled across threads; monotonicity is what
-#: keeps stale timers stale).
-_WATCHDOG_GENERATION: Dict[int, int] = {}
-
-
-class _ThreadWatchdog:
-    """Async-exception watchdog for one guarded item on one thread.
-
-    A daemon :class:`threading.Timer` raises :class:`ItemTimeout` in
-    the *working* thread via ``PyThreadState_SetAsyncExc`` (CPython),
-    which interrupts pure-Python flow code at the next bytecode
-    boundary — it cannot break out of a blocking C call, but the flow's
-    long poles (optimiser sweeps, Monte-Carlo loops) are pure Python.
-
-    Disarming is race-free against a concurrently firing timer:
-
-    * :meth:`fire` checks the thread's generation token under
-      :data:`_WATCHDOG_LOCK` before injecting, so once :meth:`disarm`
-      has bumped the token (same lock) no further injection can start —
-      not into the finished item, and not into the thread's next one;
-    * an injection that *already* started (``fired`` seen true) may
-      still be undelivered, so :meth:`disarm` clears it with
-      ``SetAsyncExc(tid, NULL)``;
-    * the delivery can even land *inside* :meth:`disarm` (async
-      exceptions surface at any bytecode boundary) — the method absorbs
-      it, finishes the bookkeeping, and returns normally.  Callers get
-      the same guarantee from :func:`_disarm_quietly`.
-    """
-
-    def __init__(self, timeout_s: float, set_async_exc) -> None:
-        self._set_async_exc = set_async_exc
-        self._tid = threading.get_ident()
-        with _WATCHDOG_LOCK:
-            self._generation = _WATCHDOG_GENERATION.get(self._tid, 0) + 1
-            _WATCHDOG_GENERATION[self._tid] = self._generation
-        self._fired = False
-        self._timer = threading.Timer(timeout_s, self.fire)
-        self._timer.daemon = True
-        self._timer.start()
-
-    def fire(self) -> None:
-        """Timer callback (watchdog thread): inject iff still armed."""
-        import ctypes
-
-        with _WATCHDOG_LOCK:
-            if _WATCHDOG_GENERATION.get(self._tid) != self._generation:
-                return  # disarmed (or superseded): stand down
-            self._fired = True
-            self._set_async_exc(
-                ctypes.c_ulong(self._tid), ctypes.py_object(ItemTimeout)
-            )
-
-    def _clear_pending(self) -> None:
-        import ctypes
-
-        self._set_async_exc(ctypes.c_ulong(self._tid), None)
-
-    def disarm(self) -> None:
-        """Stand the watchdog down; never lets a late fire escape."""
-        try:
-            self._timer.cancel()
-            with _WATCHDOG_LOCK:
-                if _WATCHDOG_GENERATION.get(self._tid) == self._generation:
-                    _WATCHDOG_GENERATION[self._tid] = self._generation + 1
-                fired = self._fired
-            if fired:
-                # the work finished between the timer firing and the
-                # exception being delivered — clear the still-pending
-                # injection so it cannot surface in unrelated code
-                self._clear_pending()
-        except ItemTimeout:
-            # the injection landed mid-disarm (async exceptions surface
-            # at any bytecode boundary): it is consumed here; finish the
-            # bookkeeping so nothing further can fire
-            with _WATCHDOG_LOCK:
-                if _WATCHDOG_GENERATION.get(self._tid) == self._generation:
-                    _WATCHDOG_GENERATION[self._tid] = self._generation + 1
-            self._clear_pending()
-
-
-def _thread_timeout_guard(timeout_s: float):
-    """Watchdog-timer guard for non-main threads and non-POSIX hosts.
-
-    Returns a race-free disarm callable (see :class:`_ThreadWatchdog`).
-    When ``PyThreadState_SetAsyncExc`` is missing (non-CPython
-    runtimes) the guard warns explicitly instead of silently dropping
-    the budget.
-    """
-    try:
-        import ctypes
-
-        set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
-    except (ImportError, AttributeError):
-        warnings.warn(
-            f"timeout_s={timeout_s:g} cannot be enforced in this thread: "
-            "no SIGALRM (non-main thread or platform) and no "
-            "PyThreadState_SetAsyncExc — the budget is not applied",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-        return lambda: None
-
-    return _ThreadWatchdog(timeout_s, set_async_exc).disarm
-
-
 def _disarm_quietly(disarm: Callable[[], None]) -> None:
     """Disarm a timeout guard, absorbing a timeout that fires in the
     completion window.
 
-    Both guards can deliver :class:`ItemTimeout` *during* disarm (a
-    pending ``SIGALRM`` handler, or an async injection surfacing at a
-    bytecode boundary inside the disarm body).  The item is already
-    finished by then, so the stray exception must end here — letting it
-    propagate would abort an inline batch or fail the worker's *next*
-    item.
+    A ``SIGALRM`` handler that is already pending can raise
+    :class:`ItemTimeout` *during* disarm.  The item is already finished
+    by then, so the stray exception must end here — letting it propagate
+    would abort an inline batch or fail the worker's *next* item.
     """
     try:
         disarm()
     except ItemTimeout:
         pass
-
-
-def _timeout_guard(timeout_s: Optional[float]):
-    """Arm a wall-clock guard for one job; returns a disarm callable.
-
-    On the main thread of a POSIX process (the ``jobs > 1`` worker
-    case) the guard uses ``SIGALRM``/``setitimer``, which interrupts
-    even blocking C calls.  Off the main thread — e.g. ``run_many``
-    invoked from a service executor or any user thread — or where
-    ``SIGALRM`` does not exist, it falls back to a watchdog timer that
-    raises :class:`ItemTimeout` in the working thread.  The caller must
-    invoke the returned disarm callable in a ``finally`` block.
-    """
-    if not timeout_s:
-        return lambda: None
-    if (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    ):
-        disarm = _sigalrm_guard(timeout_s)
-        if disarm is not None:
-            return disarm
-    return _thread_timeout_guard(timeout_s)
 
 
 def materialize(kind: str, payload) -> LogicNetwork:
@@ -455,12 +323,17 @@ def execute_one(
     :class:`Outcome` error instead of raising, so one bad circuit cannot
     take down a batch or a service worker; KeyboardInterrupt and other
     non-``Exception`` exits still propagate so an inline batch can
-    actually be aborted.
+    actually be aborted.  ``timeout_s`` is checked and armed inside
+    the isolation: a bad budget, or one this thread cannot arm, is the
+    item's failure, and the flow never runs unguarded.
     """
     start = time.perf_counter()
+    disarm = None
     try:
-        disarm = _timeout_guard(timeout_s)
         try:
+            check_timeout(timeout_s)
+            if timeout_s is not None:
+                disarm = _timeout_guard(timeout_s)
             network = materialize(kind, payload)
             from repro.core.pipeline import Pipeline
 
@@ -480,9 +353,10 @@ def execute_one(
                 error=f"{detail}\n{tb}", runtime_s=time.perf_counter() - start
             )
         finally:
-            _disarm_quietly(disarm)
+            if disarm is not None:
+                _disarm_quietly(disarm)
     except ItemTimeout as exc:
-        # async delivery can land on the handful of bytecodes between
+        # the SIGALRM handler can run on the handful of bytecodes between
         # the inner handlers and _disarm_quietly's guarded region; the
         # item effectively hit its budget, so record the normal timeout
         # failure instead of letting the stray exception abort the batch
@@ -569,7 +443,9 @@ def run_many(
         overrides ``config``.
     jobs:
         Worker processes.  ``1`` runs inline in this process (still
-        with error isolation); ``>1`` uses a ``ProcessPoolExecutor``.
+        with error isolation) unless the calling thread cannot arm
+        ``timeout_s``; ``>1``, or such a budget, uses a
+        ``ProcessPoolExecutor`` of ``min(jobs, circuits)`` workers.
     per_circuit_seeds:
         Re-seed each circuit with ``derive_seed(config.seed, name)`` so
         batch members decorrelate; off by default so a batch matches a
@@ -593,12 +469,10 @@ def run_many(
     timeout_s:
         Per-circuit wall-clock budget; a circuit that exceeds it
         becomes a failed :class:`BatchItem` instead of stalling the
-        batch.  Enforced with ``SIGALRM`` on the main thread of a POSIX
-        process (worker processes included) and with a watchdog timer
-        raising in the working thread everywhere else, so the budget
-        holds when ``run_many`` is driven from a service thread; where
-        neither mechanism exists an explicit ``RuntimeWarning`` is
-        emitted.
+        batch.  Enforced everywhere by ``SIGALRM`` on the main thread
+        of the process running the circuit: this one inline, a pool
+        worker's otherwise.  Without ``SIGALRM`` (a non-POSIX host)
+        each budgeted circuit fails with an error naming it.
     stage_jobs:
         Accepted and ignored, like ``FlowConfig.stage_jobs``: each
         flow runs its stages on one thread, and ``jobs`` is the only
@@ -650,7 +524,12 @@ def run_many(
         item.cached = outcome.cached
         notify_progress(progress, done, total, item)
 
-    if jobs == 1 or total <= 1:
+    inline = jobs == 1 or total <= 1
+    if timeout_s is not None and not _can_arm_alarm():
+        # this thread cannot arm SIGALRM; pool workers' main threads can
+        # (an empty batch needs neither)
+        inline = total == 0
+    if inline:
         for done, (index, call) in enumerate(calls, start=1):
             finish(index, call(), done)
     else:

@@ -153,11 +153,6 @@ class CostModelData:
                     overlap[b, a] = o
         return cls(outputs=outputs, sizes=sizes, overlap=overlap)
 
-    def index_of(self, po: str) -> int:
-        try:
-            return self.outputs.index(po)
-        except ValueError:
-            raise PhaseError(f"unknown output {po!r}") from None
 
 
 def cost_matrices(

@@ -158,9 +158,6 @@ class PipelineResult:
     def stage_names(self) -> List[str]:
         return [s.name for s in self.stages]
 
-    @property
-    def total_runtime_s(self) -> float:
-        return sum(s.runtime_s for s in self.stages)
 
 
 # ----------------------------------------------------------------------

@@ -159,11 +159,6 @@ class MappedDesign:
         """The tables' integer "Size" column: equivalent standard cells."""
         return int(round(self.cell_area()))
 
-    def node_capacitance(self, name: str) -> float:
-        """Switched output capacitance of a cell, including sizing."""
-        cell = self.cells[name]
-        return cell.output_cap * self.size_factors[name]
-
     def counts_by_cell(self) -> Dict[str, int]:
         hist: Dict[str, int] = {}
         for cell in self.cells.values():

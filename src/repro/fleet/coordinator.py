@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import FleetError, ProtocolError
-from repro.core.batch import Outcome
+from repro.core.batch import Outcome, check_timeout
 from repro.core.config import FlowConfig
 from repro.fleet.protocol import (
     Goodbye,
@@ -274,6 +274,7 @@ class Coordinator:
         """Queue one wire-encoded work payload; returns the fleet job id."""
         if self.state != "running":
             raise FleetError(f"coordinator is {self.state}; submissions are closed")
+        check_timeout(timeout_s, FleetError)
         job = FleetJob(
             job_id=f"fleet-{next(self._ids)}",
             name=name,

@@ -18,7 +18,7 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import NetworkError
 
@@ -438,21 +438,6 @@ class LogicNetwork:
     # ------------------------------------------------------------------
     # Editing helpers
     # ------------------------------------------------------------------
-    def remove_node(self, name: str) -> None:
-        """Remove a node that has no remaining fanouts."""
-        fanouts = self.fanout_map()
-        if fanouts[name]:
-            raise NetworkError(f"cannot remove node {name!r}: still has fanouts {fanouts[name]}")
-        if any(driver == name for _, driver in self.outputs):
-            raise NetworkError(f"cannot remove node {name!r}: drives a primary output")
-        if name in self.inputs:
-            self.inputs.remove(name)
-        del self.nodes[name]
-
-    def replace_fanin(self, node_name: str, old: str, new: str) -> None:
-        node = self.node(node_name)
-        node.fanins = [new if fi == old else fi for fi in node.fanins]
-
     def fresh_name(self, base: str) -> str:
         """Return a node name not yet in use, derived from ``base``."""
         if base not in self.nodes:
@@ -538,27 +523,3 @@ class LogicNetwork:
             f"{s['latches']} latches, {s['gates']} gates>"
         )
 
-
-def network_from_functions(
-    n_inputs: int,
-    functions: Mapping[str, Callable[[Sequence[bool]], bool]],
-    name: str = "truth",
-) -> Tuple[LogicNetwork, List[str]]:
-    """Build a trivial SOP network from python callables (testing helper).
-
-    Each function receives the tuple of input booleans.  Returns the
-    network and the list of input names ``x0..x{n-1}``.
-    """
-    net = LogicNetwork(name)
-    input_names = [f"x{i}" for i in range(n_inputs)]
-    for nm in input_names:
-        net.add_input(nm)
-    for out_name, fn in functions.items():
-        cubes = []
-        for bits in itertools.product([False, True], repeat=n_inputs):
-            if fn(bits):
-                cubes.append("".join("1" if b else "0" for b in bits))
-        cover = SopCover(cubes=cubes, output_value="1")
-        net.add_gate(out_name, GateType.SOP, input_names, cover=cover)
-        net.add_output(out_name)
-    return net, input_names

@@ -168,8 +168,3 @@ def check_inverter_free(network: LogicNetwork) -> List[str]:
         if not node.gate_type.is_monotone:
             offenders.append(node.name)
     return offenders
-
-
-def count_literals(network: LogicNetwork) -> int:
-    """Total fanin count over all gates — a crude area proxy."""
-    return sum(len(n.fanins) for n in network.gates)

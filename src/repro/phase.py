@@ -175,10 +175,6 @@ class PhaseAssignment(Mapping[str, Phase]):
         bits = self._bits
         return [po for i, po in enumerate(self._outputs) if bits >> i & 1]
 
-    def positive_outputs(self) -> List[str]:
-        bits = self._bits
-        return [po for i, po in enumerate(self._outputs) if not bits >> i & 1]
-
     def as_bits(self, outputs: Sequence[str]) -> int:
         """Encode to a bitmask over the given output ordering (the
         stored int itself when that is this assignment's own order)."""

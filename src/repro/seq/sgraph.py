@@ -108,55 +108,6 @@ class SGraph:
                 g.add_edge(u, v)
         return g
 
-    def strongly_connected_components(self) -> List[List[str]]:
-        """Tarjan's SCC (iterative), in reverse topological order."""
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        result: List[List[str]] = []
-        counter = [0]
-
-        for root in self.succ:
-            if root in index:
-                continue
-            work: List[Tuple[str, Optional[str], Iterable[str]]] = [
-                (root, None, iter(self.succ[root]))
-            ]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                v, parent, it = work[-1]
-                advanced = False
-                for w in it:
-                    if w not in index:
-                        index[w] = low[w] = counter[0]
-                        counter[0] += 1
-                        stack.append(w)
-                        on_stack.add(w)
-                        work.append((w, v, iter(self.succ[w])))
-                        advanced = True
-                        break
-                    if w in on_stack:
-                        low[v] = min(low[v], index[w])
-                if advanced:
-                    continue
-                work.pop()
-                if parent is not None:
-                    low[parent] = min(low[parent], low[v])
-                if low[v] == index[v]:
-                    comp: List[str] = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    result.append(comp)
-        return result
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<SGraph {self.n_vertices} vertices, {self.n_edges} edges>"
 

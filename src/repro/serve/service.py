@@ -309,13 +309,6 @@ class Service:
         """The execution backend jobs run on."""
         return self._backend
 
-    @property
-    def _pool(self) -> Optional[ProcessPoolExecutor]:
-        """The local backend's process pool (``None`` once shut down or
-        when a non-local backend executes jobs) — kept as a stable
-        inspection point for tests and debuggers."""
-        return getattr(self._backend, "_pool", None)
-
     # ------------------------------------------------------------------
     # lifecycle
 

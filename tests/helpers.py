@@ -36,6 +36,23 @@ from repro.power.probability import random_source_batch
 from repro.power.simulator import SimulatedPower
 
 
+def hang_prepare(monkeypatch, block) -> None:
+    """Patch the flow so the circuit named ``"hang"`` calls ``block()``
+    before its prepare stage.  Pool workers started afterwards fork with
+    the patch in place."""
+    from repro.core import pipeline as pipeline_mod
+
+    real_prepare = pipeline_mod._stage_prepare
+
+    def slow_prepare(ctx):
+        if ctx.network.name == "hang":
+            block()
+        return real_prepare(ctx)
+
+    monkeypatch.setattr(pipeline_mod, "_stage_prepare", slow_prepare)
+    monkeypatch.setitem(pipeline_mod._STAGE_TABLE, "prepare", (slow_prepare, "aoi"))
+
+
 def all_input_vectors(names):
     """All boolean assignments over the given input names."""
     for bits in itertools.product([False, True], repeat=len(names)):

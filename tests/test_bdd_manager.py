@@ -144,18 +144,6 @@ class TestAnalysis:
     def test_dag_size_of_terminals(self, mgr):
         assert mgr.dag_size([ZERO, ONE]) == 0
 
-    def test_support(self, mgr):
-        f = mgr.apply_and(mgr.var("a"), mgr.var("c"))
-        assert mgr.support_of(f) == {"a", "c"}
-
-    def test_count_minterms(self, mgr):
-        f = mgr.apply_or(mgr.var("a"), mgr.var("b"))
-        # Over 3 variables: OR of two vars has 6 of 8 minterms.
-        assert mgr.count_minterms(f) == 6
-
-    def test_count_minterms_custom_width(self, mgr):
-        f = mgr.var("a")
-        assert mgr.count_minterms(f, n_vars=1) == 1
 
 
 class TestBudget:

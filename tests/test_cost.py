@@ -66,12 +66,6 @@ class TestCostModelData:
         assert data.overlap[1, 0] == pytest.approx(0.25)
         assert data.overlap[0, 0] == 0.0
 
-    def test_index_of(self, simple_and_or):
-        data = CostModelData.from_network(simple_and_or)
-        assert data.index_of("y") == 1
-        with pytest.raises(PhaseError):
-            data.index_of("zzz")
-
 
 def reference_cost_arrays(network: LogicNetwork) -> Tuple[np.ndarray, np.ndarray]:
     """``sizes`` and ``overlap`` from the set definition: each output's

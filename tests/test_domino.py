@@ -144,14 +144,6 @@ class TestMapping:
         design.size_factors[next(iter(design.cells))] = 3.0
         assert design.standard_cell_count() == base + 2
 
-    def test_node_capacitance_scales(self, fig3_aoi):
-        a = PhaseAssignment({"f": Phase.NEGATIVE, "g": Phase.POSITIVE})
-        design = map_implementation(phase_transform(fig3_aoi, a))
-        name = next(iter(design.cells))
-        c1 = design.node_capacitance(name)
-        design.size_factors[name] = 2.0
-        assert design.node_capacitance(name) == pytest.approx(2 * c1)
-
 
 class TestMappedPower:
     def test_power_breakdown_keys(self, fig3_aoi):

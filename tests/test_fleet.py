@@ -455,6 +455,16 @@ class TestSupervision:
 
         run(body())
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), 1e12, float("inf")])
+    def test_submit_rejects_an_unarmable_budget(self, bad):
+        async def body():
+            async with Coordinator(port=0) as coord:
+                with pytest.raises(FleetError, match="timeout_s"):
+                    await coord.submit(dict(FAKE_WORK), FAST, timeout_s=bad)
+                assert coord.jobs == {}
+
+        run(body())
+
     def test_worker_handback_carries_no_retry_penalty(self):
         async def body():
             async with Coordinator(port=0, heartbeat_interval_s=0.5,

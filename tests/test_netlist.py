@@ -8,7 +8,6 @@ from repro.network.netlist import (
     LogicNetwork,
     Node,
     SopCover,
-    network_from_functions,
 )
 
 from helpers import all_input_vectors
@@ -299,25 +298,6 @@ class TestTopology:
 
 
 class TestEditing:
-    def test_remove_node_requires_no_fanouts(self, simple_and_or):
-        with pytest.raises(NetworkError):
-            simple_and_or.remove_node("ab")
-
-    def test_remove_free_node(self):
-        net = LogicNetwork()
-        net.add_input("a")
-        net.add_gate("g", GateType.BUF, ["a"])
-        net.remove_node("g")
-        assert "g" not in net.nodes
-
-    def test_remove_po_driver_rejected(self, simple_and_or):
-        with pytest.raises(NetworkError):
-            simple_and_or.remove_node("y")
-
-    def test_replace_fanin(self, simple_and_or):
-        simple_and_or.replace_fanin("x", "c", "a")
-        assert simple_and_or.nodes["x"].fanins == ["ab", "a"]
-
     def test_fresh_name_avoids_collisions(self, simple_and_or):
         name1 = simple_and_or.fresh_name("ab")
         assert name1 != "ab"
@@ -349,19 +329,3 @@ class TestStats:
     def test_sources_includes_latches(self, fig7):
         sources = set(fig7.sources())
         assert {"a", "b", "c", "l0", "l1"} <= sources
-
-
-class TestNetworkFromFunctions:
-    def test_truth_table_network(self):
-        net, inputs = network_from_functions(
-            2, {"xor": lambda v: v[0] ^ v[1], "and": lambda v: v[0] and v[1]}
-        )
-        for vec in all_input_vectors(inputs):
-            out = net.evaluate_outputs(vec)
-            assert out["xor"] == (vec["x0"] ^ vec["x1"])
-            assert out["and"] == (vec["x0"] and vec["x1"])
-
-    def test_constant_false_function(self):
-        net, inputs = network_from_functions(2, {"zero": lambda v: False})
-        for vec in all_input_vectors(inputs):
-            assert net.evaluate_outputs(vec)["zero"] is False

@@ -94,7 +94,6 @@ class TestPhaseAssignment:
     def test_positive_negative_lists(self):
         a = PhaseAssignment.from_bits(["f", "g", "h"], 0b010)
         assert a.negative_outputs() == ["g"]
-        assert a.positive_outputs() == ["f", "h"]
 
     def test_len_and_iter(self):
         a = PhaseAssignment.all_positive(["f", "g"])
@@ -136,7 +135,6 @@ def _check_against_model(a, model, order):
     assert len(a) == len(model)
     assert dict(a.items()) == model
     assert a.negative_outputs() == [po for po, ph in model.items() if ph is Phase.NEGATIVE]
-    assert a.positive_outputs() == [po for po, ph in model.items() if ph is Phase.POSITIVE]
     assert a.as_bits(list(model)) == _bits_over(model, list(model))
     assert a.as_bits(order) == _bits_over(model, order)
     for po in model:

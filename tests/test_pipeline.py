@@ -60,7 +60,6 @@ class TestStageOrdering:
         assert result.stage("prepare").output is result.context.aoi
         assert result.stage("evaluator").output is result.context.evaluator
         assert result.stage("measure").output is result.flow
-        assert result.total_runtime_s >= 0.0
 
     def test_unknown_stage_accessor(self, tiny, fast_config):
         result = Pipeline(fast_config).run(tiny)

@@ -53,12 +53,6 @@ class TestSGraph:
         assert sub.n_vertices == 2
         assert sub.is_acyclic()
 
-    def test_scc(self):
-        g = sgraph_from_edges([("a", "b"), ("b", "a"), ("b", "c"), ("c", "d"), ("d", "c")])
-        comps = {frozenset(c) for c in g.strongly_connected_components()}
-        assert frozenset({"a", "b"}) in comps
-        assert frozenset({"c", "d"}) in comps
-
     def test_copy_independent(self):
         g = sgraph_from_edges([("a", "b")])
         h = g.copy()

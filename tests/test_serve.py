@@ -3,8 +3,11 @@ result / cancel / shutdown), bounded-queue backpressure, store-backed
 instant hits, event streams, and error isolation."""
 
 import asyncio
+import time
 
 import pytest
+
+from helpers import hang_prepare
 
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
@@ -80,7 +83,7 @@ class TestLifecycle:
             svc = Service(FAST, jobs=1, queue_size=2)
             await svc.start()
             await svc.shutdown()
-            assert svc.state == "closed" and svc._pool is None
+            assert svc.state == "closed" and svc.backend._pool is None
             with pytest.raises(ServiceClosedError):
                 await svc.submit(tiny_network())
 
@@ -216,7 +219,7 @@ class TestShutdown:
                 for name, seed in (("a", 3), ("b", 5), ("c", 7))
             ]
             await svc.shutdown(drain=True)
-            assert svc.state == "closed" and svc._pool is None
+            assert svc.state == "closed" and svc.backend._pool is None
             assert all(svc.job(i).ok for i in ids)
 
         run(body())
@@ -230,7 +233,7 @@ class TestShutdown:
                 for name, seed in (("a", 3), ("b", 5), ("c", 7))
             ]
             await svc.shutdown(drain=False)
-            assert svc.state == "closed" and svc._pool is None
+            assert svc.state == "closed" and svc.backend._pool is None
             states = [svc.job(i).state for i in ids]
             # whatever was already in flight finished; the rest were
             # cancelled without running
@@ -337,6 +340,31 @@ class TestProgress:
 
         run(body())
         assert seen == [(1, 1), (2, 2), (3, 3), (4, 4)]
+
+
+class TestTimeouts:
+    def test_timed_out_job_leaves_its_worker_clean(self, monkeypatch):
+        """The budget fires on the pool worker's main thread; the same
+        worker then runs the next job with no alarm left armed."""
+        hang_prepare(monkeypatch, lambda: time.sleep(30))
+
+        async def body():
+            async with Service(FAST, jobs=1, queue_size=4, timeout_s=0.5) as svc:
+                hung = await svc.result(
+                    await svc.submit(tiny_network("hang", 3)), timeout=60
+                )
+                workers = set(svc.backend._pool._processes)
+                fine = await svc.result(
+                    await svc.submit(tiny_network("fine", 5)), timeout=60
+                )
+                assert hung.state == "failed" and "timeout_s=0.5" in hung.error
+                assert fine.state == "done" and fine.ok
+                assert len(workers) == 1
+                assert set(svc.backend._pool._processes) == workers
+
+        started = time.perf_counter()
+        run(body())
+        assert time.perf_counter() - started < 20
 
 
 class TestReviewRegressions:

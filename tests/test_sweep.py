@@ -6,10 +6,16 @@ import time
 
 import pytest
 
+from helpers import hang_prepare
+
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
+from repro.core import batch as batch_mod
 from repro.core.batch import (
-    _sigalrm_guard,
+    ItemTimeout,
+    _disarm_quietly,
+    _timeout_guard,
+    execute_one,
     expand_grid,
     format_sweep,
     predicted_cost,
@@ -204,23 +210,11 @@ class TestTimeouts:
         # a SIGALRM guard that fails to arm leaves the old handler in place
         before = signal.getsignal(signal.SIGALRM)
         with pytest.raises(OverflowError):
-            _sigalrm_guard(float("inf"))
+            _timeout_guard(float("inf"))
         assert signal.getsignal(signal.SIGALRM) is before
 
     def test_hung_item_fails_instead_of_stalling(self, monkeypatch):
-        from repro.core import pipeline as pipeline_mod
-
-        real_prepare = pipeline_mod._stage_prepare
-
-        def slow_prepare(ctx):
-            if ctx.network.name == "hang":
-                time.sleep(30)
-            return real_prepare(ctx)
-
-        monkeypatch.setattr(pipeline_mod, "_stage_prepare", slow_prepare)
-        monkeypatch.setitem(
-            pipeline_mod._STAGE_TABLE, "prepare", (slow_prepare, "aoi")
-        )
+        hang_prepare(monkeypatch, lambda: time.sleep(30))
         started = time.perf_counter()
         batch = run_many(
             [tiny_network("hang", 3), tiny_network("fine", 5)], FAST, timeout_s=0.5
@@ -230,14 +224,66 @@ class TestTimeouts:
         assert not hang.ok and "timeout_s" in hang.error
         assert fine.ok
 
+    def test_hung_item_times_out_inside_a_pool_worker(self, monkeypatch):
+        hang_prepare(monkeypatch, lambda: time.sleep(30))
+        started = time.perf_counter()
+        batch = run_many(
+            [tiny_network("hang", 3), tiny_network("fine", 5)],
+            FAST,
+            jobs=2,
+            timeout_s=0.5,
+        )
+        assert time.perf_counter() - started < 20
+        hang, fine = batch.items
+        assert not hang.ok and "timeout_s=0.5" in hang.error
+        assert fine.ok
+
     def test_fast_items_unaffected_by_timeout(self):
         batch = run_many([tiny_network()], FAST, timeout_s=60.0)
         assert batch.n_ok == 1
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), 1e12, float("inf")])
+    def test_execute_one_turns_a_bad_budget_into_the_item_error(self, bad):
+        before = signal.getsignal(signal.SIGALRM)
+        outcome = execute_one("network", tiny_network(), FAST, timeout_s=bad)
+        assert not outcome.ok and outcome.result is None
+        # refused before arming, not a timeout that fired at once
+        assert "timeout_s must be in" in outcome.error.splitlines()[0]
+        assert signal.getsignal(signal.SIGALRM) is before
+
+    def test_escape_past_disarm_becomes_the_item_error(self, monkeypatch):
+        """A SIGALRM handler can run on the few bytecodes between
+        execute_one's inner handlers and _disarm_quietly's guarded
+        region; the outer boundary must turn that into the item's normal
+        timeout failure instead of letting it abort the batch (or poison
+        the worker)."""
+        real_disarm_quietly = batch_mod._disarm_quietly
+
+        def late_delivery(disarm):
+            real_disarm_quietly(disarm)  # guard properly stood down...
+            raise ItemTimeout("fired in the completion window")
+
+        monkeypatch.setattr(batch_mod, "_disarm_quietly", late_delivery)
+        outcome = execute_one("network", tiny_network(), FAST, timeout_s=600.0)
+        assert outcome.result is None and not outcome.cached
+        assert "ItemTimeout" in outcome.error and "completion window" in outcome.error
+        assert outcome.runtime_s >= 0.0
+
+    def test_disarm_quietly_absorbs_a_late_timeout(self):
+        calls = []
+
+        def exploding_disarm():
+            calls.append(True)
+            raise ItemTimeout("fired in the completion window")
+
+        _disarm_quietly(exploding_disarm)
+        assert len(calls) == 1
+
 
 class TestTimeoutsOffMainThread:
-    """The per-item budget must hold where a service runs jobs: off the
-    main thread (no SIGALRM) the watchdog guard takes over."""
+    """Only a main thread can arm SIGALRM, so a budgeted batch started
+    from any other thread runs on pool workers, whose main threads arm
+    it.  The stage patches reach those workers because they fork."""
 
     @staticmethod
     def _run_in_thread(fn):
@@ -259,41 +305,13 @@ class TestTimeoutsOffMainThread:
             raise box["error"]
         return box["value"]
 
-    def test_guard_interrupts_pure_python_loop_in_thread(self):
-        from repro.core.batch import ItemTimeout, _timeout_guard
-
-        def body():
-            disarm = _timeout_guard(0.2)
-            try:
-                deadline = time.perf_counter() + 30.0
-                while time.perf_counter() < deadline:
-                    pass
-                return "ran to completion"
-            except ItemTimeout:
-                return "interrupted"
-            finally:
-                disarm()
-
-        started = time.perf_counter()
-        assert self._run_in_thread(body) == "interrupted"
-        assert time.perf_counter() - started < 20
-
     def test_run_many_timeout_enforced_from_non_main_thread(self, monkeypatch):
-        from repro.core import pipeline as pipeline_mod
+        def spin():
+            deadline = time.perf_counter() + 30.0
+            while time.perf_counter() < deadline:
+                pass
 
-        real_prepare = pipeline_mod._stage_prepare
-
-        def busy_prepare(ctx):
-            if ctx.network.name == "hang":
-                deadline = time.perf_counter() + 30.0
-                while time.perf_counter() < deadline:  # interruptible spin
-                    pass
-            return real_prepare(ctx)
-
-        monkeypatch.setattr(pipeline_mod, "_stage_prepare", busy_prepare)
-        monkeypatch.setitem(
-            pipeline_mod._STAGE_TABLE, "prepare", (busy_prepare, "aoi")
-        )
+        hang_prepare(monkeypatch, spin)
         started = time.perf_counter()
         batch = self._run_in_thread(
             lambda: run_many(
@@ -307,20 +325,37 @@ class TestTimeoutsOffMainThread:
         assert not hang.ok and "timeout_s" in hang.error
         assert fine.ok
 
+    def test_blocked_stage_times_out_from_non_main_thread(self, monkeypatch):
+        """A stage blocked in a C call: only SIGALRM interrupts it."""
+        hang_prepare(monkeypatch, lambda: time.sleep(30))
+        started = time.perf_counter()
+        batch = self._run_in_thread(
+            lambda: run_many([tiny_network("hang", 3)], FAST, timeout_s=0.5)
+        )
+        assert time.perf_counter() - started < 5
+        (hang,) = batch.items
+        assert not hang.ok and "timeout_s=0.5" in hang.error
+
     def test_fast_items_unaffected_from_non_main_thread(self):
         batch = self._run_in_thread(
             lambda: run_many([tiny_network()], FAST, timeout_s=60.0)
         )
         assert batch.n_ok == 1
 
-    def test_explicit_warning_when_unenforceable(self, monkeypatch):
-        """When neither SIGALRM nor the CPython async-exc hook exists,
-        the budget is dropped loudly, not silently."""
-        import sys
+    def test_empty_batch_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an empty batch started a pool")
 
-        from repro.core import batch as batch_mod
+        monkeypatch.setattr(batch_mod, "process_pool", no_pool)
+        batch = self._run_in_thread(lambda: run_many([], FAST, timeout_s=0.5))
+        assert batch.items == [] and batch.n_failed == 0
 
-        monkeypatch.setitem(sys.modules, "ctypes", None)  # import -> ImportError
-        with pytest.warns(RuntimeWarning, match="cannot be enforced"):
-            disarm = batch_mod._thread_timeout_guard(0.5)
-        disarm()  # the no-op guard must still disarm cleanly
+    def test_execute_one_cannot_arm_off_the_main_thread(self):
+        """No fallback guard: the budget is refused, the flow not run."""
+        before = signal.getsignal(signal.SIGALRM)
+        outcome = self._run_in_thread(
+            lambda: execute_one("network", tiny_network(), FAST, timeout_s=0.5)
+        )
+        assert not outcome.ok and outcome.result is None
+        assert "SIGALRM" in outcome.error.splitlines()[0]
+        assert signal.getsignal(signal.SIGALRM) is before

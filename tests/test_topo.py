@@ -14,7 +14,6 @@ from repro.network.ops import cleanup, to_aoi
 from repro.network.topo import (
     check_inverter_free,
     cone_overlap,
-    count_literals,
     depth,
     fanout_cone_sizes,
     levels,
@@ -197,9 +196,3 @@ class TestInverterFree:
         net.add_gate("g", GateType.AND, ["a", "b"])
         net.add_output("g")
         assert check_inverter_free(net) == []
-
-
-class TestLiterals:
-    def test_count_literals(self, simple_and_or):
-        # ab: 2, x: 2, y: 1
-        assert count_literals(simple_and_or) == 5
