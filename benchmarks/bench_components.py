@@ -4,14 +4,20 @@ Not a paper experiment — tracks the throughput of the pieces the
 iterative Figure 6 loop depends on: BDD construction, probability
 evaluation, the phase transform, the evaluator build and its packed
 power queries (random access and the hill climb's one-flip pattern),
-one whole minimum-area hill climb, one pairwise pair pick, one whole
-pairwise MP search, and the Monte-Carlo power simulation of an
-unmapped block over packed words.
+one whole minimum-area hill climb, the pairwise loop's per-commit pair
+ranking and one step of its pair walk (``pairwise_walk_rank`` and
+``pairwise_walk_pick`` on x3), one whole pairwise MP search, and the
+Monte-Carlo power simulation of an unmapped block over packed words.
 Also the unit-delay glitch report and the Property 2.2 check, the
 two-level minimisation every BLIF input goes through (an
-already-minimum cover and a wide one), the transform and mapping, the
+already-minimum cover and a wide one), the transform and mapping of
+one variant (``transform_small`` and ``transform_large56``), the
 timing-repair loop and the power measurement of one small mapped
 design, and one structural validation of a 56-output network.
+
+``pairwise_step`` in ``BENCH_components.json`` timed the flat
+``argmin`` over the whole cost stack that the pair walk replaced; its
+entries stay as history, and no bench records it any more.
 """
 
 import itertools
@@ -25,7 +31,7 @@ from conftest import mean_seconds, record_bench
 from repro.bdd.builder import build_node_bdds
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
-from repro.core.cost import CostModelData, best_pair_and_combo, masked_cost_stack
+from repro.core.cost import CostModelData, PairWalk, best_pair_and_combo
 from repro.core.min_area import minimize_area
 from repro.domino.mapper import map_implementation, simulate_mapped_power
 from repro.domino.timing import default_timing_target, resize_to_meet_timing
@@ -166,21 +172,58 @@ def bench_hill_climb_large(benchmark, large56_evaluator):
     assert result.method == "hill-climb" and result.evaluations > 0
 
 
-@pytest.mark.benchmark(group="kernels")
-def bench_pairwise_step(benchmark):
-    """One Section 4.1 pair pick over a prebuilt cost stack on x3."""
+@pytest.fixture(scope="module")
+def x3_pair_costs():
+    """x3's Section 4.1 cost data and its A_k under the all-positive
+    assignment."""
     network = cleanup(to_aoi(spec_by_name("x3").build()))
     evaluator = PhaseEvaluator(network, method="bdd")
-    data = CostModelData.from_network(network)
     start = PhaseAssignment.all_positive(evaluator.outputs)
     avg = np.array(
         [evaluator.average_cone_probability(start, po) for po in evaluator.outputs]
     )
+    return CostModelData.from_network(network), avg
+
+
+def _all_pairs(data):
     n = len(data.outputs)
-    remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
-    stack = masked_cost_stack(data, avg, remaining)
-    i, j, _combo, cost = benchmark(best_pair_and_combo, data, avg, remaining, stack)
-    _record_kernel(benchmark, "pairwise_step", outputs=n)
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_pairwise_walk_rank(benchmark, x3_pair_costs):
+    """The pairwise loop's ranking after a commit, on x3 (99 outputs,
+    4,851 pairs): a new walk's cost stack and finite entries, and the
+    first chunk its first pick ranks."""
+    data, avg = x3_pair_costs
+
+    def fresh_mask():
+        return (_all_pairs(data),), {}
+
+    def run(remaining):
+        return best_pair_and_combo(data, avg, remaining, PairWalk(data, avg, remaining))
+
+    i, j, _combo, cost = benchmark.pedantic(run, setup=fresh_mask, rounds=200)
+    _record_kernel(benchmark, "pairwise_walk_rank", outputs=len(data.outputs))
+    assert i < j and np.isfinite(cost)
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_pairwise_walk_pick(benchmark, x3_pair_costs):
+    """One step of the pairwise loop's pair walk on x3, on a walk whose
+    first chunk is ranked: the pointer step and the pair's retirement."""
+    data, avg = x3_pair_costs
+
+    def ranked_walk():
+        walk = PairWalk(data, avg, _all_pairs(data))
+        best_pair_and_combo(data, avg, walk.remaining, walk)
+        return (walk,), {}
+
+    def run(walk):
+        return best_pair_and_combo(data, avg, walk.remaining, walk)
+
+    i, j, _combo, cost = benchmark.pedantic(run, setup=ranked_walk, rounds=500)
+    _record_kernel(benchmark, "pairwise_walk_pick", outputs=len(data.outputs))
     assert i < j and np.isfinite(cost)
 
 
@@ -303,6 +346,21 @@ def bench_transform_small(benchmark, small_aoi):
 
     design = benchmark(run)
     _record_kernel(benchmark, "transform_small", cells=design.n_cells)
+    assert design.n_cells > 0
+
+
+@pytest.mark.benchmark(group="kernels")
+def bench_transform_large56(benchmark, large56_aoi, large56_evaluator):
+    """The flow's ``transform_map`` of one variant of the 56-output
+    generated circuit, as ``transform_small`` does it."""
+    space = large56_evaluator.space
+    assignment = PhaseAssignment.random(large56_aoi.output_names(), seed=1)
+
+    def run():
+        return map_implementation(phase_transform(large56_aoi, assignment, space))
+
+    design = benchmark(run)
+    _record_kernel(benchmark, "transform_large56", cells=design.n_cells)
     assert design.n_cells > 0
 
 

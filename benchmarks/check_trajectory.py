@@ -14,10 +14,19 @@ ratcheting the baseline.
 A series regresses when ``newest > best_prior * (1 + threshold)`` for
 its timing metric (``wall_s``, else ``mean_s``; series without a
 timing metric are skipped — quality metrics like ``avg_power`` have
-their own asserts inside the benches).  Any regression exits 1 with a
-per-series report; missing, unreadable, or hand-mangled trajectory
-files are reported and skipped, never fatal — a broken file should
-fail the bench that writes it, not the gate that reads it.
+their own asserts inside the benches).
+
+The benches also record exact work counters (:data:`COUNTERS`: the
+evaluation counts of the searches, the cell counts of mapped designs).
+They are deterministic, so they carry no noise: a series whose newest
+entry records a counter different from its previous entry's is a
+behaviour change, whatever the threshold, and so is checked in every
+series that records one, timing metric or not.
+
+Any regression or behaviour change exits 1 with a per-series report;
+missing, unreadable, or hand-mangled trajectory files are reported and
+skipped, never fatal — a broken file should fail the bench that writes
+it, not the gate that reads it.
 
 Usage::
 
@@ -36,6 +45,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Timing metrics, in preference order; the first one present is used.
 METRICS = ("wall_s", "mean_s")
+
+#: Exact counters: any change from the previous entry is a behaviour change.
+COUNTERS = ("evaluations", "avg_evals", "cells")
 
 #: Default allowed slowdown vs the best prior run (15%).
 DEFAULT_THRESHOLD = 0.15
@@ -75,12 +87,34 @@ def load_entries(path: Path) -> Optional[List[Dict[str, Any]]]:
     return [e for e in entries if isinstance(e, dict)]
 
 
-def check_file(path: Path, threshold: float) -> Tuple[List[str], int]:
-    """``(regression report lines, series checked)`` for one trajectory."""
+def counter_changes(path: Path, entries: List[Dict[str, Any]]) -> List[str]:
+    """Report lines for every series whose newest entry records a
+    :data:`COUNTERS` value different from its previous entry's."""
+    by_series: Dict[SeriesKey, List[Dict[str, Any]]] = {}
+    for entry in entries:
+        by_series.setdefault(series_key(entry), []).append(entry)
+    changes: List[str] = []
+    for key, series in sorted(by_series.items()):
+        if len(series) < 2:
+            continue
+        previous, newest = series[-2], series[-1]
+        for counter in COUNTERS:
+            if counter in previous and counter in newest and previous[counter] != newest[counter]:
+                label = ", ".join(f"{k}={v}" for k, v in key) or "(unlabelled)"
+                changes.append(
+                    f"{path.name}: {label}: {counter} {newest[counter]!r} vs "
+                    f"{previous[counter]!r} in the previous entry"
+                )
+    return changes
+
+
+def check_file(path: Path, threshold: float) -> Tuple[List[str], int, List[str]]:
+    """``(regression report lines, series checked, counter change
+    report lines)`` for one trajectory."""
     entries = load_entries(path)
     if entries is None:
         print(f"note: {path.name} is not a readable trajectory; skipped")
-        return [], 0
+        return [], 0, []
 
     by_series: Dict[SeriesKey, List[Tuple[str, float]]] = {}
     for entry in entries:
@@ -107,13 +141,13 @@ def check_file(path: Path, threshold: float) -> Tuple[List[str], int]:
                 f"(+{(newest / best_prior - 1.0) * 100.0:.1f}%, "
                 f"threshold +{threshold * 100.0:.0f}%)"
             )
-    return regressions, checked
+    return regressions, checked, counter_changes(path, entries)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         description="fail when the newest benchmark run regresses "
-        "wall-clock vs the best prior run"
+        "wall-clock vs the best prior run, or changes an exact counter"
     )
     parser.add_argument(
         "--bench-dir",
@@ -136,19 +170,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     all_regressions: List[str] = []
+    all_changes: List[str] = []
     total_checked = 0
     for path in files:
-        regressions, checked = check_file(path, args.threshold)
+        regressions, checked, changes = check_file(path, args.threshold)
         all_regressions.extend(regressions)
+        all_changes.extend(changes)
         total_checked += checked
 
     for line in all_regressions:
         print(f"REGRESSION: {line}")
+    for line in all_changes:
+        print(f"BEHAVIOUR CHANGE: {line}")
     print(
         f"{len(files)} trajectory file(s), {total_checked} series checked, "
-        f"{len(all_regressions)} regression(s)"
+        f"{len(all_regressions)} regression(s), "
+        f"{len(all_changes)} counter change(s)"
     )
-    return 1 if all_regressions else 0
+    return 1 if all_regressions or all_changes else 0
 
 
 if __name__ == "__main__":

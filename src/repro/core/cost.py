@@ -16,7 +16,9 @@ assignment (flipping a phase complements cone probabilities, Property
 cones whose phases might conflict and duplicate logic.
 
 This module provides both a scalar implementation (readable, used in
-tests) and vectorised numpy kernels used by the optimiser's inner loop.
+tests) and vectorised numpy kernels used by the optimiser's inner loop,
+which walks the candidate pairs in the order of one ranking per commit
+(:class:`PairWalk`).
 """
 
 from __future__ import annotations
@@ -164,56 +166,134 @@ def cost_matrices(
     ``[i, j]`` of each matrix is K(i <mi>, j <mj>); diagonals are
     meaningless and set to +inf.
     """
-    sizes = data.sizes
-    n = len(sizes)
-    a_ret = avg_probs
-    a_inv = 1.0 - avg_probs
-    out: Dict[Tuple[Move, Move], np.ndarray] = {}
-    for mi, mj in COMBOS:
-        ai = a_ret if mi is Move.RETAIN else a_inv
-        aj = a_ret if mj is Move.RETAIN else a_inv
-        k = (
-            (sizes * ai)[:, None]
-            + (sizes * aj)[None, :]
-            + 0.5 * data.overlap * (ai[:, None] + aj[None, :])
-        )
-        np.fill_diagonal(k, np.inf)
-        out[(mi, mj)] = k
-    return out
+    n = len(data.sizes)
+    rows, cols = np.divmod(np.arange(n * n), n)
+    stack = _pair_costs(data, avg_probs, rows, cols).reshape(len(COMBOS), n, n)
+    diagonal = np.arange(n)
+    stack[:, diagonal, diagonal] = np.inf
+    return dict(zip(COMBOS, stack))
 
 
-def masked_cost_stack(
-    data: CostModelData, avg_probs: np.ndarray, remaining: np.ndarray
+def _pair_costs(
+    data: CostModelData, avg_probs: np.ndarray, rows: np.ndarray, cols: np.ndarray
 ) -> np.ndarray:
-    """The four :func:`cost_matrices` stacked in :data:`COMBOS` order
-    into one ``(4, P, P)`` array, +inf wherever ``remaining`` is False."""
-    matrices = cost_matrices(data, avg_probs)
-    return np.where(remaining, np.stack([matrices[combo] for combo in COMBOS]), np.inf)
+    """K of the pairs ``(rows[k], cols[k])`` under each combination, a
+    ``(4, len(rows))`` array in :data:`COMBOS` order.  Each entry takes
+    the float operations of the paper's formula in one fixed order, so
+    it does not depend on which other pairs are asked for."""
+    a = {Move.RETAIN: avg_probs, Move.INVERT: 1.0 - avg_probs}
+    ai = np.stack([a[mi] for mi, _mj in COMBOS])[:, rows]
+    aj = np.stack([a[mj] for _mi, mj in COMBOS])[:, cols]
+    sizes = data.sizes
+    return (sizes[rows] * ai + sizes[cols] * aj) + 0.5 * data.overlap[rows, cols] * (ai + aj)
+
+
+#: Entries a :class:`PairWalk` ranks at a time.  A step retires one pair
+#: and a commit starts a new walk, so a walk usually ends long before
+#: its stack is fully ranked.
+_RANK_CHUNK = 256
+
+
+class PairWalk:
+    """The candidate pairs of the Section 4.1 loop, walked cheapest first.
+
+    K depends only on the current assignment, so between commits the
+    loop's choices come from one ``(4, P, P)`` stack of the
+    :func:`cost_matrices`: each step takes its minimum entry over the
+    pairs not yet tried.  :meth:`rank` computes K for the remaining
+    pairs only and ranks the finite entries by (cost, flat index in the
+    stack), lazily, :data:`_RANK_CHUNK` entries at a time, so each
+    :meth:`pick` is one pointer step past entries of retired pairs.
+    That is exactly the choice of a flat ``argmin`` over the stack with
+    the retired pairs set to +inf: least cost, then earliest combination
+    in :data:`COMBOS` order, then lowest row-major pair.
+
+    ``remaining`` is the (P, P) boolean candidate mask; the walk owns it
+    and clears each pair it picks.
+    """
+
+    def __init__(
+        self, data: CostModelData, avg_probs: np.ndarray, remaining: np.ndarray
+    ) -> None:
+        self.data = data
+        # the caller's mask itself when it is a C-ordered bool array
+        self.remaining = np.ascontiguousarray(remaining, dtype=bool)
+        self._flat_remaining = self.remaining.reshape(-1)  # a view: picks clear it
+        self.rank(avg_probs)
+
+    def rank(self, avg_probs: np.ndarray) -> None:
+        """Start a new walk over the remaining pairs, costed at ``avg_probs``."""
+        rows, cols = np.nonzero(self.remaining)  # row-major: flat pairs ascending
+        off_diagonal = rows != cols
+        rows, cols = rows[off_diagonal], cols[off_diagonal]
+        n = self.remaining.shape[1]
+        cost = _pair_costs(self.data, avg_probs, rows, cols).ravel()
+        index = (np.arange(len(COMBOS))[:, None] * (n * n) + (rows * n + cols)).ravel()
+        finite = np.isfinite(cost)
+        self._rest_index, self._rest_cost = index[finite], cost[finite]
+        # the ranked chunk: combination, flat pair index and cost of each entry
+        self._combo: List[int] = []
+        self._pair: List[int] = []
+        self._cost: List[float] = []
+        self._pos = 0
+
+    def _rank_chunk(self) -> bool:
+        """Move the next cheapest unranked entries, every tie of the last
+        one included, into the walk; False when none is left."""
+        index, cost = self._rest_index, self._rest_cost
+        if not cost.size:
+            return False
+        if cost.size > _RANK_CHUNK:
+            take = cost <= np.partition(cost, _RANK_CHUNK - 1)[_RANK_CHUNK - 1]
+            keep = ~take
+            self._rest_index, self._rest_cost = index[keep], cost[keep]
+            index, cost = index[take], cost[take]
+        else:
+            self._rest_index, self._rest_cost = index[:0], cost[:0]
+        # ``index`` is ascending, so a stable sort by cost orders ties by it
+        order = np.argsort(cost, kind="stable")
+        n = self.remaining.shape[1]
+        combos, pairs = np.divmod(index[order], n * n)
+        self._combo, self._pair = combos.tolist(), pairs.tolist()
+        self._cost = cost[order].tolist()
+        self._pos = 0
+        return True
+
+    def pick(self) -> Tuple[int, int, Tuple[Move, Move], float]:
+        """The cheapest (i, j, combo, cost) of a remaining pair, which is
+        retired.  Raises :class:`PhaseError` when no pair remains."""
+        remaining = self._flat_remaining
+        while True:
+            pairs = self._pair
+            for pos in range(self._pos, len(pairs)):
+                pair = pairs[pos]
+                if remaining[pair]:
+                    remaining[pair] = False
+                    self._pos = pos + 1
+                    i, j = divmod(pair, self.remaining.shape[1])
+                    return i, j, COMBOS[self._combo[pos]], self._cost[pos]
+            if not self._rank_chunk():
+                raise PhaseError("candidate pair set is empty")
 
 
 def best_pair_and_combo(
     data: CostModelData,
     avg_probs: np.ndarray,
     remaining: np.ndarray,
-    stack: Optional[np.ndarray] = None,
+    walk: Optional[PairWalk] = None,
 ) -> Tuple[int, int, Tuple[Move, Move], float]:
     """Minimum-cost (i, j, combo) over the remaining candidate pairs.
 
     ``remaining`` is a boolean (P, P) upper-triangular mask of pairs
-    still in the candidate set.  ``stack`` is
-    :func:`masked_cost_stack` of the same arguments, which a caller
-    that picks many pairs between changes of ``avg_probs`` builds once
-    and keeps in step with ``remaining``; without it one is built here.
+    still in the candidate set.  Ties go to the earliest combination in
+    :data:`COMBOS` order, then to the lowest row-major pair.
 
-    Ties go to the earliest combination in :data:`COMBOS` order, then
-    to the lowest row-major pair: the first minimum of one flat
-    ``argmin`` over the C-ordered stack.
+    ``walk`` is a :class:`PairWalk` over the same arguments, which a
+    caller that picks many pairs between changes of ``avg_probs`` keeps:
+    the pick is its next step, and it retires the pair from
+    ``remaining``.  Without one, a walk is built and ``remaining`` is
+    left as it was.  Raises :class:`PhaseError` when no pair remains.
     """
-    if not remaining.any():
-        raise PhaseError("candidate pair set is empty")
-    if stack is None:
-        stack = masked_cost_stack(data, avg_probs, remaining)
-    n = stack.shape[2]
-    combo, flat = divmod(int(np.argmin(stack)), n * n)
-    i, j = divmod(flat, n)
-    return i, j, COMBOS[combo], float(stack[combo, i, j])
+    if walk is None:
+        walk = PairWalk(data, avg_probs, remaining.copy())
+    return walk.pick()

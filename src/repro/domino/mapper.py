@@ -1,19 +1,21 @@
 """Technology mapping of domino implementations onto the cell library.
 
 Takes the inverter-free block produced by the phase transform,
-materialises it as a plain network, decomposes gates wider than the
-library fanin limits into balanced cell trees, and annotates every node
-with its cell.  The mapped design is what the "Size" columns of the
-paper's tables count, and what the timing engine resizes.
+materialises it as a plain network in one pass over its gates (they
+are in dependency order), decomposes gates wider than the library
+fanin limits into balanced cell trees in place, and annotates every
+node with its cell.  The mapped design is what the "Size" columns of
+the paper's tables count, and what the timing engine resizes.
 
 A mapped network never changes after mapping (resizing only rescales
 ``size_factors``), so :class:`MappedDesign` compiles it once, when it
-is built, into a :class:`CompiledNetlist`: topological order, fanins
-and fanout loads as index tuples.  Timing analysis, every resizing
-iteration and the power simulation read that instead of re-deriving
-the order and fanout map.  :func:`simulate_mapped_power` simulates the
-design over packed words (:func:`repro.power.probability.simulate_words`)
-and counts bits for every firing and toggle rate.
+is built, into a :class:`CompiledNetlist`: the order of the walk that
+validates it, fanins and fanout loads as index tuples.  Timing
+analysis, every resizing iteration and the power simulation read that
+instead of re-deriving the order and fanout map.
+:func:`simulate_mapped_power` simulates the design over packed words
+(:func:`repro.power.probability.simulate_words`) and counts bits for
+every firing and toggle rate.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ def decompose_to_cells(
     """
     net = network.copy(f"{network.name}_mapped")
     _decompose(net, library)
+    net.validate()
     return net
 
 
 def _decompose(net: LogicNetwork, library: DominoCellLibrary) -> None:
-    """:func:`decompose_to_cells` in place."""
+    """:func:`decompose_to_cells` in place, without validating."""
     for node in list(net.nodes.values()):
         if node.gate_type not in (GateType.AND, GateType.OR):
             continue
@@ -58,12 +61,11 @@ def _decompose(net: LogicNetwork, library: DominoCellLibrary) -> None:
                     next_operands.append(group[0])
                     continue
                 sub = net.fresh_name(f"{node.name}#t{layer}_{gi}")
-                net.add_gate(sub, node.gate_type, group)
+                net._add_node(sub, node.gate_type, group)
                 next_operands.append(sub)
             operands = next_operands
             layer += 1
         node.fanins = operands
-    net.validate()
 
 
 @dataclass(frozen=True)
@@ -88,31 +90,29 @@ class CompiledNetlist:
 
     @classmethod
     def build(cls, network: LogicNetwork, cells: Mapping[str, DominoCell]) -> "CompiledNetlist":
+        order = network.validate()
         names = tuple(network.nodes)
         index = {name: i for i, name in enumerate(names)}
-        fanouts = network.fanout_map()
-        fanins: List[Tuple[int, ...]] = []
-        node_cells: List[Optional[DominoCell]] = []
-        loads: List[Tuple[Tuple[str, float], ...]] = []
-        for name, node in network.nodes.items():
-            if node.gate_type.is_comb_source:
-                fanins.append(())
-                node_cells.append(None)
-                loads.append(())
-                continue
-            fanins.append(tuple([index[fi] for fi in node.fanins]))
-            node_cells.append(cells.get(name))
-            loads.append(
-                tuple([(sink, cells[sink].input_cap) for sink in fanouts[name] if sink in cells])
-            )
+        nodes = list(network.nodes.values())
+        fanins = [tuple([index[fi] for fi in node.fanins]) for node in nodes]
+        node_cells = [cells.get(name) for name in names]
+        # each node's sinks with a cell, in fanout_map order
+        loads: List[List[Tuple[str, float]]] = [[] for _ in names]
+        for name, cell, fanin_idx in zip(names, node_cells, fanins):
+            if cell is not None:
+                for fi in fanin_idx:
+                    loads[fi].append((name, cell.input_cap))
+        for i, node in enumerate(nodes):
+            if node.gate_type.is_comb_source:  # no fanins, cell or loads
+                fanins[i], node_cells[i], loads[i] = (), None, []
         endpoints = [index[driver] for _, driver in network.outputs]
         endpoints.extend(index[latch.fanins[0]] for latch in network.latches)
         return cls(
             names=names,
-            order=tuple([index[name] for name in network.topological_order()]),
+            order=tuple([index[name] for name in order]),
             fanins=tuple(fanins),
             cells=tuple(node_cells),
-            loads=tuple(loads),
+            loads=tuple([tuple(sinks) for sinks in loads]),
             endpoints=tuple(endpoints),
         )
 
@@ -189,10 +189,17 @@ def map_network(
 def _assign_cells(net: LogicNetwork, library: DominoCellLibrary) -> MappedDesign:
     """The design of a decomposed network: one cell per AND/OR/NOT node."""
     cells: Dict[str, DominoCell] = {}
+    # (gate type, fanin count) -> cell, keyed without hashing an enum
+    widths: Dict[Tuple[bool, int], DominoCell] = {}
+    and_, or_ = GateType.AND, GateType.OR
     for node in net.gates:
         t = node.gate_type
-        if t in (GateType.AND, GateType.OR):
-            cells[node.name] = library.cell(t, len(node.fanins))
+        if t is and_ or t is or_:
+            key = (t is and_, len(node.fanins))
+            cell = widths.get(key)
+            if cell is None:
+                cell = widths[key] = library.cell(t, key[1])
+            cells[node.name] = cell
         elif t is GateType.NOT:
             cells[node.name] = library.inverter
         elif t is GateType.BUF:

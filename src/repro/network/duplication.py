@@ -373,7 +373,10 @@ def implementation_network(impl: DominoImplementation) -> LogicNetwork:
 
     Useful for printing, BLIF export and re-analysis: the domino gates
     become AND/OR nodes, boundary inverters become NOT nodes.  Output
-    names and logical values match the original network.
+    names and logical values match the original network.  It is built
+    in one pass over the gates, which are in dependency order, and not
+    validated: the technology mapper validates it once, as it compiles
+    the design.
     """
     net = LogicNetwork(f"{impl.network.name}_domino")
     for pi in impl.network.inputs:
@@ -381,35 +384,34 @@ def implementation_network(impl: DominoImplementation) -> LogicNetwork:
     for latch in impl.network.latches:
         # Latch outputs become free inputs of the block view.
         net.add_input(latch.name)
+    add = net._add_node  # the name check of add_gate, not its fanin checks
 
     inv_names: Dict[str, str] = {}
     for src in sorted(impl.input_inverters):
         inv = net.fresh_name(f"{src}_inv")
-        net.add_gate(inv, GateType.NOT, [src])
+        add(inv, GateType.NOT, [src])
         inv_names[src] = inv
 
+    pos = Polarity.POS
+
     def ref_name(ref: Ref) -> str:
+        if ref.kind == "gate":  # the gate's DominoGate.instance_name
+            return ref.name + ("$p" if ref.polarity is pos else "$n")
         if ref.kind == "const":
             cname = net.fresh_name("const")
-            net.add_gate(cname, GateType.CONST1 if ref.value else GateType.CONST0, [])
+            add(cname, GateType.CONST1 if ref.value else GateType.CONST0, [])
             return cname
-        if ref.kind in ("input", "latch"):
-            if ref.polarity is Polarity.NEG:
-                return inv_names[ref.name]
-            return ref.name
-        gate = impl.gates[ref.key]
-        return gate.instance_name
+        return ref.name if ref.polarity is pos else inv_names[ref.name]
 
     for gate in impl.topological_gate_order():
-        net.add_gate(gate.instance_name, gate.gate_type, [ref_name(r) for r in gate.fanins])
+        add(gate.instance_name, gate.gate_type, [ref_name(r) for r in gate.fanins])
 
     for po, ref in impl.output_refs.items():
         inner = ref_name(ref)
         if impl.assignment[po] is Phase.NEGATIVE:
             out_inv = net.fresh_name(f"{po}_phase_inv")
-            net.add_gate(out_inv, GateType.NOT, [inner])
+            add(out_inv, GateType.NOT, [inner])
             net.add_output(po, out_inv)
         else:
             net.add_output(po, inner)
-    net.validate()
     return net

@@ -305,8 +305,9 @@ class LogicNetwork:
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
-    def validate(self) -> None:
-        """Check structural well-formedness.  Raises :class:`NetworkError`."""
+    def validate(self) -> List[str]:
+        """Check structural well-formedness.  Raises :class:`NetworkError`.
+        Returns the cycle check's walk, :meth:`topological_order`."""
         nodes = self.nodes
         for node in nodes.values():
             for fi in node.fanins:
@@ -324,7 +325,7 @@ class LogicNetwork:
         for po, driver in self.outputs:
             if driver not in self.nodes:
                 raise NetworkError(f"output {po!r} driven by unknown node {driver!r}")
-        self._post_order(check_cycles=True)
+        return self._post_order(check_cycles=True)
 
     def _post_order(self, check_cycles: bool) -> List[str]:
         """Iterative DFS post-order over combinational fanins.

@@ -14,8 +14,10 @@ The ``pairwise`` loop follows the paper's seven steps exactly:
 1. Generate an arbitrary initial phase assignment.
 2. For each pair of primary outputs still in the candidate set, compute
    the cost K of the four retain/invert combinations.  K depends only on
-   the current assignment, so it is recomputed only after a commit.
-3. Choose the pair + combination of minimum cost.
+   the current assignment, so it is computed, and the candidates ranked
+   by it, only after a commit (:class:`~repro.core.cost.PairWalk`).
+3. Choose the pair + combination of minimum cost: the first entry of
+   that ranking whose pair is still a candidate.
 4. Synthesise the circuit with that assignment (implicitly — the
    evaluator's polarity masks stand in for re-synthesis).
 5. Measure the power (Section 4.2 estimator).
@@ -109,6 +111,14 @@ def pairwise_loop(
     measured ``(assignment, (score, power))`` to improve on; the final
     pair comes back with the commit history.
 
+    A commit ranks the candidate pairs by K once; each step is then one
+    step of that :class:`~repro.core.cost.PairWalk` past the pairs
+    already tried, through :func:`~repro.core.cost.best_pair_and_combo`.
+    It picks what a flat ``argmin`` over the whole ``(4, P, P)`` cost
+    stack would: least cost, then earliest combination, then lowest
+    row-major pair.  The loop makes one step per candidate pair unless
+    ``meter`` runs out first.
+
     Every step measures its candidate, as the paper's loop does, although
     most candidates were measured before: the ``(+, +)`` combination is
     the current assignment, and different pairs propose the same single
@@ -143,13 +153,16 @@ def pairwise_loop(
         mask[keep] = True
         remaining &= mask.reshape(n, n)
 
-    # K changes only when a commit flips some A_k: rank pairs from one
-    # stack per commit, retiring each tried pair from it in place.
-    stack = cost.masked_cost_stack(data, avg, remaining)
+    # K changes only when a commit flips some A_k: rank the pairs once
+    # per commit and walk that order; every step retires its pair.
+    walk = cost.PairWalk(data, avg, remaining)
+    invert = cost.Move.INVERT
     history: List[CommitRecord] = []
-    while remaining.any() and not meter.exhausted:
-        i, j, combo, step_cost = cost.best_pair_and_combo(data, avg, remaining, stack)
-        inverted = [k for k, move in zip((i, j), combo) if move is cost.Move.INVERT]
+    for _step in range(int(remaining.sum())):
+        if meter.exhausted:
+            break
+        i, j, combo, step_cost = cost.best_pair_and_combo(data, avg, walk.remaining, walk)
+        inverted = [k for k, move in zip((i, j), combo) if move is invert]
         candidate = (
             current.flipped(*(outputs[k] for k in inverted)) if inverted else current
         )
@@ -162,7 +175,7 @@ def pairwise_loop(
             current_score, current_power = candidate_score, candidate_power
             for k in inverted:
                 avg[k] = 1.0 - avg[k]
-            stack = cost.masked_cost_stack(data, avg, remaining)
+            walk.rank(avg)
         history.append(
             CommitRecord(
                 pair=(outputs[i], outputs[j]),
@@ -172,8 +185,6 @@ def pairwise_loop(
                 committed=committed,
             )
         )
-        remaining[i, j] = False
-        stack[:, i, j] = np.inf
     return current, (current_score, current_power), history
 
 

@@ -18,6 +18,12 @@ also registers an ``atexit`` flush when the writer thread first spins
 up.  Write-back failures are swallowed (the local tier already has the
 entry; the shared tier is an optimisation) but counted, and surface in
 :meth:`TieredBackend.stats` as ``write_back_errors``.
+
+The backend counts the queued write-backs of each entry.  A local miss
+on an entry with one queued waits for it to land before reading the
+shared tier, so an entry the local tier drops as stale or corrupt is
+found, and dropped, in the shared tier too, instead of landing there
+afterwards.  A miss on any other entry does not wait.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import atexit
 import queue
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.store.backends.base import (
     BlobKey,
@@ -52,6 +58,10 @@ class TieredBackend(StoreBackend):
         self._writer: Optional[threading.Thread] = None
         self._writer_lock = threading.Lock()
         self._write_back_errors = 0
+        # blob key -> write-backs put and not yet landed; notified as
+        # each key's count drops to zero
+        self._pending: Dict[Tuple[str, str, str], int] = {}
+        self._landed = threading.Condition(threading.Lock())
 
     # the tiers carry their own configuration; queue and writer thread
     # are rebuilt lazily on the far side of a process-pool boundary
@@ -91,7 +101,17 @@ class TieredBackend(StoreBackend):
                 with self._counter_lock:
                     self._write_back_errors += 1
             finally:
+                self._landed_one(item[:3])
                 q.task_done()
+
+    def _landed_one(self, key: Tuple[str, str, str]) -> None:
+        with self._landed:
+            left = self._pending[key] - 1
+            if left:
+                self._pending[key] = left
+            else:
+                del self._pending[key]
+                self._landed.notify_all()
 
     def flush(self) -> None:
         q = self._queue  # close() may clear the attribute concurrently
@@ -120,6 +140,11 @@ class TieredBackend(StoreBackend):
         if entry is not None:
             self._count_hit(kind)
             return entry
+        key = (kind, fingerprint, digest)
+        with self._landed:
+            # read behind this entry's queued write-back, or a copy the
+            # local tier just dropped as stale would land after the read
+            self._landed.wait_for(lambda: key not in self._pending)
         entry = self.shared.get(kind, fingerprint, digest)
         if entry is not None:
             # promote: the next read of this entry should be local
@@ -131,6 +156,9 @@ class TieredBackend(StoreBackend):
 
     def put(self, kind: str, fingerprint: str, digest: str, entry: Dict[str, Any]) -> Path:
         path = self.local.put(kind, fingerprint, digest, entry)
+        key = (kind, fingerprint, digest)
+        with self._landed:
+            self._pending[key] = self._pending.get(key, 0) + 1
         try:
             self._writer_queue().put_nowait((kind, fingerprint, digest, entry))
         except queue.Full:
@@ -141,6 +169,8 @@ class TieredBackend(StoreBackend):
             except Exception:
                 with self._counter_lock:
                     self._write_back_errors += 1
+            finally:
+                self._landed_one(key)
         return path
 
     def stat(self, kind: str, fingerprint: str, digest: str) -> Optional[BlobStat]:

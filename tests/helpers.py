@@ -15,8 +15,11 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 import numpy as np
 
 from repro.bench.generators import GeneratorConfig, random_control_network
+from repro.core.cost import COMBOS, CostModelData, Move
+from repro.domino.gates import DEFAULT_LIBRARY
+from repro.domino.mapper import CompiledNetlist, MappedDesign
 from repro.domino.timing import ResizeResult, TimingReport
-from repro.errors import NetworkError, PowerError
+from repro.errors import NetworkError, PhaseError, PowerError, ReproError
 from repro.network.blif import write_blif
 from repro.network.duplication import (
     DominoGate,
@@ -29,7 +32,8 @@ from repro.network.minimize import MinimizationResult
 from repro.network.netlist import GateType, LogicNetwork, SopCover
 from repro.network.ops import cleanup, to_aoi
 from repro.network.topo import depth as network_depth
-from repro.phase import PhaseAssignment
+from repro.optimize.base import CommitRecord
+from repro.phase import Phase, PhaseAssignment
 from repro.power.estimator import DominoPowerModel
 from repro.power.glitch import GlitchReport
 from repro.power.probability import random_source_batch
@@ -951,3 +955,223 @@ def random_mixed_network(
         net.add_output(f"o{i}", name)
     net.validate()
     return net
+
+
+# ----------------------------------------------------------------------
+# Reference technology mapping: the path map_implementation took before
+# it built the block in one pass.  The block went through add_gate and
+# was validated, decomposed through add_gate and validated again, and
+# compiled from a third walk (topological_order) and a fanout map.
+
+
+def reference_implementation_network(impl: DominoImplementation) -> LogicNetwork:
+    """The block :func:`~repro.network.duplication.implementation_network`
+    built through ``add_input``/``add_gate``, then validated."""
+    net = LogicNetwork(f"{impl.network.name}_domino")
+    for pi in impl.network.inputs:
+        net.add_input(pi)
+    for latch in impl.network.latches:
+        net.add_input(latch.name)
+
+    inv_names: Dict[str, str] = {}
+    for src in sorted(impl.input_inverters):
+        inv = net.fresh_name(f"{src}_inv")
+        net.add_gate(inv, GateType.NOT, [src])
+        inv_names[src] = inv
+
+    def ref_name(ref: Ref) -> str:
+        if ref.kind == "const":
+            cname = net.fresh_name("const")
+            net.add_gate(cname, GateType.CONST1 if ref.value else GateType.CONST0, [])
+            return cname
+        if ref.kind in ("input", "latch"):
+            if ref.polarity is Polarity.NEG:
+                return inv_names[ref.name]
+            return ref.name
+        return impl.gates[ref.key].instance_name
+
+    for gate in impl.topological_gate_order():
+        net.add_gate(gate.instance_name, gate.gate_type, [ref_name(r) for r in gate.fanins])
+
+    for po, ref in impl.output_refs.items():
+        inner = ref_name(ref)
+        if impl.assignment[po] is Phase.NEGATIVE:
+            out_inv = net.fresh_name(f"{po}_phase_inv")
+            net.add_gate(out_inv, GateType.NOT, [inner])
+            net.add_output(po, out_inv)
+        else:
+            net.add_output(po, inner)
+    net.validate()
+    return net
+
+
+def reference_decompose(net: LogicNetwork, library) -> None:
+    """Split wide AND/OR gates in place through ``add_gate``, then
+    validate."""
+    for node in list(net.nodes.values()):
+        if node.gate_type not in (GateType.AND, GateType.OR):
+            continue
+        limit = library.max_fanin(node.gate_type)
+        operands = list(node.fanins)
+        layer = 0
+        while len(operands) > limit:
+            plan = library.tree_arity_plan(node.gate_type, len(operands))
+            next_operands: List[str] = []
+            pos = 0
+            for gi, size in enumerate(plan):
+                group = operands[pos : pos + size]
+                pos += size
+                if len(group) == 1:
+                    next_operands.append(group[0])
+                    continue
+                sub = net.fresh_name(f"{node.name}#t{layer}_{gi}")
+                net.add_gate(sub, node.gate_type, group)
+                next_operands.append(sub)
+            operands = next_operands
+            layer += 1
+        node.fanins = operands
+    net.validate()
+
+
+def reference_compile(network: LogicNetwork, cells) -> CompiledNetlist:
+    """The compiled netlist from ``topological_order`` and ``fanout_map``."""
+    names = tuple(network.nodes)
+    index = {name: i for i, name in enumerate(names)}
+    fanouts = network.fanout_map()
+    fanins: List[Tuple[int, ...]] = []
+    node_cells = []
+    loads = []
+    for name, node in network.nodes.items():
+        if node.gate_type.is_comb_source:
+            fanins.append(())
+            node_cells.append(None)
+            loads.append(())
+            continue
+        fanins.append(tuple([index[fi] for fi in node.fanins]))
+        node_cells.append(cells.get(name))
+        loads.append(
+            tuple([(sink, cells[sink].input_cap) for sink in fanouts[name] if sink in cells])
+        )
+    endpoints = [index[driver] for _, driver in network.outputs]
+    endpoints.extend(index[latch.fanins[0]] for latch in network.latches)
+    return CompiledNetlist(
+        names=names,
+        order=tuple([index[name] for name in network.topological_order()]),
+        fanins=tuple(fanins),
+        cells=tuple(node_cells),
+        loads=tuple(loads),
+        endpoints=tuple(endpoints),
+    )
+
+
+def reference_map_implementation(impl: DominoImplementation, library=None) -> MappedDesign:
+    """The mapped design of the old three-walk path, built field by field
+    so that no part of it comes from the new mapper."""
+    library = library or DEFAULT_LIBRARY
+    net = reference_implementation_network(impl)
+    net.name = f"{net.name}_mapped"
+    reference_decompose(net, library)
+    cells = {}
+    for node in net.gates:
+        t = node.gate_type
+        if t in (GateType.AND, GateType.OR):
+            cells[node.name] = library.cell(t, len(node.fanins))
+        elif t is GateType.NOT:
+            cells[node.name] = library.inverter
+        elif t is not GateType.BUF:
+            raise ReproError(f"mapped block contains non-domino gate {node.name} ({t.value})")
+    design = object.__new__(MappedDesign)
+    design.network, design.library, design.cells = net, library, cells
+    design.size_factors = {name: 1.0 for name in cells}
+    design.compiled = reference_compile(net, cells)
+    return design
+
+
+# ----------------------------------------------------------------------
+# Reference pair pick: the flat argmin the Section 4.1 loop took over the
+# whole cost stack on every step, before it walked a ranked order.
+
+
+def reference_cost_stack(data, avg_probs, remaining):
+    """The ``(4, P, P)`` stack of K in ``COMBOS`` order, one matrix per
+    combination with its diagonal set to +inf, and +inf wherever
+    ``remaining`` is False."""
+    sizes = data.sizes
+    a_ret, a_inv = avg_probs, 1.0 - avg_probs
+    matrices = []
+    for mi, mj in COMBOS:
+        ai = a_ret if mi is Move.RETAIN else a_inv
+        aj = a_ret if mj is Move.RETAIN else a_inv
+        k = (
+            (sizes * ai)[:, None]
+            + (sizes * aj)[None, :]
+            + 0.5 * data.overlap * (ai[:, None] + aj[None, :])
+        )
+        np.fill_diagonal(k, np.inf)
+        matrices.append(k)
+    return np.where(remaining, np.stack(matrices), np.inf)
+
+
+def reference_best_pair(data, avg_probs, remaining, stack=None):
+    """The first minimum of one flat ``argmin`` over the C-ordered
+    ``(4, P, P)`` stack: least cost, then earliest combination, then
+    lowest row-major pair."""
+    if not remaining.any():
+        raise PhaseError("candidate pair set is empty")
+    if stack is None:
+        stack = reference_cost_stack(data, avg_probs, remaining)
+    n = stack.shape[2]
+    combo, flat = divmod(int(np.argmin(stack)), n * n)
+    i, j = divmod(flat, n)
+    return i, j, COMBOS[combo], float(stack[combo, i, j])
+
+
+def reference_pairwise_loop(evaluator, start, measure, meter, max_pairs=None):
+    """``pairwise_loop`` picking by :func:`reference_best_pair` from one
+    stack per commit, retiring each tried pair from it in place."""
+    outputs = evaluator.outputs
+    n = len(outputs)
+    data = CostModelData.from_network(evaluator.network)
+    current, (current_score, current_power) = start
+    avg = np.array(
+        [evaluator.average_cone_probability(current, po) for po in outputs]
+    )
+    remaining = np.triu(np.ones((n, n), dtype=bool), k=1)
+    if max_pairs is not None and remaining.sum() > max_pairs:
+        scores = data.overlap * (data.sizes[:, None] + data.sizes[None, :])
+        flat = np.where(remaining, scores, -np.inf).ravel()
+        keep = np.argsort(-flat, kind="stable")[:max_pairs]
+        mask = np.zeros(n * n, dtype=bool)
+        mask[keep] = True
+        remaining &= mask.reshape(n, n)
+
+    stack = reference_cost_stack(data, avg, remaining)
+    history: List[CommitRecord] = []
+    while remaining.any() and not meter.exhausted:
+        i, j, combo, step_cost = reference_best_pair(data, avg, remaining, stack)
+        inverted = [k for k, move in zip((i, j), combo) if move is Move.INVERT]
+        candidate = (
+            current.flipped(*(outputs[k] for k in inverted)) if inverted else current
+        )
+        candidate_score, candidate_power = measure(candidate)
+        meter.spend()
+
+        committed = meter.improves(candidate_score, current_score) and bool(inverted)
+        if committed:
+            current = candidate
+            current_score, current_power = candidate_score, candidate_power
+            for k in inverted:
+                avg[k] = 1.0 - avg[k]
+            stack = reference_cost_stack(data, avg, remaining)
+        history.append(
+            CommitRecord(
+                pair=(outputs[i], outputs[j]),
+                moves=combo,
+                cost=step_cost,
+                candidate_power=candidate_power,
+                committed=committed,
+            )
+        )
+        remaining[i, j] = False
+        stack[:, i, j] = np.inf
+    return current, (current_score, current_power), history

@@ -132,6 +132,56 @@ def test_repo_trajectories_parse():
         assert check_trajectory.load_entries(path) is not None, path.name
 
 
+def test_changed_counter_is_a_behaviour_change(tmp_path, capsys):
+    """An exact counter that moves fails the gate however fast the run."""
+    entries = [
+        {**_entry("search", 1.0), "evaluations": 1541},
+        {**_entry("search", 0.5), "evaluations": 1540},
+    ]
+    _write(tmp_path, "components", entries)
+    assert check_trajectory.main(["--bench-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "BEHAVIOUR CHANGE" in out and "REGRESSION" not in out
+    assert "kernel=search: evaluations 1540 vs 1541" in out
+    assert "0 regression(s), 1 counter change(s)" in out
+
+
+def test_counters_are_gated_in_series_without_timing(tmp_path, capsys):
+    """``BENCH_optimizers`` records quality figures and evaluation counts
+    but no timing: its counters are gated all the same."""
+    record = {"recorded_at": "x", "mode": "unbudgeted", "strategy": "pairwise"}
+    entries = [
+        {**record, "avg_power": 16.061, "avg_evals": 22.0},
+        {**record, "avg_power": 16.061, "avg_evals": 22.0},
+        {**record, "avg_power": 16.061, "avg_evals": 23.0},
+    ]
+    _write(tmp_path, "optimizers", entries)
+    assert check_trajectory.main(["--bench-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "strategy=pairwise: avg_evals 23.0 vs 22.0" in out
+    assert "0 series checked" in out
+
+
+def test_counters_compare_with_the_previous_entry(tmp_path, capsys):
+    """A recorded change is the new reference: equal counters pass, and
+    only the counters both entries record are compared."""
+    entries = [
+        {**_entry("map", 1.0), "cells": 165},
+        {**_entry("map", 1.0), "cells": 170},
+        {**_entry("map", 1.0), "cells": 170, "evaluations": 3},
+    ]
+    _write(tmp_path, "components", entries)
+    assert check_trajectory.main(["--bench-dir", str(tmp_path)]) == 0
+    assert "0 counter change(s)" in capsys.readouterr().out
+
+
+def test_repo_trajectories_have_constant_counters():
+    """Every committed series records the counters of its previous entry."""
+    for path in sorted(_SCRIPT.parent.glob("BENCH_*.json")):
+        entries = check_trajectory.load_entries(path)
+        assert check_trajectory.counter_changes(path, entries) == [], path.name
+
+
 def _benchmark_with_mean(mean_s):
     """The part of pytest-benchmark's fixture the benches read."""
     return SimpleNamespace(stats=SimpleNamespace(stats=SimpleNamespace(mean=mean_s)))

@@ -5,18 +5,31 @@ from typing import Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
-from helpers import large_pool_network, random_mixed_network, ranked_pairs, small_pool_blif
+from helpers import (
+    large_pool_network,
+    random_mixed_network,
+    ranked_pairs,
+    reference_best_pair,
+    reference_cost_stack,
+    reference_pairwise_loop,
+    small_pool_blif,
+)
 from repro.bench.figures import figure7_network
-from repro.bench.generators import random_sequential_network
+from repro.bench.generators import (
+    GeneratorConfig,
+    random_control_network,
+    random_sequential_network,
+)
 from repro.bench.mcnc import TABLE1_SUITE
+from repro.core import timing_aware
 from repro.core.cost import (
     COMBOS,
     CostModelData,
     Move,
+    PairWalk,
     all_pair_costs,
     best_pair_and_combo,
     cost_matrices,
-    masked_cost_stack,
     pair_cost,
 )
 from repro.errors import PhaseError
@@ -24,6 +37,9 @@ from repro.network.blif import parse_blif
 from repro.network.netlist import LogicNetwork
 from repro.network.ops import cleanup, to_aoi
 from repro.network.topo import cone_overlap, output_cones
+from repro.optimize import OptimizerBudget, strategies
+from repro.optimize.strategies import PairwiseStrategy
+from repro.power.estimator import PhaseEvaluator
 
 
 class TestScalarCost:
@@ -171,19 +187,6 @@ class TestVectorisedCost:
         assert cost == pytest.approx(best)
 
 
-def reference_best_pair(data, avg_probs, remaining):
-    """The per-combo argmin loop the stacked pick replaced."""
-    best = None
-    for combo, k in cost_matrices(data, avg_probs).items():
-        masked = np.where(remaining, k, np.inf)
-        idx = int(np.argmin(masked))
-        i, j = divmod(idx, k.shape[1])
-        val = float(masked[i, j])
-        if best is None or val < best[3]:
-            best = (i, j, combo, val)
-    return best
-
-
 def _synthetic(n, sizes, overlap):
     return CostModelData(
         outputs=[f"o{k}" for k in range(n)], sizes=np.asarray(sizes, float), overlap=overlap
@@ -200,36 +203,51 @@ def _pruned(data, max_pairs):
 
 
 def _cases():
-    """(data, avg, remaining) inputs, many of them tie-heavy."""
+    """(data, avg, remaining) inputs, many of them tie-heavy.  The 40-output
+    ones hold 3,120 finite entries, so a walk ranks them in several chunks
+    and ties straddle the chunk bounds."""
     rng = np.random.default_rng(5)
-    n = 9
-    full = np.triu(np.ones((n, n), dtype=bool), k=1)
-    flat = _synthetic(n, np.full(n, 4.0), np.zeros((n, n)))
-    overlap = np.triu(rng.choice([0.0, 0.0, 0.25], size=(n, n)), k=1)
-    overlap = overlap + overlap.T
-    mixed = _synthetic(n, rng.choice([3.0, 4.0], size=n), overlap)
-    single = np.zeros((n, n), dtype=bool)
-    single[3, 7] = True
-    for data in (flat, mixed):
-        for avg in (
-            np.full(n, 0.5),  # all four combos of every pair tie on `flat`
-            rng.choice([0.25, 0.5, 0.75], size=n),
-            rng.random(n),
-        ):
-            yield data, avg, full
-            yield data, avg, single
-            yield data, avg, full & (rng.random((n, n)) < 0.4) | single
-            for max_pairs in (1, 5, 17):
-                yield data, avg, _pruned(data, max_pairs)
+    for n in (9, 40):
+        full = np.triu(np.ones((n, n), dtype=bool), k=1)
+        flat = _synthetic(n, np.full(n, 4.0), np.zeros((n, n)))
+        overlap = np.triu(rng.choice([0.0, 0.0, 0.25], size=(n, n)), k=1)
+        overlap = overlap + overlap.T
+        mixed = _synthetic(n, rng.choice([3.0, 4.0], size=n), overlap)
+        single = np.zeros((n, n), dtype=bool)
+        single[3, 7] = True
+        for data in (flat, mixed):
+            for avg in (
+                np.full(n, 0.5),  # all four combos of every pair tie on `flat`
+                rng.choice([0.25, 0.5, 0.75], size=n),
+                rng.random(n),
+            ):
+                yield data, avg, full
+                yield data, avg, single
+                yield data, avg, full & (rng.random((n, n)) < 0.4) | single
+                for max_pairs in (1, 5, 17):
+                    yield data, avg, _pruned(data, max_pairs)
 
 
 class TestStackedPick:
-    def test_matches_per_combo_loop_with_and_without_stack(self):
+    def test_cost_matrices_equal_one_matrix_per_combo(self):
+        """All four K matrices computed at once are byte-equal to one
+        matrix per combination, diagonals (+inf) included."""
+        for data, avg, _remaining in _cases():
+            matrices = cost_matrices(data, avg)
+            assert list(matrices) == list(COMBOS)
+            stacked = np.stack([matrices[combo] for combo in COMBOS])
+            assert stacked.tobytes() == reference_cost_stack(data, avg, True).tobytes()
+
+    def test_single_pick_matches_flat_argmin(self):
+        """Without a walk, one pick is the flat argmin's and leaves the
+        candidate mask as it was."""
         for data, avg, remaining in _cases():
+            before = remaining.copy()
             expected = reference_best_pair(data, avg, remaining)
             assert best_pair_and_combo(data, avg, remaining) == expected
-            stack = masked_cost_stack(data, avg, remaining)
-            assert best_pair_and_combo(data, avg, remaining, stack) == expected
+            assert np.array_equal(remaining, before)
+            walk = PairWalk(data, avg, remaining.copy())
+            assert best_pair_and_combo(data, avg, walk.remaining, walk) == expected
 
     def test_all_tied_pick_is_first_combo_then_lowest_pair(self):
         n = 5
@@ -240,18 +258,86 @@ class TestStackedPick:
             0, 2, COMBOS[0],
         )
 
-    def test_stack_updated_in_place_equals_a_fresh_one(self):
+    def test_walk_matches_flat_argmin_pick_by_pick(self):
+        """Every pick of a walk, through retirements and commits (a new
+        ranking each), is the flat argmin over the remaining pairs; the
+        walk clears each picked pair from its mask, and once no pair is
+        left it raises as an empty candidate set does."""
         rng = np.random.default_rng(9)
         for data, avg, remaining in _cases():
             avg, remaining = avg.copy(), remaining.copy()
-            stack = masked_cost_stack(data, avg, remaining)
-            while remaining.any():
-                i, j, combo, cost = best_pair_and_combo(data, avg, remaining, stack)
-                assert (i, j, combo, cost) == reference_best_pair(data, avg, remaining)
+            walk = PairWalk(data, avg, remaining)
+            assert walk.remaining is remaining  # the caller's mask, cleared in place
+            for _step in range(int(remaining.sum())):
+                expected = reference_best_pair(data, avg, remaining)
+                i, j, combo, cost = best_pair_and_combo(data, avg, remaining, walk)
+                assert (i, j, combo, cost) == expected
+                assert not remaining[i, j]
                 inverted = [k for k, move in zip((i, j), combo) if move is Move.INVERT]
                 if inverted and rng.random() < 0.3:  # a commit
                     avg[inverted] = 1.0 - avg[inverted]
-                    stack = masked_cost_stack(data, avg, remaining)
-                remaining[i, j] = False
-                stack[:, i, j] = np.inf
-                assert np.array_equal(stack, masked_cost_stack(data, avg, remaining))
+                    walk.rank(avg)
+            assert not remaining.any()
+            with pytest.raises(PhaseError, match="candidate pair set is empty"):
+                best_pair_and_combo(data, avg, remaining, walk)
+
+
+def _loop_circuits():
+    """Seeded generated circuits of 3 to 24 outputs."""
+    for index in (2, 5, 9):
+        yield cleanup(to_aoi(parse_blif(small_pool_blif(index))))
+    for seed, n_outputs in ((1, 12), (2, 16), (3, 24)):
+        config = GeneratorConfig(
+            n_inputs=20, n_outputs=n_outputs, n_gates=8 * n_outputs, seed=seed
+        )
+        yield cleanup(to_aoi(random_control_network(f"W{seed}", config)))
+
+
+_BUDGETS = (
+    OptimizerBudget(),
+    OptimizerBudget(max_evaluations=25),
+    OptimizerBudget(tolerance=0.02),
+    OptimizerBudget(max_evaluations=60, tolerance=0.005),
+)
+
+
+def _outcome(result):
+    return (
+        result.assignment, result.power, result.initial_power,
+        result.evaluations, result.history,
+    )
+
+
+class TestWalkLoopParity:
+    """The whole Section 4.1 loop on the walk against the loop that took a
+    flat argmin every step (``reference_pairwise_loop``): the same
+    assignment, power, evaluation count and commit history."""
+
+    @pytest.mark.parametrize("max_pairs", [None, 0, 1, 7])
+    def test_pairwise_strategy(self, monkeypatch, max_pairs):
+        strategy = PairwiseStrategy(exhaustive_limit=0, max_pairs=max_pairs)
+        for network in _loop_circuits():
+            evaluator = PhaseEvaluator(network, method="bdd")
+            for budget in _BUDGETS:
+                walked = strategy.optimize(evaluator, budget=budget)
+                with monkeypatch.context() as patch:
+                    patch.setattr(strategies, "pairwise_loop", reference_pairwise_loop)
+                    expected = strategy.optimize(evaluator, budget=budget)
+                assert _outcome(walked) == _outcome(expected), (network.name, budget)
+                if max_pairs is None and budget == OptimizerBudget():
+                    n = len(evaluator.outputs)
+                    assert walked.evaluations == 1 + n * (n - 1) // 2
+
+    def test_timing_aware_search(self, monkeypatch):
+        """Section 6's search drives the same loop with a delay penalty."""
+        for network in list(_loop_circuits())[3:]:
+            evaluator = PhaseEvaluator(network, method="bdd")
+            walked = timing_aware.minimize_power_timing_aware(
+                evaluator, method="pairwise", slack_fraction=0.9
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(timing_aware, "pairwise_loop", reference_pairwise_loop)
+                expected = timing_aware.minimize_power_timing_aware(
+                    evaluator, method="pairwise", slack_fraction=0.9
+                )
+            assert walked == expected

@@ -271,6 +271,58 @@ class TestTieredBackend:
         assert tiered.shared.stat("flow", FP, store_digest(("k",))) is None
         assert store.get("flow", FP, ("k",)) is None
 
+    def test_stale_entry_does_not_land_in_the_shared_tier_after_its_drop(
+        self, tmp_path, monkeypatch
+    ):
+        """A local miss on an entry whose write-back is still queued reads
+        the shared tier after that write-back lands, so a stale entry the
+        local tier drops is dropped from the shared tier too."""
+        tiered = TieredBackend(
+            LocalDiskBackend(str(tmp_path / "local")),
+            SQLiteBackend(str(tmp_path / "shared.sqlite")),
+        )
+        real_put = tiered.shared.put
+
+        def slow_put(*args):
+            time.sleep(0.2)  # the write-back is still queued at the get
+            return real_put(*args)
+
+        monkeypatch.setattr(tiered.shared, "put", slow_put)
+        store = ArtifactStore(backend=tiered)
+        digest = store_digest(("k",))
+        tiered.put("flow", FP, digest, {"version": 999, "kind": "flow", "payload": {"v": 1}})
+        assert store.get("flow", FP, ("k",)) is None
+        store.flush()
+        assert tiered.shared.stat("flow", FP, digest) is None
+        assert tiered.stat("flow", FP, digest) is None
+
+    def test_a_miss_on_another_entry_does_not_wait_for_write_backs(
+        self, tmp_path, monkeypatch
+    ):
+        tiered = TieredBackend(
+            LocalDiskBackend(str(tmp_path / "local")),
+            SQLiteBackend(str(tmp_path / "shared.sqlite")),
+        )
+        gate = threading.Event()
+        real_put = tiered.shared.put
+
+        def gated_put(*args):
+            assert gate.wait(10.0)
+            return real_put(*args)
+
+        monkeypatch.setattr(tiered.shared, "put", gated_put)
+        store = ArtifactStore(backend=tiered)
+        try:
+            store.put("flow", FP, ("k",), {"v": 1})
+            # the write-back of ("k",) cannot land until the gate opens
+            assert store.get("flow", FP, ("other",)) is None
+            assert store.get("flow", FP, ("k",)) == {"v": 1}  # a local hit
+        finally:
+            gate.set()
+        store.flush()
+        assert tiered.shared.stat("flow", FP, store_digest(("k",))) is not None
+        assert tiered.stats()["write_back_errors"] == 0
+
     def test_stats_nest_both_tiers(self, tmp_path):
         store = ArtifactStore(
             backend=TieredBackend(
