@@ -21,9 +21,9 @@ Quickstart::
     for row in batch.rows():
         print(row)
 
-    # stage-level control: skip or inspect individual stages
+    # stage-level inspection: every stage's output and runtime
     from repro import Pipeline
-    result = Pipeline(config, skip=("resize",)).run(net)
+    result = Pipeline(config).run(net)
     print(result.stage_names, result.flow.row())
 
     # persistent caching + sweeps: a disk-backed ArtifactStore makes

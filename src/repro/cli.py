@@ -388,8 +388,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     print(f"probability engine: {result.probability_method}")
     if store is not None:
         store.flush()  # tiered write-backs land before the process exits
-        served = all(s.cached or s.skipped for s in run.stages)
-        print(f"store: {'served from' if served else 'populated'} {store.root}")
+        print(f"store: {'served from' if run.cached else 'populated'} {store.root}")
     return 0
 
 
@@ -505,11 +504,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.record:
         import os
 
-        from repro.store import RunStore
+        from repro.store import RunStore, default_store_dir
 
-        runs_dir = args.runs_dir
-        if runs_dir is None and store is not None:
-            runs_dir = os.path.join(store.root, "runs")
+        # the store directory, not store.root: a SQLite store's root is
+        # its DB file
+        runs_dir = args.runs_dir or os.path.join(
+            args.store_dir or default_store_dir(), "runs"
+        )
         record = RunStore(runs_dir).record_sweep(result)
         print(f"\nrecorded run {record.run_id}")
     if args.output:

@@ -3,9 +3,8 @@
 The flow itself is exposed at three levels:
 
 * :func:`run_flow` — one circuit, keyword arguments (legacy API);
-* :class:`Pipeline` + :class:`FlowConfig` — one circuit, staged and
-  composable (skip or inspect individual stages, back them with a
-  store);
+* :class:`Pipeline` + :class:`FlowConfig` — one circuit, staged
+  (inspect individual stages, back them with a store);
 * :func:`run_many` — many circuits fanned across worker processes.
 """
 

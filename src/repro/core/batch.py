@@ -342,8 +342,7 @@ def execute_one(
             # sequential tables
             start = time.perf_counter()
             run = Pipeline(config, store=store).run(network)
-            cached = all(s.cached or s.skipped for s in run.stages)
-            return Outcome(run.flow, None, time.perf_counter() - start, cached)
+            return Outcome(run.flow, None, time.perf_counter() - start, run.cached)
         except Exception as exc:  # noqa: BLE001 — isolation is the point
             detail = "".join(
                 traceback.format_exception_only(type(exc), exc)

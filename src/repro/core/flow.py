@@ -20,7 +20,7 @@ store hit and a fleet result are one shape.  The mapped artefacts stay
 in process, on ``Pipeline.run(...).context.builds["MA"]`` / ``["MP"]``.
 
 Since the pipeline redesign the implementation lives in
-:mod:`repro.core.pipeline` (staged, skippable, store-backed) and
+:mod:`repro.core.pipeline` (staged, store-backed) and
 :func:`run_flow` is a thin keyword-compatible wrapper; new code should
 prefer a :class:`repro.core.config.FlowConfig` plus
 ``Pipeline().run(...)`` (one circuit, artefacts included) or

@@ -1,7 +1,7 @@
-"""Staged, composable synthesis pipeline.
+"""Staged synthesis pipeline.
 
-The Figure 6 flow, decomposed into named stages that run in a fixed
-order, each producing an inspectable :class:`StageResult`:
+The Figure 6 flow, decomposed into named stages that always run in a
+fixed order, each producing an inspectable :class:`StageResult`:
 
 ======================  =================================================
 stage                   produces
@@ -19,9 +19,8 @@ stage                   produces
 ``measure``             Monte-Carlo power measurement → ``FlowResult``
 ======================  =================================================
 
-Stages can be **skipped** (``optimize_mp`` skipped ⇒ the MP variant
-reuses the MA assignment; ``resize`` auto-skips in the untimed flow).
-Each stage's output comes from one of two sources: its default
+``resize`` runs in the timed flow only; the untimed flow reports it
+skipped.  Each stage's output comes from one of two sources: its
 implementation, or an optional persistent
 :class:`repro.store.ArtifactStore` (``Pipeline(store=...)``) whose
 entries are keyed by the network's structural
@@ -45,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.errors import ConfigError
 from repro.network.duplication import DominoImplementation, phase_transform
 from repro.network.netlist import LogicNetwork
 from repro.network.ops import cleanup, to_aoi
@@ -73,11 +71,6 @@ STAGE_NAMES: Tuple[str, ...] = (
     "transform_map",
     "resize",
     "measure",
-)
-
-#: Stages that may be skipped without leaving the flow unrunnable.
-SKIPPABLE_STAGES = frozenset(
-    {"sequential", "optimize_ma", "optimize_mp", "resize", "measure"}
 )
 
 
@@ -144,7 +137,7 @@ class PipelineResult:
     ``builds`` is empty when the whole run was served from the store.
     """
 
-    flow: Optional["FlowResult"]  # noqa: F821
+    flow: "FlowResult"  # noqa: F821
     stages: List[StageResult]
     context: PipelineContext
 
@@ -157,6 +150,11 @@ class PipelineResult:
     @property
     def stage_names(self) -> List[str]:
         return [s.name for s in self.stages]
+
+    @property
+    def cached(self) -> bool:
+        """True when the whole run was served from the persistent store."""
+        return all(s.cached or s.skipped for s in self.stages)
 
 
 
@@ -223,7 +221,7 @@ def _stage_optimize_mp(ctx: PipelineContext):
     takes its ``exhaustive_limit``/``max_pairs`` params from
     ``config.power_exhaustive_limit``/``config.max_pairs``.
     """
-    initial = ctx.ma_result.assignment if ctx.ma_result is not None else None
+    initial = ctx.ma_result.assignment
     strategy, budget = ctx.config.resolved_optimizer()
     return strategy.optimize(
         ctx.evaluator, initial=initial, budget=budget, seed=ctx.config.seed
@@ -231,22 +229,11 @@ def _stage_optimize_mp(ctx: PipelineContext):
 
 
 def _variant_assignments(ctx: PipelineContext) -> List[Tuple[str, PhaseAssignment, float]]:
-    """(label, assignment, estimated power) for the MA and MP variants,
-    honouring skipped optimisation stages."""
-    evaluator = ctx.evaluator
-    if ctx.ma_result is not None:
-        ma_assignment = ctx.ma_result.assignment
-    else:
-        ma_assignment = PhaseAssignment.all_positive(ctx.aoi.output_names())
-    if ctx.mp_result is not None:
-        mp_assignment = ctx.mp_result.assignment
-        mp_power = ctx.mp_result.power
-    else:
-        mp_assignment = ma_assignment
-        mp_power = evaluator.power(mp_assignment)
+    """(label, assignment, estimated power) for the MA and MP variants."""
+    ma_assignment = ctx.ma_result.assignment
     return [
-        ("MA", ma_assignment, evaluator.power(ma_assignment)),
-        ("MP", mp_assignment, mp_power),
+        ("MA", ma_assignment, ctx.evaluator.power(ma_assignment)),
+        ("MP", ctx.mp_result.assignment, ctx.mp_result.power),
     ]
 
 
@@ -323,49 +310,29 @@ _STAGE_TABLE: Dict[str, Tuple[Callable[[PipelineContext], Any], str]] = {
 
 
 class Pipeline:
-    """Composable runner for the synthesis flow.
+    """Runner for the synthesis flow: every stage of one config, in
+    :data:`STAGE_NAMES` order.
 
     Parameters
     ----------
     config:
-        Default :class:`FlowConfig` for :meth:`run` (a per-call config
-        overrides it).
-    skip:
-        Stage names to skip.  Only ``sequential``, ``optimize_ma``,
-        ``optimize_mp``, ``resize`` and ``measure`` are skippable — the
-        rest are structural.  ``resize`` additionally auto-skips in the
-        untimed flow.
+        The :class:`FlowConfig` of every :meth:`run`.
     store:
         Optional persistent :class:`repro.store.ArtifactStore`.  Stages
         with a stored artefact for the network fingerprint + config are
         served from it; executed stages write their artefacts back.  A
-        stored flow record for the exact (fingerprint, config, skip)
-        triple short-circuits the whole run.
+        stored flow record for the exact (fingerprint, config) pair
+        short-circuits the whole run.
     """
 
     def __init__(
         self,
         config: Optional[FlowConfig] = None,
         *,
-        skip: Tuple[str, ...] = (),
         store: Optional["ArtifactStore"] = None,  # noqa: F821
     ) -> None:
         self.config = config or FlowConfig()
         self.store = store
-        unknown = sorted(set(skip) - set(STAGE_NAMES))
-        if unknown:
-            raise ConfigError(f"unknown stage(s) in skip: {', '.join(unknown)}")
-        not_skippable = sorted(set(skip) - SKIPPABLE_STAGES)
-        if not_skippable:
-            raise ConfigError(
-                f"stage(s) cannot be skipped: {', '.join(not_skippable)} "
-                f"(skippable: {', '.join(sorted(SKIPPABLE_STAGES))})"
-            )
-        self.skip = frozenset(skip)
-
-    @property
-    def stage_names(self) -> Tuple[str, ...]:
-        return STAGE_NAMES
 
     # ------------------------------------------------------------------
     # persistent store integration
@@ -381,10 +348,12 @@ class Pipeline:
         "measure": "flow",
     }
 
-    def _store_key(self, name: str, config: FlowConfig) -> tuple:
+    def _store_key(self, name: str) -> tuple:
         """Config key of one stage's persistent artefact: exactly the
-        knobs (and skip flags) that can change the stage's output for a
-        fixed source network."""
+        knobs that can change the stage's output for a fixed source
+        network.  The ``False`` flags and the ``()`` held a stage skip
+        set, now gone; they stay so that stored keys still match."""
+        config = self.config
         if name == "prepare":
             return (config.minimize, config.strash)
         if name == "sequential":
@@ -402,25 +371,22 @@ class Pipeline:
                 config.seed,
             )
         if name == "optimize_ma":
-            return config.cache_key() + (
-                "sequential" in self.skip,
-                config.area_exhaustive_limit,
-            )
+            return config.cache_key() + (False, config.area_exhaustive_limit)
         if name == "optimize_mp":
             # optimizer_key() keeps one strategy's assignment from ever
             # being served to another (no cross-strategy store hits)
             return config.cache_key() + (
-                "sequential" in self.skip,
-                "optimize_ma" in self.skip,
+                False,
+                False,
                 config.area_exhaustive_limit,
                 config.power_exhaustive_limit,
                 config.max_pairs,
             ) + config.optimizer_key()
         if name == "measure":
-            return config.result_key() + (tuple(sorted(self.skip)),)
+            return config.result_key() + ((),)
         raise KeyError(name)
 
-    def _store_get(self, name: str, fingerprint: str, config: FlowConfig):
+    def _store_get(self, name: str, fingerprint: str):
         """Decoded artefact from the persistent store, or ``None``."""
         from repro.store.serialize import (
             StoreError,
@@ -429,7 +395,7 @@ class Pipeline:
         )
 
         payload = self.store.get(
-            self._STORE_KIND[name], fingerprint, self._store_key(name, config)
+            self._STORE_KIND[name], fingerprint, self._store_key(name)
         )
         if payload is None:
             return None
@@ -467,7 +433,7 @@ class Pipeline:
             return None  # corrupted payload: recompute and overwrite
         raise KeyError(name)
 
-    def _store_put(self, name: str, fingerprint: str, config: FlowConfig, output: Any) -> None:
+    def _store_put(self, name: str, fingerprint: str, output: Any) -> None:
         """Persist one executed stage's artefact."""
         from repro.store.serialize import assignment_to_dict, network_to_dict
 
@@ -494,30 +460,26 @@ class Pipeline:
         else:
             return
         self.store.put(
-            self._STORE_KIND[name], fingerprint, self._store_key(name, config), payload
+            self._STORE_KIND[name], fingerprint, self._store_key(name), payload
         )
 
-    def cached_flow(
-        self, network: LogicNetwork, config: Optional[FlowConfig] = None
-    ) -> Optional["FlowResult"]:  # noqa: F821
+    def cached_flow(self, network: LogicNetwork) -> Optional["FlowResult"]:  # noqa: F821
         """The archived :class:`FlowResult` this pipeline would
         short-circuit to for ``network``, or ``None``.
 
         A pure store probe — nothing executes and nothing is written —
         used by callers that need to know *before* scheduling work
         whether a run would be served warm (the async service's
-        submit-time dedup).  Always ``None`` without a store, when
-        ``measure`` is skipped, or when the optimizer carries a
-        wall-clock budget (see
+        submit-time dedup).  Always ``None`` without a store, or when
+        the optimizer carries a wall-clock budget (see
         :meth:`FlowConfig.optimizer_reproducible`).
         """
-        if self.store is None or "measure" in self.skip:
+        if self.store is None:
             return None
-        config = config or self.config
-        config.validate()
-        if not config.optimizer_reproducible():
+        self.config.validate()
+        if not self.config.optimizer_reproducible():
             return None
-        return self._store_get("measure", network.fingerprint(), config)
+        return self._store_get("measure", network.fingerprint())
 
     def _short_circuit(
         self, ctx: PipelineContext, flow: "FlowResult"  # noqa: F821
@@ -529,18 +491,16 @@ class Pipeline:
                 name=name,
                 output=flow if name == "measure" else None,
                 runtime_s=0.0,
-                skipped=name in self.skip or (name == "resize" and not ctx.config.timed),
+                skipped=name == "resize" and not ctx.config.timed,
                 cached=True,
             )
             for name in STAGE_NAMES
         ]
         return PipelineResult(flow=flow, stages=stages, context=ctx)
 
-    def run(
-        self, network: LogicNetwork, config: Optional[FlowConfig] = None
-    ) -> PipelineResult:
+    def run(self, network: LogicNetwork) -> PipelineResult:
         """Execute the stages on one circuit and return every artefact."""
-        config = config or self.config
+        config = self.config
         config.validate()
         library = config.resolved_library()
         model = config.resolved_model()
@@ -553,25 +513,17 @@ class Pipeline:
         # served from nor written to the persistent store (the
         # strategy-independent prepare/probs/MA artefacts still are)
         reproducible = config.optimizer_reproducible()
-        if fingerprint is not None and "measure" not in self.skip and reproducible:
-            flow = self._store_get("measure", fingerprint, config)
+        if fingerprint is not None and reproducible:
+            flow = self._store_get("measure", fingerprint)
             if flow is not None:
                 return self._short_circuit(ctx, flow)
         stages: List[StageResult] = []
         for name in STAGE_NAMES:
             fn, slot = _STAGE_TABLE[name]
-            auto_skip = name == "resize" and not config.timed
-            if name in self.skip or auto_skip:
+            if name == "resize" and not config.timed:
                 stages.append(
                     StageResult(name=name, output=None, runtime_s=0.0, skipped=True)
                 )
-                if name == "sequential":
-                    # downstream stages still need input probabilities
-                    ctx.input_probs = (
-                        dict(config.input_probs)
-                        if config.input_probs is not None
-                        else {n: config.input_probability for n in ctx.aoi.inputs}
-                    )
                 continue
             start = time.perf_counter()
             stored = (
@@ -581,7 +533,7 @@ class Pipeline:
             )
             # "measure" was already probed by the whole-run short circuit
             output = (
-                self._store_get(name, fingerprint, config)
+                self._store_get(name, fingerprint)
                 if stored and name != "measure"
                 else None
             )
@@ -589,7 +541,7 @@ class Pipeline:
             if not cached:
                 output = fn(ctx)
                 if stored:
-                    self._store_put(name, fingerprint, config, output)
+                    self._store_put(name, fingerprint, output)
             elapsed = time.perf_counter() - start
             setattr(ctx, slot, output)
             stages.append(

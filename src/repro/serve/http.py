@@ -208,7 +208,7 @@ class HttpFrontend:
         writer: asyncio.StreamWriter,
     ) -> None:
         if path == "/healthz" and method == "GET":
-            await self._send_json(writer, 200, self.service.stats())
+            await self._send_json(writer, 200, await self.service.stats())
             return
         if path == "/jobs":
             if method == "POST":

@@ -480,7 +480,7 @@ class Service:
         """Snapshots of every job, oldest first."""
         return [job.snapshot() for job in self._jobs.values()]
 
-    def stats(self) -> Dict[str, Any]:
+    async def stats(self) -> Dict[str, Any]:
         """Service-level health record (what ``GET /healthz`` returns).
 
         ``queue_depth`` counts every job still in ``queued`` state —
@@ -493,8 +493,15 @@ class Service:
         quarantined/dead), lease and job counts, and the affinity
         hit/miss counters.  ``store_backend`` carries the artifact
         store's per-backend entry/byte/hit/miss/eviction breakdown
-        (nested per tier for a tiered store).
+        (nested per tier for a tiered store).  That record walks every
+        store entry, so it is built in a thread: requests and event
+        streams keep being served meanwhile.
         """
+        store_backend = None
+        if self.store is not None:
+            store_backend = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.backend.stats
+            )
         by_state: Dict[str, int] = {state: 0 for state in JOB_STATES}
         for job in self._jobs.values():
             by_state[job.state] += 1
@@ -505,9 +512,7 @@ class Service:
             "queue_depth": by_state["queued"],
             "jobs": by_state,
             "store": str(self.store.root) if self.store is not None else None,
-            "store_backend": (
-                self.store.backend.stats() if self.store is not None else None
-            ),
+            "store_backend": store_backend,
             "backend": self._backend.stats(),
         }
 

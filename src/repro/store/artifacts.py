@@ -177,11 +177,12 @@ class ArtifactStore:
     def stats(self) -> StoreStats:
         with self._stats_lock:
             stats = StoreStats(hits=dict(self.hits), misses=dict(self.misses))
-        entries, sizes = self.backend.usage()
-        stats.entries = entries
-        stats.bytes = sizes
-        stats.evictions = self.backend.counters()["evictions"]
-        stats.backend = self.backend.stats()
+        # one walk of the store: the backend record carries the usage
+        record = self.backend.stats()
+        stats.entries = record["entries"]
+        stats.bytes = record["bytes"]
+        stats.evictions = record["evictions"]
+        stats.backend = record
         return stats
 
     def clear(self) -> int:

@@ -210,20 +210,26 @@ class TestStoreCommands:
         assert "removed" in capsys.readouterr().out
 
     def test_sweep_record_defaults_runs_dir_under_store(self, capsys, blif_file, tmp_path):
-        store_dir = tmp_path / "store"
-        assert (
-            main(
-                [
-                    "sweep", blif_file,
-                    "--grid", "n_vectors=256",
-                    "--store-dir", str(store_dir),
-                    "--no-progress", "--record",
-                ]
+        # a SQLite store's root is its DB file inside the store directory
+        for backend in ("local", "sqlite"):
+            store_dir = tmp_path / backend
+            manifest = tmp_path / f"{backend}.json"
+            assert (
+                main(
+                    [
+                        "sweep", blif_file,
+                        "--grid", "n_vectors=256",
+                        "--store-backend", backend,
+                        "--store-dir", str(store_dir),
+                        "--no-progress", "--record",
+                        "--output", str(manifest),
+                    ]
+                )
+                == 0
             )
-            == 0
-        )
-        capsys.readouterr()
-        assert list((store_dir / "runs").glob("sweep-*.json"))
+            capsys.readouterr()
+            assert len(list((store_dir / "runs").glob("sweep-*.json"))) == 1
+            assert manifest.is_file()
 
     def test_bad_grid_is_config_error(self, capsys, blif_file):
         assert main(["sweep", blif_file, "--grid", "nonsense"]) == 2

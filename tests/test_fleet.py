@@ -654,7 +654,7 @@ class TestFleetEndToEnd:
                     job = await svc.result(job_id, timeout=240)
                     assert job.state == "done", job.error
                     rows[net.name] = job.result.row()
-                stats = svc.stats()
+                stats = await svc.stats()
                 assert stats["backend"]["kind"] == "fleet"
                 assert stats["backend"]["registered"] == 2
                 for w in workers:

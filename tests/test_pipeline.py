@@ -1,5 +1,5 @@
-"""Tests for the staged Pipeline: ordering, skipping, options, and parity
-with the legacy run_flow wrapper."""
+"""Tests for the staged Pipeline: ordering, options, and parity with the
+legacy run_flow wrapper."""
 
 import pytest
 
@@ -12,7 +12,6 @@ from repro.core.pipeline import (
     StageResult,
 )
 from repro.errors import ConfigError
-from repro.phase import Phase
 
 
 @pytest.fixture(scope="module")
@@ -67,39 +66,17 @@ class TestStageOrdering:
             result.stage("route")
 
 
-class TestSkip:
-    def test_skip_optimize_mp_copies_ma(self, tiny, fast_config):
-        result = Pipeline(fast_config, skip=("optimize_mp",)).run(tiny)
-        assert result.stage("optimize_mp").skipped
-        flow = result.flow
-        assert dict(flow.mp.assignment) == dict(flow.ma.assignment)
-        assert flow.mp.size == flow.ma.size
-
-    def test_skip_optimize_ma_uses_all_positive(self, tiny, fast_config):
-        result = Pipeline(fast_config, skip=("optimize_ma", "optimize_mp")).run(tiny)
-        assignment = result.flow.ma.assignment
-        assert all(ph is Phase.POSITIVE for ph in assignment.values())
-
-    def test_skip_measure_yields_no_flow(self, tiny, fast_config):
-        result = Pipeline(fast_config, skip=("measure",)).run(tiny)
-        assert result.flow is None
-        assert result.context.builds  # earlier stages still ran
-
-    def test_unknown_skip_name(self):
-        with pytest.raises(ConfigError, match="unknown stage"):
-            Pipeline(skip=("optimise_mp",))
-
-    def test_structural_stage_not_skippable(self):
-        with pytest.raises(ConfigError, match="cannot be skipped"):
-            Pipeline(skip=("prepare",))
-
-
 class TestOptions:
-    def test_only_config_skip_and_store_are_accepted(self):
+    def test_only_config_and_store_are_accepted(self):
         import inspect
 
-        params = list(inspect.signature(Pipeline.__init__).parameters)
-        assert params == ["self", "config", "skip", "store"]
+        def params(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert params(Pipeline.__init__) == ["self", "config", "store"]
+        # the config is the pipeline's own: no per-call override
+        assert params(Pipeline.run) == ["self", "network"]
+        assert params(Pipeline.cached_flow) == ["self", "network"]
 
 
 class TestParity:

@@ -133,7 +133,7 @@ class TestBackpressure:
             async with Service(FAST, jobs=1, queue_size=8) as svc:
                 await svc.submit(tiny_network("a", 3))
                 await svc.submit(tiny_network("b", 5))
-                stats = svc.stats()
+                stats = await svc.stats()
                 assert stats["state"] == "running"
                 assert stats["queue_depth"] >= 1  # dispatcher holds ≤ 1
 

@@ -5,6 +5,7 @@ stream events, cancel, warm-store repeat, and the error status codes."""
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -15,6 +16,7 @@ from repro.core.config import FlowConfig
 from repro.network.blif import write_blif
 from repro.serve import Service, serve_forever
 from repro.store import ArtifactStore
+from repro.store.backends import LocalDiskBackend
 
 FAST = FlowConfig(n_vectors=256)
 TERMINAL = ("done", "failed", "cancelled")
@@ -28,8 +30,8 @@ def tiny_network(name="tiny", seed=3):
 class ServerFixture:
     """A live serve stack in a background thread with its own loop."""
 
-    def __init__(self, tmp_path):
-        self.store = ArtifactStore(tmp_path / "store")
+    def __init__(self, tmp_path, store=None):
+        self.store = store or ArtifactStore(tmp_path / "store")
         self._started = threading.Event()
         self._loop = None
         self._stop = None
@@ -70,8 +72,6 @@ class ServerFixture:
             return exc.code, json.loads(exc.read())
 
     def poll(self, job_id, timeout=240):
-        import time
-
         deadline = time.time() + timeout
         while time.time() < deadline:
             status, snap = self.request("GET", f"/jobs/{job_id}")
@@ -159,6 +159,38 @@ class TestEndpoints:
             "POST", "/jobs", {"blif": blif, "config": {"n_vectors": 128}}
         )
         assert server.poll(snap["job_id"])["state"] == "done"
+
+
+class _SlowStatsBackend(LocalDiskBackend):
+    """A store whose usage walk takes 0.5 s, as a large store's does."""
+
+    def stats(self):
+        time.sleep(0.5)
+        return super().stats()
+
+
+def test_healthz_store_walk_does_not_stall_other_requests(tmp_path):
+    store = ArtifactStore(backend=_SlowStatsBackend(tmp_path / "store"))
+    server = ServerFixture(tmp_path, store=store)
+    try:
+        health = []
+        probe = threading.Thread(
+            target=lambda: health.append(server.request("GET", "/healthz"))
+        )
+        probe.start()
+        time.sleep(0.1)  # the /healthz store walk is under way
+        start = time.perf_counter()
+        status, _ = server.request("GET", "/jobs")
+        elapsed = time.perf_counter() - start
+        probe.join(timeout=30)
+        assert not probe.is_alive()
+        assert status == 200
+        assert elapsed < 0.2, f"GET /jobs waited {elapsed:.3f} s behind /healthz"
+        ((health_status, record),) = health
+        assert health_status == 200
+        assert record["store_backend"]["backend"] == "local-disk"
+    finally:
+        server.close()
 
 
 class TestErrorCodes:

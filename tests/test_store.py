@@ -168,14 +168,79 @@ class TestColdWarm:
         warm = Pipeline(FAST, store=store).run(tiny_network(seed=4))
         assert not any(s.cached for s in warm.stages)
 
-    def test_skip_set_participates_in_flow_key(self, store):
-        net = tiny_network()
-        Pipeline(FAST, store=store).run(net)
-        warm = Pipeline(FAST, store=store, skip=("optimize_mp",)).run(tiny_network())
-        assert not warm.stage("measure").cached
-        # but re-running the same skip set is warm
-        warm2 = Pipeline(FAST, store=store, skip=("optimize_mp",)).run(tiny_network())
-        assert warm2.stage("measure").cached
+    def test_cached_means_the_whole_run_came_from_the_store(self, store):
+        cold = Pipeline(FAST, store=store).run(tiny_network())
+        warm = Pipeline(FAST, store=store).run(tiny_network())
+        assert not cold.cached
+        assert warm.cached
+        # a wall-clock budget keeps the MP search and the flow record
+        # out of the store, so a repeat is computed again
+        budgeted = FAST.replace(optimizer_params={"max_seconds": 60.0})
+        Pipeline(budgeted, store=store).run(tiny_network())
+        repeat = Pipeline(budgeted, store=store).run(tiny_network())
+        assert repeat.stage("prepare").cached
+        assert not repeat.cached
+
+
+#: key digest of each stored stage's artefact (kind → digest), per
+#: config.  Pinned so that no change moves a store key silently: a moved
+#: key turns every existing store cold.
+PINNED_KEY_DIGESTS = {
+    "default": (
+        FlowConfig(),
+        {
+            "prepare": "5d5be987d596ffb74619",
+            "probs": "f719d37281aba3140d76",
+            "assign_ma": "b537573c9b9618d1cb7f",
+            "assign_mp": "55ba7cca14150785d3c7",
+            "flow": "9e06cc2c3b1242dbfa74",
+        },
+    ),
+    "timed": (
+        FlowConfig(timed=True, n_vectors=2048, seed=3),
+        {
+            "prepare": "5d5be987d596ffb74619",
+            "probs": "ca309372a1cd248e448d",
+            "assign_ma": "cff7d50c99bb96cf7b9f",
+            "assign_mp": "5f581460cf01f10b3226",
+            "flow": "5df6da5e27658e1a83d5",
+        },
+    ),
+    "anneal": (
+        FlowConfig(
+            optimizer="anneal",
+            optimizer_params={"steps": 64, "max_evaluations": 50},
+        ),
+        {
+            "prepare": "5d5be987d596ffb74619",
+            "probs": "f719d37281aba3140d76",
+            "assign_ma": "b537573c9b9618d1cb7f",
+            "assign_mp": "93f9175e4e9b1e080043",
+            "flow": "6c044d3a0d1eb5f3e69c",
+        },
+    ),
+    "input_probs": (
+        FlowConfig(
+            input_probs={"a": 0.3}, max_pairs=7, minimize=False, strash=True
+        ),
+        {
+            "prepare": "d40be18e9798dd6290eb",
+            "probs": "b24a2313d1163af76cf6",
+            "assign_ma": "bb6ec472e35143587576",
+            "assign_mp": "5a6eb9c5a582178e292a",
+            "flow": "675f112745c2d03977f9",
+        },
+    ),
+}
+
+
+class TestStoreKeys:
+    @pytest.mark.parametrize("label", sorted(PINNED_KEY_DIGESTS))
+    def test_stored_stage_keys_are_pinned(self, store, label):
+        config, expected = PINNED_KEY_DIGESTS[label]
+        Pipeline(config, store=store).run(tiny_network())
+        digests = {blob.kind: blob.digest for blob in store.backend.iter_keys()}
+        assert digests == expected
 
 
 # ----------------------------------------------------------------------
