@@ -3,12 +3,15 @@
 Measures what the shared cache tier actually buys: one full flow run
 on a quick MCNC circuit with (a) no warm entries anywhere (``cold``),
 (b) a warm local-disk store (``local-warm`` — the historical best
-case), and (c) a *fresh* local disk in front of a warm shared SQLite
+case), (c) a *fresh* local disk in front of a warm shared SQLite
 tier (``shared-warm`` — what a brand-new fleet worker or CI runner
-sees).  Shared-warm should land near local-warm and far under cold;
-each mode appends its mean wall time to ``BENCH_store.json`` so the
-bench-gate catches a regression that silently turns shared hits back
-into recomputes.
+sees), and (d) a fresh local disk in front of a fresh shared SQLite
+tier (``tiered-cold`` — a cold flow that also writes every entry
+through to the shared tier).  Shared-warm should land near local-warm
+and far under cold, and tiered-cold near cold; each mode appends its
+mean wall time to ``BENCH_store.json`` so the bench-gate catches a
+regression that silently turns shared hits back into recomputes, or
+makes the shared writes dominate a cold flow.
 """
 
 import itertools
@@ -82,7 +85,6 @@ def bench_store_shared_warm(benchmark, net, tmp_path_factory):
         )
     )
     Pipeline(CONFIG, store=seeder).run(net)
-    seeder.flush()
 
     def run():
         local = str(root / f"fresh-{next(_FRESH)}")
@@ -93,3 +95,22 @@ def bench_store_shared_warm(benchmark, net, tmp_path_factory):
 
     result = benchmark(run)
     _record_mode(benchmark, "shared-warm", result.mp.power_ma)
+
+
+@pytest.mark.benchmark(group="store")
+def bench_store_tiered_cold(benchmark, net, tmp_path_factory):
+    """Every round runs against a brand-new empty local tier in front
+    of a brand-new empty shared SQLite tier."""
+
+    def run():
+        root = tmp_path_factory.mktemp(f"tiered-cold-{next(_FRESH)}")
+        store = ArtifactStore(
+            backend=TieredBackend(
+                LocalDiskBackend(str(root / "local")),
+                SQLiteBackend(str(root / "shared.sqlite")),
+            )
+        )
+        return Pipeline(CONFIG, store=store).run(net).flow
+
+    result = benchmark(run)
+    _record_mode(benchmark, "tiered-cold", result.mp.power_ma)

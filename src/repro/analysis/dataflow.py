@@ -183,7 +183,7 @@ _LOCK_CTORS = {
 
 @dataclass(frozen=True)
 class _LockId:
-    name: str  # "ArtifactStore._stats_lock", or "<module key>.<NAME>" for a global
+    name: str  # "StoreBackend._counter_lock", or "<module key>.<NAME>" for a global
     kind: str  # a value of _LOCK_CTORS
 
     @property

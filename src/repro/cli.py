@@ -179,7 +179,7 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="shared SQLite cache tier; alone it selects the tiered "
-        "backend (local reads, async write-back), with --store-backend "
+        "backend (local reads, write-through), with --store-backend "
         "sqlite it is the DB file itself; implies --store",
     )
     parser.add_argument(
@@ -285,7 +285,6 @@ def _cmd_table(args: argparse.Namespace, timed: bool) -> int:
     )
     print(format_table_result(result))
     if store is not None:
-        store.flush()  # tiered write-backs land before the process exits
         print(f"\nstore-served {result.n_cached}/{len(result.rows)} circuits "
               f"from {store.root}")
     if args.output:
@@ -387,7 +386,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     print(f"MP assignment: {result.mp.assignment}")
     print(f"probability engine: {result.probability_method}")
     if store is not None:
-        store.flush()  # tiered write-backs land before the process exits
         print(f"store: {'served from' if run.cached else 'populated'} {store.root}")
     return 0
 
@@ -437,8 +435,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         order=args.order,
         timeout_s=args.timeout_s,
     )
-    if store is not None:
-        store.flush()  # tiered write-backs land before the process exits
     print(format_batch(batch, title=f"Batch synthesis ({len(blifs)} circuits)"))
     if args.output:
         from repro.report import save_batch
@@ -498,8 +494,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         order=args.order,
         timeout_s=args.timeout_s,
     )
-    if store is not None:
-        store.flush()  # tiered write-backs land before the process exits
     print(format_sweep(result))
     if args.record:
         import os
@@ -567,8 +561,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             drain=not args.abort_on_stop,
             ready=ready,
         )
-        if store is not None:
-            store.flush()  # tiered write-backs land before the process exits
         print("service stopped", file=sys.stderr)
 
     asyncio.run(_run())
@@ -641,8 +633,6 @@ def _cmd_fleet_coordinator(args: argparse.Namespace) -> int:
             drain=not args.abort_on_stop,
             ready=ready,
         )
-        if store is not None:
-            store.flush()  # tiered write-backs land before the process exits
         print("fleet coordinator stopped", file=sys.stderr)
 
     asyncio.run(_run())
@@ -669,8 +659,6 @@ def _cmd_fleet_worker(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     asyncio.run(run_worker_forever(worker))
-    if store is not None:
-        store.flush()  # tiered write-backs land before the process exits
     print(
         f"fleet worker {worker.worker_id} stopped "
         f"({worker.jobs_done} done, {worker.jobs_failed} failed)",

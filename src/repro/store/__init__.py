@@ -13,9 +13,9 @@ Two coordinated APIs:
 * :class:`RunStore` / :class:`RunRecord` — a run registry of archived
   flow/batch/sweep results with config provenance, loading back to real
   :class:`~repro.core.flow.FlowResult` objects and queryable by
-  circuit, kind and date.
+  circuit, kind and date, one JSON file per run.
 
-Both are façades over a pluggable storage backend
+The artefact cache is a façade over a pluggable storage backend
 (:mod:`repro.store.backends`); pick one with ``--store-backend`` /
 ``--shared-store`` on the CLI or :func:`make_backend` in code:
 
@@ -27,8 +27,8 @@ backend    storage                          use it when
 ``sqlite`` one WAL-mode SQLite file         a shared tier: fleet workers or CI
                                             jobs warming from one file
 ``tiered`` local tier in front of a shared  local-speed reads plus a common
-           tier (read-through, async        warm cache that fills as the fleet
-           write-back)                      works
+           tier (read-through,              warm cache that fills as the fleet
+           write-through)                   works
 ========== ================================ ===================================
 
 Every backend honours the same contracts — atomic writes and

@@ -29,7 +29,6 @@ assignments, :class:`FlowResult` records) is decided by the pipeline
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +66,8 @@ ARTIFACT_KINDS: Tuple[str, ...] = (
 
 @dataclass
 class StoreStats:
-    """Usage summary plus this process's hit/miss counters.
+    """Usage summary plus this process's hit/miss counters, read from
+    the backend record.
 
     ``entries``/``bytes``/``hits``/``misses``/``evictions`` are keyed
     by artefact kind; ``backend`` carries the per-backend breakdown
@@ -104,18 +104,12 @@ class ArtifactStore:
         if backend is None:
             backend = LocalDiskBackend(root, max_bytes=max_bytes)
         self.backend = backend
-        self.hits: Dict[str, int] = {}
-        self.misses: Dict[str, int] = {}
-        # guards the hit/miss counters: a Service serves many threads
-        # from one store object, and unlocked dict read-modify-write
-        # would drop counts under contention
-        self._stats_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ArtifactStore({str(self.root)!r})"
 
-    # Stores cross process-pool boundaries as plain state; the backend
-    # carries its own configuration, and the counters are per-process
+    # Stores cross process-pool boundaries as plain state: the backend
+    # carries its own configuration, and its counters are per-process
     # diagnostics that restart at zero in each worker.
     def __reduce__(self):
         return (ArtifactStore, (None, self.backend))
@@ -136,15 +130,7 @@ class ArtifactStore:
         reported as a miss — the flow recomputes and overwrites it.
         """
         entry = self.backend.get(kind, fingerprint, key_digest(key))
-        if entry is None:
-            self._count(self.misses, kind)
-            return None
-        self._count(self.hits, kind)
-        return entry["payload"]
-
-    def _count(self, counters: Dict[str, int], kind: str) -> None:
-        with self._stats_lock:
-            counters[kind] = counters.get(kind, 0) + 1
+        return None if entry is None else entry["payload"]
 
     def put(self, kind: str, fingerprint: str, key: Any, payload: Dict[str, Any]) -> Path:
         """Atomically persist one payload; last writer wins."""
@@ -175,15 +161,17 @@ class ArtifactStore:
     # maintenance (the CLI's `cache stats/clear/gc`)
 
     def stats(self) -> StoreStats:
-        with self._stats_lock:
-            stats = StoreStats(hits=dict(self.hits), misses=dict(self.misses))
         # one walk of the store: the backend record carries the usage
+        # and the counters its get() keeps
         record = self.backend.stats()
-        stats.entries = record["entries"]
-        stats.bytes = record["bytes"]
-        stats.evictions = record["evictions"]
-        stats.backend = record
-        return stats
+        return StoreStats(
+            entries=record["entries"],
+            bytes=record["bytes"],
+            hits=record["hits"],
+            misses=record["misses"],
+            evictions=record["evictions"],
+            backend=record,
+        )
 
     def clear(self) -> int:
         """Delete every entry; returns the number removed."""
@@ -197,11 +185,6 @@ class ArtifactStore:
         to the number of entries removed — or, under ``dry_run``, the
         number that *would* be removed, with nothing deleted."""
         return self.backend.gc(max_age_days, dry_run=dry_run)
-
-    def flush(self) -> None:
-        """Block until queued asynchronous writes (tiered write-back)
-        have landed in the shared tier."""
-        self.backend.flush()
 
     def close(self) -> None:
         self.backend.close()

@@ -8,7 +8,8 @@ backend    storage                         use it when
 ``sqlite`` one WAL-mode SQLite file        a shared tier: fleet workers or CI
                                            jobs warming from one file
 ``tiered`` local tier in front of a shared local-speed reads plus a common
-           tier (read-through/write-back)  warm cache that fills as you work
+           tier (read-through,             warm cache that fills as you work
+           write-through)
 ========== =============================== ====================================
 
 :func:`make_backend` maps the CLI surface (``--store-backend``,

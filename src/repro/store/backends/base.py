@@ -5,9 +5,8 @@ A backend stores *entries* — the JSON-safe envelope dicts
 ``fingerprint``/``key``/``created_at``/``payload``) — addressed by the
 triple ``(kind, fingerprint, digest)``:
 
-* ``kind`` — one of :data:`repro.store.ARTIFACT_KINDS` (plus ``runs``
-  for the run registry),
-* ``fingerprint`` — the network's structural fingerprint (or a run id),
+* ``kind`` — one of :data:`repro.store.ARTIFACT_KINDS`,
+* ``fingerprint`` — the network's structural fingerprint,
 * ``digest`` — :func:`repro.store.serialize.key_digest` of the config
   key tuple.
 
@@ -123,8 +122,8 @@ class StoreBackend(ABC):
     Subclasses implement :meth:`get` / :meth:`put` / :meth:`stat` /
     :meth:`delete` / :meth:`iter_keys` / :meth:`gc` under the atomicity
     and corruption contracts in the module docstring, and call
-    :meth:`_count_hit` / :meth:`_count_miss` / :meth:`_count_eviction`
-    so the façade can break statistics down per backend.
+    :meth:`_count_hit` / :meth:`_count_miss` / :meth:`_count_eviction`,
+    the only counters the façade's statistics read.
     """
 
     #: Short display name (``local-disk`` / ``sqlite`` / ``tiered``).
@@ -181,10 +180,6 @@ class StoreBackend(ABC):
             if self.delete(key.kind, key.fingerprint, key.digest):
                 removed += 1
         return removed
-
-    def flush(self) -> None:
-        """Block until queued asynchronous writes have landed (only the
-        tiered backend queues any; everyone else is already durable)."""
 
     def close(self) -> None:
         """Release handles; the backend may be reused (handles reopen)."""

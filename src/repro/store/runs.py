@@ -21,8 +21,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro.errors import ReproError
-from repro.store.artifacts import STORE_VERSION, default_store_dir
-from repro.store.backends import StoreBackend
+from repro.store.artifacts import default_store_dir, tmp_sibling
 
 #: Run kinds the registry understands (free-form strings are allowed;
 #: these are what the built-in recorders emit).
@@ -106,27 +105,12 @@ class RunRecord:
 
 
 class RunStore:
-    """Directory of :class:`RunRecord` JSON files.
+    """Directory of :class:`RunRecord` JSON files, one per run."""
 
-    With a :class:`~repro.store.backends.StoreBackend` the registry
-    routes through it instead (records live under kind ``runs``, keyed
-    by run id) — pointing a fleet's run registry at the same shared
-    SQLite file as its artefact cache gives every worker one history.
-    Without one, the historical one-file-per-run layout is unchanged.
-    """
-
-    #: Blob-key digest slot for run records (runs are keyed by id alone).
-    _DIGEST = "run"
-
-    def __init__(
-        self,
-        root: Optional[str] = None,
-        backend: Optional[StoreBackend] = None,
-    ) -> None:
+    def __init__(self, root: Optional[str] = None) -> None:
         if root is None:
             root = os.path.join(default_store_dir(), "runs")
         self.root = Path(root)
-        self.backend = backend
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunStore({str(self.root)!r})"
@@ -139,25 +123,11 @@ class RunStore:
         return f"{kind}-{stamp}-{os.urandom(3).hex()}"
 
     def save(self, record: RunRecord) -> Path:
-        if self.backend is not None:
-            entry = {
-                "version": STORE_VERSION,
-                "kind": "runs",
-                "fingerprint": record.run_id,
-                "key": record.run_id,
-                # numeric stamp: backend gc age-compares this envelope
-                # field, and the record keeps its own ISO created_at
-                "created_at": _parse_when(record.created_at).timestamp(),
-                "payload": record.to_dict(),
-            }
-            return self.backend.put("runs", record.run_id, self._DIGEST, entry)
         path = self.root / f"{record.run_id}.json"
         path.parent.mkdir(parents=True, exist_ok=True)
         # same thread-unique suffix rule as ArtifactStore.put: run ids
         # are usually unique, but concurrent re-saves of one record must
         # not share a temp path
-        from repro.store.artifacts import tmp_sibling
-
         tmp = tmp_sibling(path)
         with open(tmp, "w", encoding="utf-8") as f:
             json.dump(record.to_dict(), f, indent=2)
@@ -239,11 +209,6 @@ class RunStore:
     # loading / querying
 
     def load(self, run_id: str) -> RunRecord:
-        if self.backend is not None:
-            entry = self.backend.get("runs", run_id, self._DIGEST)
-            if entry is None:
-                raise RunStoreError(f"no run {run_id!r} in {self.backend!r}")
-            return RunRecord.from_dict(entry["payload"])
         path = self.root / f"{run_id}.json"
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -254,8 +219,6 @@ class RunStore:
             raise RunStoreError(f"cannot read run {run_id!r}: {exc}") from exc
 
     def list_ids(self) -> List[str]:
-        if self.backend is not None:
-            return sorted({k.fingerprint for k in self.backend.iter_keys("runs")})
         if not self.root.is_dir():
             return []
         return sorted(p.stem for p in self.root.glob("*.json"))

@@ -1189,6 +1189,16 @@ def test_cross_module_rules_catch_seeded_defects_in_the_real_tree():
         text = path.read_text(encoding="utf-8")
         relative = path.relative_to(SRC_TREE).as_posix()
         if relative == "store/artifacts.py":
+            # a store that holds a lock and has no __reduce__ cannot
+            # cross the pool boundaries the fleet worker and the service
+            # send it over
+            text = _seed_defect(text, "import time\n", "import threading\nimport time\n")
+            text = _seed_defect(
+                text,
+                "        self.backend = backend\n",
+                "        self.backend = backend\n"
+                "        self._lock = threading.Lock()\n",
+            )
             text = _seed_defect(
                 text,
                 "    def __reduce__(self):\n"

@@ -267,7 +267,7 @@ class TestStoreDedup:
                 assert warm.started_at is None and warm.runtime_s == 0.0
                 events = [e async for e in svc.events(warm.job_id)]
                 assert [e["state"] for e in events] == ["done"]
-                assert store.hits.get("flow", 0) >= 1
+                assert store.stats().hits.get("flow", 0) >= 1
                 # rows are bit-identical either way
                 assert warm.result.row() == cold.result.row()
 

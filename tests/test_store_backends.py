@@ -5,10 +5,11 @@ The existing ``tests/test_store.py`` pins the default local-disk
 behaviour (layout, counters, atomicity) through the ``ArtifactStore``
 façade; this module exercises the backend layer itself — the SQLite
 shared tier under simultaneous threads *and* process-pool workers, the
-tiered read-through/write-back path, LRU eviction under size caps, gc
-dry runs, and the CLI surface that selects backends.
+tiered read-through/write-through path, LRU eviction under size caps,
+gc dry runs, and the CLI surface that selects backends.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -19,7 +20,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.cli import main
+from repro.core.batch import execute_one, process_pool
+from repro.core.config import FlowConfig
 from repro.errors import ConfigError
 from repro.store import (
     ArtifactStore,
@@ -63,7 +67,8 @@ class TestBackendContract:
         assert store.get("flow", FP, ("k", 2)) is None
         assert store.has("flow", FP, ("k", 1))
         assert not store.has("flow", FP, ("k", 2))
-        assert store.hits == {"flow": 1} and store.misses == {"flow": 1}
+        stats = store.stats()
+        assert stats.hits == {"flow": 1} and stats.misses == {"flow": 1}
 
     def test_iter_keys_sorted_and_fingerprints(self, tmp_path, name):
         store = self._store(tmp_path, name)
@@ -91,7 +96,6 @@ class TestBackendContract:
     def test_pickle_round_trip_reaches_same_data(self, tmp_path, name):
         store = self._store(tmp_path, name)
         store.put("flow", FP, ("k",), {"v": 5})
-        store.flush()
         clone = pickle.loads(pickle.dumps(store))
         assert clone.get("flow", FP, ("k",)) == {"v": 5}
         assert clone.backend.name == store.backend.name
@@ -110,7 +114,6 @@ class TestBackendContract:
     def test_gc_report_is_an_int(self, tmp_path, name):
         store = self._store(tmp_path, name)
         store.put("flow", FP, ("k",), {"v": 1})
-        store.flush()
         report = store.gc(max_age_days=0.0, dry_run=True)
         assert isinstance(report, int) and report >= 1
         assert report.dry_run and all("reason" in e for e in report.entries)
@@ -226,14 +229,13 @@ class TestTieredBackend:
         assert store.get("flow", FP, ("k",)) == {"v": 9}
         assert tiered.shared.counters()["hits"].get("flow", 0) == shared_hits_before
 
-    def test_write_back_lands_in_shared_after_flush(self, tmp_path):
+    def test_put_lands_in_shared_before_it_returns(self, tmp_path):
         db = str(tmp_path / "shared.sqlite")
         tiered = TieredBackend(
             LocalDiskBackend(str(tmp_path / "local")), SQLiteBackend(db)
         )
         store = ArtifactStore(backend=tiered)
         store.put("flow", FP, ("k",), {"v": 3})
-        store.flush()
         observer = ArtifactStore(backend=SQLiteBackend(db))
         assert observer.get("flow", FP, ("k",)) == {"v": 3}
 
@@ -250,9 +252,10 @@ class TestTieredBackend:
         # what a fleet worker announces as warm: local *and* shared
         assert store.fingerprints("flow") == tuple(sorted((FP, FP2)))
 
-    def test_delete_waits_for_the_queued_write_back(self, tmp_path, monkeypatch):
-        """A delete racing its own put's write-back must win: the shared
-        copy may not land after the delete and bring the entry back."""
+    def test_delete_removes_the_entry_from_both_tiers(self, tmp_path, monkeypatch):
+        """A delete after a put wins, however slow the shared write: the
+        shared copy may not land after the delete and bring the entry
+        back."""
         tiered = TieredBackend(
             LocalDiskBackend(str(tmp_path / "local")),
             SQLiteBackend(str(tmp_path / "shared.sqlite")),
@@ -260,23 +263,23 @@ class TestTieredBackend:
         real_put = tiered.shared.put
 
         def slow_put(*args):
-            time.sleep(0.2)  # the write-back is still queued at delete
+            time.sleep(0.2)  # a deferred shared write would land after the delete
             return real_put(*args)
 
         monkeypatch.setattr(tiered.shared, "put", slow_put)
         store = ArtifactStore(backend=tiered)
         store.put("flow", FP, ("k",), {"v": 1})
         assert tiered.delete("flow", FP, store_digest(("k",)))
-        store.flush()
         assert tiered.shared.stat("flow", FP, store_digest(("k",))) is None
         assert store.get("flow", FP, ("k",)) is None
 
     def test_stale_entry_does_not_land_in_the_shared_tier_after_its_drop(
         self, tmp_path, monkeypatch
     ):
-        """A local miss on an entry whose write-back is still queued reads
-        the shared tier after that write-back lands, so a stale entry the
-        local tier drops is dropped from the shared tier too."""
+        """A stale entry put through the tiered backend is in both tiers
+        when the put returns, however slow the shared write, so the local
+        miss that drops it falls through to the shared tier and drops it
+        there too."""
         tiered = TieredBackend(
             LocalDiskBackend(str(tmp_path / "local")),
             SQLiteBackend(str(tmp_path / "shared.sqlite")),
@@ -284,7 +287,7 @@ class TestTieredBackend:
         real_put = tiered.shared.put
 
         def slow_put(*args):
-            time.sleep(0.2)  # the write-back is still queued at the get
+            time.sleep(0.2)  # a deferred shared write would land after the get
             return real_put(*args)
 
         monkeypatch.setattr(tiered.shared, "put", slow_put)
@@ -292,36 +295,8 @@ class TestTieredBackend:
         digest = store_digest(("k",))
         tiered.put("flow", FP, digest, {"version": 999, "kind": "flow", "payload": {"v": 1}})
         assert store.get("flow", FP, ("k",)) is None
-        store.flush()
         assert tiered.shared.stat("flow", FP, digest) is None
         assert tiered.stat("flow", FP, digest) is None
-
-    def test_a_miss_on_another_entry_does_not_wait_for_write_backs(
-        self, tmp_path, monkeypatch
-    ):
-        tiered = TieredBackend(
-            LocalDiskBackend(str(tmp_path / "local")),
-            SQLiteBackend(str(tmp_path / "shared.sqlite")),
-        )
-        gate = threading.Event()
-        real_put = tiered.shared.put
-
-        def gated_put(*args):
-            assert gate.wait(10.0)
-            return real_put(*args)
-
-        monkeypatch.setattr(tiered.shared, "put", gated_put)
-        store = ArtifactStore(backend=tiered)
-        try:
-            store.put("flow", FP, ("k",), {"v": 1})
-            # the write-back of ("k",) cannot land until the gate opens
-            assert store.get("flow", FP, ("other",)) is None
-            assert store.get("flow", FP, ("k",)) == {"v": 1}  # a local hit
-        finally:
-            gate.set()
-        store.flush()
-        assert tiered.shared.stat("flow", FP, store_digest(("k",))) is not None
-        assert tiered.stats()["write_back_errors"] == 0
 
     def test_stats_nest_both_tiers(self, tmp_path):
         store = ArtifactStore(
@@ -331,7 +306,6 @@ class TestTieredBackend:
             )
         )
         store.put("flow", FP, ("k",), {"v": 1})
-        store.flush()
         record = store.stats().backend
         assert record["backend"] == "tiered"
         assert record["local"]["backend"] == "local-disk"
@@ -394,13 +368,11 @@ class TestSQLiteThreadHammer:
         for t in threads:
             t.join()
         assert errors == []
-        assert store.hits["flow"] == n_threads * n_rounds
-        assert store.misses["flow"] == n_threads * n_rounds
-        counters = store.backend.counters()
-        assert counters["hits"]["flow"] == n_threads * n_rounds
-        assert counters["misses"]["flow"] == n_threads * n_rounds
+        stats = store.stats()
+        assert stats.hits["flow"] == n_threads * n_rounds
+        assert stats.misses["flow"] == n_threads * n_rounds
 
-    def test_tiered_put_hammer_flushes_complete(self, tmp_path):
+    def test_tiered_put_hammer_lands_every_entry_in_shared(self, tmp_path):
         db = str(tmp_path / "shared.sqlite")
         store = ArtifactStore(
             backend=TieredBackend(
@@ -420,7 +392,6 @@ class TestSQLiteThreadHammer:
             t.start()
         for t in threads:
             t.join()
-        store.flush()
         observer = ArtifactStore(backend=SQLiteBackend(db))
         for i in range(n_threads):
             for j in range(n_each):
@@ -456,7 +427,7 @@ def _pool_put(db, i):
 def _pool_get(db, i):
     store = ArtifactStore(backend=SQLiteBackend(db))
     got = store.get("flow", FP, ("cross", i))
-    hit = store.hits.get("flow", 0)
+    hit = store.stats().hits.get("flow", 0)
     store.close()
     return (None if got is None else got["value"], hit)
 
@@ -487,7 +458,47 @@ class TestSQLiteProcessPool:
 
 
 # ---------------------------------------------------------------------------
-# RunStore over a backend
+# pooled jobs: every job unpickles its own copy of the store in the worker
+
+
+def _worker_resources():
+    """Live threads and open fds (``None`` without ``/proc/self/fd``)
+    of the calling process, after a collection."""
+    gc.collect()
+    fd_dir = "/proc/self/fd"
+    fds = len(os.listdir(fd_dir)) if os.path.isdir(fd_dir) else None
+    return threading.active_count(), fds
+
+
+@pytest.mark.parametrize("name", ["local", "sqlite", "tiered"])
+def test_pooled_jobs_leave_no_threads_or_fds_in_the_worker(tmp_path, name):
+    """Once its cold jobs are done, a pool worker holds as many threads
+    and open fds as before them, however many store copies it has
+    unpickled."""
+    store = ArtifactStore(backend=_backends(tmp_path)[name])
+    config = FlowConfig(n_vectors=256)
+    circuits = [
+        random_control_network(
+            f"leak{seed}",
+            GeneratorConfig(n_inputs=8, n_outputs=3, n_gates=20, seed=seed),
+        )
+        for seed in range(6)
+    ]
+    with process_pool(1, ignore_sigint=True) as pool:
+        before = pool.submit(_worker_resources).result(timeout=60)
+        for network in circuits:
+            outcome = pool.submit(
+                execute_one, "network", network, config, store=store
+            ).result(timeout=60)
+            assert outcome.error is None and not outcome.cached
+        after = pool.submit(_worker_resources).result(timeout=60)
+    assert after[0] == before[0], "threads leaked"
+    if before[1] is not None:
+        assert after[1] == before[1], "fds leaked"
+
+
+# ---------------------------------------------------------------------------
+# RunStore: one JSON file per run, whatever the artefact backend
 
 
 class TestRunStoreBackend:
@@ -500,22 +511,6 @@ class TestRunStoreBackend:
             config={"n_vectors": 256},
             records=[{"name": "tiny", "power_mp": 1.0}],
         )
-
-    def test_save_load_query_via_sqlite(self, tmp_path):
-        db = str(tmp_path / "shared.sqlite")
-        runs = RunStore(backend=SQLiteBackend(db))
-        runs.save(self._record("flow-20260807T000000-aaa"))
-        runs.save(self._record("flow-20260807T000000-bbb"))
-        assert runs.list_ids() == [
-            "flow-20260807T000000-aaa",
-            "flow-20260807T000000-bbb",
-        ]
-        loaded = runs.load("flow-20260807T000000-aaa")
-        assert loaded.circuits == ["tiny"] and loaded.kind == "flow"
-        assert len(runs.query(circuit="tiny", kind="flow")) == 2
-        # a second registry over the same DB sees the same history
-        other = RunStore(backend=SQLiteBackend(db))
-        assert other.list_ids() == runs.list_ids()
 
     def test_default_layout_unchanged(self, tmp_path):
         runs = RunStore(str(tmp_path / "runs"))
@@ -601,7 +596,7 @@ class TestCLISurface:
 
     def test_second_process_dir_served_warm_from_shared(self, tmp_path, blif_file, capsys):
         """Two synth runs with *fresh* local dirs share one SQLite tier:
-        the second is served from the first's write-backs."""
+        the second is served from what the first wrote through to it."""
         db = str(tmp_path / "shared.sqlite")
         assert main(
             ["synth", blif_file, "--vectors", "256",

@@ -110,8 +110,8 @@ class TestSweepRuns:
         assert stats.entries["probs"] == 1
         assert stats.entries["flow"] == 3
         # the two later points were served the shared artefacts from disk
-        assert store.hits.get("prepare", 0) == 2
-        assert store.hits.get("probs", 0) == 2
+        assert stats.hits.get("prepare", 0) == 2
+        assert stats.hits.get("probs", 0) == 2
         # and re-running the sweep is fully store-served
         warm = sweep(
             [tiny_network()], {"n_vectors": [256, 512, 1024]}, FAST, store=store
