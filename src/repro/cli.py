@@ -265,6 +265,34 @@ def _add_flow_flags(parser: argparse.ArgumentParser, config_help: str) -> None:
     _add_store_flags(parser)
 
 
+def _add_serving_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``serve`` and ``fleet coordinator``: the HTTP
+    listener, the job queue, the flow and the stop policy."""
+    parser.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
+    parser.add_argument(
+        "--port", type=int, default=8080,
+        help="HTTP TCP port (0 picks a free one)",
+    )
+    parser.add_argument(
+        "--queue-size", type=int, default=64,
+        help="bound on queued jobs; a full queue answers HTTP 429",
+    )
+    parser.add_argument(
+        "--timeout-s", type=float, default=None,
+        help="default per-job wall-clock budget (overridable per submission)",
+    )
+    _add_flow_flags(parser, "JSON FlowConfig file used for submissions without one")
+    parser.add_argument(
+        "--no-progress", action="store_true",
+        help="suppress per-job progress lines on stderr",
+    )
+    parser.add_argument(
+        "--abort-on-stop", action="store_true",
+        help="on shutdown, cancel queued jobs instead of draining them",
+    )
+    _add_log_level_flag(parser)
+
+
 def _cmd_table(args: argparse.Namespace, timed: bool) -> int:
     from repro.experiments.tables import run_table, format_table_result
 
@@ -525,7 +553,12 @@ def _serve_progress(done: int, total: int, item) -> None:
     )
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+def _serve_http(args: argparse.Namespace, name: str, describe, **execution) -> int:
+    """The body of ``serve`` and ``fleet coordinator``: a
+    :class:`~repro.serve.Service` behind HTTP until SIGINT/SIGTERM.
+    ``execution`` is the service's ``jobs`` or ``backend`` argument.
+    Once the listeners are bound, ``describe(service)`` gives the ready
+    banner's first detail and its closing hint."""
     import asyncio
 
     from repro.log import configure_logging
@@ -538,19 +571,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     async def _run() -> None:
         service = Service(
             config,
-            jobs=args.jobs,
             queue_size=args.queue_size,
             store=store,
             timeout_s=args.timeout_s,
             progress=None if args.no_progress else _serve_progress,
+            **execution,
         )
 
         def ready(frontend) -> None:
+            detail, hint = describe(service)
             print(
-                f"repro-domino service on http://{args.host}:{frontend.port} "
-                f"({service.workers} worker(s), queue {args.queue_size}"
+                f"repro-domino {name} on http://{args.host}:{frontend.port} "
+                f"({detail}, queue {args.queue_size}"
                 + (f", store {store.root}" if store is not None else "")
-                + ") — POST /jobs, GET /jobs/<id>[/events], GET /healthz",
+                + f") — {hint}",
                 file=sys.stderr,
             )
 
@@ -561,10 +595,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             drain=not args.abort_on_stop,
             ready=ready,
         )
-        print("service stopped", file=sys.stderr)
+        print(f"{name} stopped", file=sys.stderr)
 
     asyncio.run(_run())
     return 0
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    return _serve_http(
+        args,
+        "service",
+        lambda service: (
+            f"{service.workers} worker(s)",
+            "POST /jobs, GET /jobs/<id>[/events], GET /healthz",
+        ),
+        jobs=args.jobs,
+    )
 
 
 def _parse_hostport(spec: str, default_port: int) -> tuple:
@@ -586,57 +632,30 @@ def _parse_hostport(spec: str, default_port: int) -> tuple:
 
 
 def _cmd_fleet_coordinator(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.fleet import Coordinator, FleetBackend
-    from repro.log import configure_logging
-    from repro.serve import Service, serve_forever
 
-    configure_logging(args.log_level)
-    config = _effective_config(args)
-    store = _store_from_args(args)
+    coordinator = Coordinator(
+        host=args.fleet_host,
+        port=args.fleet_port,
+        heartbeat_interval_s=args.heartbeat_interval,
+        miss_limit=args.miss_limit,
+        max_requeues=args.max_requeues,
+        quarantine_after=args.quarantine_after,
+    )
 
-    async def _run() -> None:
-        coordinator = Coordinator(
-            host=args.fleet_host,
-            port=args.fleet_port,
-            heartbeat_interval_s=args.heartbeat_interval,
-            miss_limit=args.miss_limit,
-            max_requeues=args.max_requeues,
-            quarantine_after=args.quarantine_after,
-        )
-        service = Service(
-            config,
-            backend=FleetBackend(coordinator, max_inflight=args.max_inflight),
-            queue_size=args.queue_size,
-            store=store,
-            timeout_s=args.timeout_s,
-            progress=None if args.no_progress else _serve_progress,
+    def describe(service):
+        bus = f"{coordinator.host}:{coordinator.port}"
+        return (
+            f"worker bus {bus}",
+            f"start workers with: repro-domino fleet worker --coordinator {bus}",
         )
 
-        def ready(frontend) -> None:
-            print(
-                f"repro-domino fleet coordinator on "
-                f"http://{args.host}:{frontend.port} "
-                f"(worker bus {coordinator.host}:{coordinator.port}, "
-                f"queue {args.queue_size}"
-                + (f", store {store.root}" if store is not None else "")
-                + ") — start workers with: repro-domino fleet worker "
-                f"--coordinator {coordinator.host}:{coordinator.port}",
-                file=sys.stderr,
-            )
-
-        await serve_forever(
-            service,
-            host=args.host,
-            port=args.port,
-            drain=not args.abort_on_stop,
-            ready=ready,
-        )
-        print("fleet coordinator stopped", file=sys.stderr)
-
-    asyncio.run(_run())
-    return 0
+    return _serve_http(
+        args,
+        "fleet coordinator",
+        describe,
+        backend=FleetBackend(coordinator, max_inflight=args.max_inflight),
+    )
 
 
 def _cmd_fleet_worker(args: argparse.Namespace) -> int:
@@ -996,32 +1015,11 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the async synthesis service (JSON over HTTP)",
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=8080, help="TCP port (0 picks a free one)"
-    )
+    _add_serving_flags(p)
     p.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes (default: cores - 1)",
     )
-    p.add_argument(
-        "--queue-size", type=int, default=64,
-        help="bound on queued jobs; a full queue answers HTTP 429",
-    )
-    p.add_argument(
-        "--timeout-s", type=float, default=None,
-        help="default per-job wall-clock budget (overridable per submission)",
-    )
-    _add_flow_flags(p, "JSON FlowConfig file used for submissions without one")
-    p.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-job progress lines on stderr",
-    )
-    p.add_argument(
-        "--abort-on-stop", action="store_true",
-        help="on shutdown, cancel queued jobs instead of draining them",
-    )
-    _add_log_level_flag(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1035,11 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the fleet coordinator: the serve HTTP surface backed by "
         "remote workers instead of a local process pool",
     )
-    fc.add_argument("--host", default="127.0.0.1", help="HTTP bind address")
-    fc.add_argument(
-        "--port", type=int, default=8080,
-        help="HTTP TCP port (0 picks a free one)",
-    )
+    _add_serving_flags(fc)
     fc.add_argument(
         "--fleet-host", default="127.0.0.1",
         help="worker-bus bind address (0.0.0.0 for off-host workers)",
@@ -1051,14 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument(
         "--max-inflight", type=int, default=32,
         help="bound on jobs in flight toward the fleet at once",
-    )
-    fc.add_argument(
-        "--queue-size", type=int, default=64,
-        help="bound on queued jobs; a full queue answers HTTP 429",
-    )
-    fc.add_argument(
-        "--timeout-s", type=float, default=None,
-        help="default per-job wall-clock budget (overridable per submission)",
     )
     fc.add_argument(
         "--heartbeat-interval", type=float, default=2.0, metavar="S",
@@ -1078,16 +1064,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quarantine-after", type=int, default=3, metavar="N",
         help="consecutive job failures that quarantine a worker",
     )
-    _add_flow_flags(fc, "JSON FlowConfig file used for submissions without one")
-    fc.add_argument(
-        "--no-progress", action="store_true",
-        help="suppress per-job progress lines on stderr",
-    )
-    fc.add_argument(
-        "--abort-on-stop", action="store_true",
-        help="on shutdown, cancel queued jobs instead of draining them",
-    )
-    _add_log_level_flag(fc)
     fc.set_defaults(func=_cmd_fleet_coordinator)
 
     fw = fleet_sub.add_parser(

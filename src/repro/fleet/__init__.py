@@ -34,9 +34,8 @@ message           direction            meaning
                                        warm fingerprint)
 ``job_failed``    worker → coord       the flow failed (surfaced, not
                                        retried; feeds quarantine streak)
-``job_cancel``    coord → worker       drop the job if not started
 ``requeue``       worker → coord       hand an unstarted job back, no
-                                       retry penalty (drain/cancel race)
+                                       retry penalty (drain, quarantine)
 ``quarantine``    coord → worker       out of rotation after repeated
                                        failures
 ``goodbye``       worker → coord       orderly disconnect (drained)
@@ -58,7 +57,6 @@ from repro.fleet.protocol import (
     Goodbye,
     Heartbeat,
     JobAssign,
-    JobCancel,
     JobFailed,
     JobProgress,
     JobResult,
@@ -96,7 +94,6 @@ __all__ = [
     "JobProgress",
     "JobResult",
     "JobFailed",
-    "JobCancel",
     "Requeue",
     "Quarantine",
     "Goodbye",

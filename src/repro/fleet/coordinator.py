@@ -34,7 +34,10 @@ actor tree (monitor the children, restart the work not the process):
 job resolves to the spine's :class:`~repro.core.batch.Outcome`; the
 worker's wire flow record is decoded where it enters, so the
 ``result`` is the same :class:`~repro.core.flow.FlowResult` whichever
-backend ran the circuit.
+backend ran the circuit.  Cancelling is the service's alone:
+:meth:`~repro.serve.service.Service.cancel` stops a job only while the
+service still queues it, so a job that reaches the coordinator always
+runs to an outcome.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from repro.fleet.protocol import (
     Goodbye,
     Heartbeat,
     JobAssign,
-    JobCancel,
     JobFailed,
     JobProgress,
     JobResult,
@@ -74,16 +76,13 @@ from repro.report import flow_result_from_dict
 logger = logging.getLogger(__name__)
 
 #: Fleet job lifecycle states.
-FLEET_JOB_STATES = ("pending", "leased", "running", "done", "failed", "cancelled")
+FLEET_JOB_STATES = ("pending", "leased", "running", "done", "failed")
 
 #: Worker lifecycle states the coordinator tracks.
 WORKER_STATES = ("idle", "busy", "quarantined", "dead")
 
 #: Default TCP port of the worker bus (the HTTP front-end is separate).
 DEFAULT_FLEET_PORT = 7070
-
-#: What a cancelled fleet job resolves to.
-_CANCELLED = Outcome(error="cancelled on coordinator")
 
 
 @dataclass
@@ -104,7 +103,7 @@ class FleetJob:
 
     @property
     def finished(self) -> bool:
-        return self.state in ("done", "failed", "cancelled")
+        return self.state in ("done", "failed")
 
 
 @dataclass
@@ -298,33 +297,6 @@ class Coordinator:
             raise FleetError(f"unknown fleet job id {job_id!r}") from None
         return await asyncio.shield(job.future)
 
-    async def cancel(self, job_id: str) -> bool:
-        """Cancel a pending or leased (not yet running) job.
-
-        Returns ``True`` iff the job will not produce a result: pending
-        jobs leave the queue, leased jobs are recalled from their worker
-        with :class:`~repro.fleet.protocol.JobCancel` (a worker racing
-        into execution has its eventual result discarded).  Running and
-        finished jobs return ``False``.
-        """
-        try:
-            job = self.jobs[job_id]
-        except KeyError:
-            raise FleetError(f"unknown fleet job id {job_id!r}") from None
-        if job.state == "pending":
-            self._pending.remove(job.job_id)
-            self._resolve(job, _CANCELLED, state="cancelled")
-            return True
-        if job.state == "leased":
-            worker = self.workers.get(job.assigned_to)
-            if worker is not None:
-                worker.inflight.pop(job.job_id, None)
-                worker.refresh_state()
-                await self._send(worker, JobCancel(job_id=job.job_id))
-            self._resolve(job, _CANCELLED, state="cancelled")
-            return True
-        return False
-
     def stats(self) -> Dict[str, Any]:
         """JSON-safe fleet health record (``/healthz`` ``backend`` key)."""
         by_state = {state: 0 for state in WORKER_STATES}
@@ -493,7 +465,7 @@ class Coordinator:
         worker.refresh_state()
         if job is None or job.finished:
             logger.info(
-                "discarding result for %s from %s (cancelled or reassigned)",
+                "discarding result for %s from %s (no longer assigned to it)",
                 msg.job_id,
                 worker.worker_id,
             )
@@ -560,8 +532,9 @@ class Coordinator:
         )
 
     async def _worker_requeue(self, worker: WorkerHandle, msg: Requeue) -> None:
-        """A worker handing an unstarted assignment back (drain/cancel
-        race): no retry penalty, straight back to the front of the queue."""
+        """A worker handing an unstarted assignment back (draining or
+        quarantined): no retry penalty, straight back to the front of
+        the queue."""
         job = worker.inflight.pop(msg.job_id, None)
         worker.refresh_state()
         if job is None or job.finished:
@@ -727,13 +700,11 @@ class Coordinator:
     # ------------------------------------------------------------------
     # resolution
 
-    def _resolve(
-        self, job: FleetJob, outcome: Outcome, *, state: Optional[str] = None
-    ) -> None:
+    def _resolve(self, job: FleetJob, outcome: Outcome) -> None:
         """First terminal transition wins; later results are discarded."""
         if job.finished:
             return
-        job.state = state or ("failed" if outcome.error is not None else "done")
+        job.state = "failed" if outcome.error is not None else "done"
         if job.future is not None and not job.future.done():
             job.future.set_result(outcome)
 

@@ -276,23 +276,10 @@ class JobFailed(Message):
 
 @_message
 @dataclass(frozen=True)
-class JobCancel(Message):
-    """Coordinator → worker: drop the job if it has not started; a job
-    already executing cannot be preempted and its eventual result is
-    simply discarded coordinator-side."""
-
-    TYPE = "job_cancel"
-    SCHEMA = {"job_id": "str"}
-
-    job_id: str
-
-
-@_message
-@dataclass(frozen=True)
 class Requeue(Message):
     """Worker → coordinator: hand an assigned-but-unstarted job back
-    (worker draining, or a cancel that won the race) — the job returns
-    to the queue with no retry penalty."""
+    (worker draining or quarantined) — the job returns to the queue
+    with no retry penalty."""
 
     TYPE = "requeue"
     SCHEMA = {"job_id": "str", "reason": "any_str"}

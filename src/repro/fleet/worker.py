@@ -5,13 +5,13 @@ the fingerprints its local :class:`~repro.store.artifacts.ArtifactStore`
 is already warm for), heartbeats on the contract the
 :class:`~repro.fleet.protocol.Registered` ack carries, and opens one
 :class:`~repro.fleet.protocol.Lease` per free slot.  Each
-:class:`~repro.fleet.protocol.JobAssign` is decoded and runs through the
-exact same :func:`repro.core.batch.execute_one` path the local pool
-uses — same config, same store layering, same per-job timeout and error
-isolation — in the same :func:`repro.core.batch.process_pool`, so the
-asyncio connection (heartbeats included) stays live while gates are
-being flipped.  The pool's workers ignore SIGINT: Ctrl-C drains the
-worker instead of killing its flows.  The :class:`~repro.core.batch.Outcome`
+:class:`~repro.fleet.protocol.JobAssign` is decoded into a serve
+:class:`~repro.serve.service.Job` and runs on the service's own
+:class:`~repro.serve.service.LocalPoolBackend` — the same pool, config,
+store layering, per-job timeout and error isolation ``repro-domino
+serve`` uses — so the asyncio connection (heartbeats included) stays
+live while gates are being flipped, and Ctrl-C drains the worker
+instead of killing its flows.  The :class:`~repro.core.batch.Outcome`
 that comes back becomes the wire frame.
 
 Failure semantics mirror the local pool: a flow error comes back as
@@ -28,21 +28,17 @@ from __future__ import annotations
 import asyncio
 import logging
 import os
-import signal
 import socket
 import uuid
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
-from repro.core.batch import Outcome, default_jobs, execute_one, process_pool
+from repro.core.batch import Outcome
 from repro.core.config import FlowConfig
 from repro.errors import FleetError, ProtocolError
 from repro.fleet.protocol import (
     Goodbye,
     Heartbeat,
     JobAssign,
-    JobCancel,
     JobFailed,
     JobProgress,
     JobResult,
@@ -57,6 +53,8 @@ from repro.fleet.protocol import (
     work_fingerprint,
 )
 from repro.report import flow_result_to_dict
+from repro.serve import _stop_on_signals
+from repro.serve.service import Job, LocalPoolBackend
 from repro.store.artifacts import ArtifactStore
 
 logger = logging.getLogger(__name__)
@@ -73,7 +71,8 @@ class Worker:
     host, port:
         The coordinator's worker bus.
     slots:
-        Concurrent jobs this worker runs (process-pool size); default
+        Concurrent jobs this worker runs (the size of its
+        :class:`~repro.serve.service.LocalPoolBackend`); default
         :func:`repro.core.batch.default_jobs`.
     worker_id:
         Stable identity across reconnects; quarantine follows it.
@@ -99,7 +98,8 @@ class Worker:
             raise FleetError(f"slots must be >= 1, got {slots}")
         self.host = host
         self.port = port
-        self.slots = slots if slots is not None else default_jobs()
+        self._backend = LocalPoolBackend(slots, store)
+        self.slots = self._backend.slots
         self.worker_id = worker_id or (
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:4]}"
         )
@@ -107,10 +107,8 @@ class Worker:
         self.quarantined = False
         self.jobs_done = 0
         self.jobs_failed = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
         self._stop = asyncio.Event()
         self._inflight: Dict[str, asyncio.Task] = {}
-        self._cancelled: Set[str] = set()
         self._send_lock = asyncio.Lock()
         self._writer = None
 
@@ -124,7 +122,7 @@ class Worker:
     async def run(self) -> None:
         """Serve until :meth:`drain`; reconnects across coordinator
         restarts and network blips with capped backoff."""
-        self._pool = process_pool(self.slots, ignore_sigint=True)
+        await self._backend.start()
         try:
             backoff = 0
             while not self._stop.is_set():
@@ -150,8 +148,7 @@ class Worker:
                     except asyncio.TimeoutError:
                         pass
         finally:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+            await self._backend.shutdown()
 
     # ------------------------------------------------------------------
     # one connection
@@ -289,12 +286,6 @@ class Worker:
                 self._run_job(msg), name=f"repro-fleet-job-{msg.job_id}"
             )
             return
-        if isinstance(msg, JobCancel):
-            # a job here is either already racing in the pool (cannot
-            # preempt a fork safely — the coordinator discards its
-            # result) or not yet started; mark it so _run_job skips.
-            self._cancelled.add(msg.job_id)
-            return
         if isinstance(msg, Quarantine):
             self.quarantined = True
             logger.warning(
@@ -307,9 +298,6 @@ class Worker:
 
     async def _run_job(self, assign: JobAssign) -> None:
         try:
-            if assign.job_id in self._cancelled:
-                self._cancelled.discard(assign.job_id)
-                return
             await self._send(JobProgress(job_id=assign.job_id, state="running"))
             logger.info(
                 "%s running %s (%s, attempt %d)",
@@ -318,7 +306,6 @@ class Worker:
                 assign.name,
                 assign.attempt,
             )
-            loop = asyncio.get_running_loop()
             # decoding here costs about what parsing the frame already did
             try:
                 kind, payload = decode_work(assign.work)
@@ -329,27 +316,22 @@ class Worker:
                 # coordinator-side failure streak
                 outcome = Outcome.from_exception(exc, "undecodable job: ")
             else:
+                job = Job(
+                    assign.job_id,
+                    assign.name,
+                    config,
+                    timeout_s=assign.timeout_s,
+                    work=(kind, payload),
+                )
                 try:
-                    outcome = await loop.run_in_executor(
-                        self._pool,
-                        # the store pickles its backend configuration, so
-                        # a shared/tiered store stays shared in the pool
-                        partial(
-                            execute_one,
-                            kind,
-                            payload,
-                            config,
-                            store=self.store,
-                            timeout_s=assign.timeout_s,
-                        ),
-                    )
+                    outcome = await self._backend.execute(job)
                 except Exception as exc:  # noqa: BLE001 — pool breakage
                     outcome = Outcome.from_exception(exc, "worker execution error: ")
             if outcome.ok:
                 self.jobs_done += 1
                 fingerprint = assign.fingerprint
                 if fingerprint is None:  # parsing may touch disk: off-loop
-                    fingerprint = await loop.run_in_executor(
+                    fingerprint = await asyncio.get_running_loop().run_in_executor(
                         None, work_fingerprint, kind, payload
                     )
                 await self._send(
@@ -380,7 +362,6 @@ class Worker:
             )
         finally:
             self._inflight.pop(assign.job_id, None)
-            self._cancelled.discard(assign.job_id)
             if not self._stop.is_set() and not self.quarantined:
                 try:
                     # replace the consumed lease: stay at `slots` open
@@ -392,17 +373,5 @@ class Worker:
 async def run_worker_forever(worker: Worker) -> None:
     """Run one worker under SIGINT/SIGTERM → graceful drain (the
     ``repro-domino fleet worker`` entry point)."""
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, worker.drain)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass
-    try:
+    with _stop_on_signals(worker.drain):
         await worker.run()
-    finally:
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.remove_signal_handler(sig)
-            except (NotImplementedError, RuntimeError):  # pragma: no cover
-                pass

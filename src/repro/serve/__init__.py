@@ -23,7 +23,8 @@ from __future__ import annotations
 import asyncio
 import signal
 import sys
-from typing import Callable, Optional
+from contextlib import contextmanager
+from typing import Callable, Iterator, Optional
 
 from repro.serve.service import (
     JOB_STATES,
@@ -67,23 +68,36 @@ async def serve_forever(
     frontend = HttpFrontend(service, host=host, port=port)
     await frontend.start()
     stop = stop or asyncio.Event()
-    loop = asyncio.get_running_loop()
-    hooked = []
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-            hooked.append(signum)
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or platform without signal handlers
-    if ready is not None:
-        ready(frontend)
     try:
-        await stop.wait()
+        with _stop_on_signals(stop.set):
+            if ready is not None:
+                ready(frontend)
+            await stop.wait()
     finally:
-        for signum in hooked:
-            loop.remove_signal_handler(signum)
         await frontend.stop()
         try:
             await service.shutdown(drain=drain)
         except Exception as exc:  # noqa: BLE001 — shutdown must not mask stop
             print(f"service shutdown error: {exc}", file=sys.stderr)
+
+
+@contextmanager
+def _stop_on_signals(stop: Callable[[], None]) -> Iterator[None]:
+    """Call ``stop`` on ``SIGINT``/``SIGTERM`` while the block runs.
+
+    The handlers go on the running loop where it can take them (the
+    main thread, on a platform that has them) and come off when the
+    block exits."""
+    loop = asyncio.get_running_loop()
+    hooked = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop)
+            hooked.append(signum)
+        except (NotImplementedError, RuntimeError, ValueError):
+            pass  # non-main thread or platform without signal handlers
+    try:
+        yield
+    finally:
+        for signum in hooked:
+            loop.remove_signal_handler(signum)

@@ -605,7 +605,7 @@ class Service:
         await self._finish(job, "done" if outcome.error is None else "failed")
 
     async def _finish_cancelled(self, job: Job) -> None:
-        await self._finish(job, "cancelled")
+        await self._finish(job, state="cancelled")
 
     async def _finish(self, job: Job, state: str) -> None:
         if job.finished:  # cancel/shutdown race: first terminal state wins

@@ -1,6 +1,6 @@
 """Fleet tests: wire protocol, coordinator supervision edges driven by
 scripted fake workers (heartbeat loss, dead connections, bounded retry,
-quarantine, cancel), affinity routing, and a live two-worker HTTP stack
+quarantine, handback), affinity routing, and a live two-worker HTTP stack
 asserting byte-identical results to single-process serve."""
 
 import asyncio
@@ -20,7 +20,6 @@ from repro.fleet import (
     Goodbye,
     Heartbeat,
     JobAssign,
-    JobCancel,
     JobFailed,
     JobResult,
     Lease,
@@ -87,7 +86,6 @@ class TestProtocol:
             JobResult(job_id="fleet-1", flow={"ckt": "frg1"},
                       runtime_s=1.25, cached=True, fingerprint="f" * 16),
             JobFailed(job_id="fleet-1", error="boom", runtime_s=0.5),
-            JobCancel(job_id="fleet-1"),
             Requeue(job_id="fleet-1", reason="draining"),
             Quarantine(worker_id="w1", reason="3 failures"),
             Goodbye(worker_id="w1", reason="drained"),
@@ -120,8 +118,8 @@ class TestProtocol:
             decode_message(json.dumps(frame).encode())
 
     def test_missing_field_rejected(self):
-        bad = json.dumps({"v": PROTOCOL_VERSION, "type": "job_cancel"})
-        with pytest.raises(ProtocolError, match="job_cancel"):
+        bad = json.dumps({"v": PROTOCOL_VERSION, "type": "requeue"})
+        with pytest.raises(ProtocolError, match="requeue"):
             decode_message(bad.encode())
 
     def test_ill_typed_field_rejected(self):
@@ -267,6 +265,24 @@ class TestSupervision:
                 outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
                 # the coordinator decodes the wire record on arrival
                 assert outcome.error is None and outcome.result == FLOW
+                # the silent worker comes back under its id and reports
+                # the job it lost: that late result is discarded
+                await silent.close()
+                await silent.register()
+                silent.start_heartbeats(0.05)
+                await silent.send(JobResult(job_id=job_id, flow={"late": 1},
+                                            runtime_s=0.1, fingerprint="f" * 16))
+                # frames of one connection are handled in order, so once
+                # this lease counts, the late result has been handled
+                await silent.lease()
+                await wait_until(
+                    lambda: coord.workers["silent"].open_leases == 1, timeout=5
+                )
+                assert coord.jobs[job_id].state == "done"
+                again = await asyncio.wait_for(coord.outcome(job_id), 10)
+                assert again.error is None and again.result == FLOW
+                assert coord.workers["silent"].jobs_done == 0
+                assert "f" * 16 not in coord.workers["silent"].warm
                 await silent.close()
                 await survivor.close()
 
@@ -418,40 +434,6 @@ class TestSupervision:
                 assert coord.workers["wobbly"].state != "quarantined"
                 assert coord.workers["wobbly"].failure_streak == 1
                 await w.close()
-
-        run(body())
-
-    def test_cancel_recalls_leased_job(self):
-        async def body():
-            async with Coordinator(port=0, heartbeat_interval_s=0.5) as coord:
-                w = FakeWorker(coord.port, "w1")
-                await w.register()
-                await w.lease()
-                job_id = await coord.submit(dict(FAKE_WORK), FAST, name="x")
-                assert isinstance(await w.recv(), JobAssign)
-                assert await coord.cancel(job_id) is True
-                recall = await w.recv()
-                assert isinstance(recall, JobCancel)
-                assert recall.job_id == job_id
-                outcome = await asyncio.wait_for(coord.outcome(job_id), 10)
-                assert outcome.result is None and "cancelled" in outcome.error
-                assert coord.jobs[job_id].state == "cancelled"
-                # a late result from the racing worker is discarded
-                await w.send(JobResult(job_id=job_id, flow={"late": 1},
-                                       runtime_s=0.1))
-                await asyncio.sleep(0.1)
-                assert coord.jobs[job_id].state == "cancelled"
-                await w.close()
-
-        run(body())
-
-    def test_cancel_pending_job(self):
-        async def body():
-            async with Coordinator(port=0) as coord:
-                job_id = await coord.submit(dict(FAKE_WORK), FAST, name="x")
-                assert await coord.cancel(job_id) is True
-                assert coord.jobs[job_id].state == "cancelled"
-                assert await coord.cancel(job_id) is False
 
         run(body())
 

@@ -3,6 +3,7 @@ result / cancel / shutdown), bounded-queue backpressure, store-backed
 instant hits, event streams, and error isolation."""
 
 import asyncio
+import contextlib
 import time
 
 import pytest
@@ -11,8 +12,10 @@ from helpers import hang_prepare
 
 from repro.bench.generators import GeneratorConfig, random_control_network
 from repro.bench.mcnc import spec_by_name
+from repro.core.batch import execute_one
 from repro.core.config import FlowConfig
 from repro.errors import QueueFullError, ServeError, ServiceClosedError, UnknownJobError
+from repro.fleet import Coordinator, FleetBackend, Worker
 from repro.serve import Service
 from repro.store import ArtifactStore
 
@@ -27,6 +30,37 @@ def tiny_network(name="tiny", seed=3):
 def run(coro):
     """Drive one async test body to completion."""
     return asyncio.run(coro)
+
+
+async def wait_until(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition never became true")
+        await asyncio.sleep(0.01)
+
+
+@contextlib.asynccontextmanager
+async def serving(backend, **kwargs):
+    """A running Service on the local pool or on a one-worker loopback
+    fleet, built as tests/test_execution_spine.py's TestLayerParity
+    builds it."""
+    if backend == "local-pool":
+        async with Service(FAST, jobs=1, **kwargs) as svc:
+            yield svc
+        return
+    coord = Coordinator(port=0, heartbeat_interval_s=0.2)
+    async with Service(
+        FAST, backend=FleetBackend(coord, max_inflight=4), **kwargs
+    ) as svc:
+        worker = Worker("127.0.0.1", coord.port, slots=1, worker_id="serve")
+        task = asyncio.create_task(worker.run())
+        try:
+            await wait_until(lambda: "serve" in coord.workers)
+            yield svc
+        finally:
+            worker.drain()
+            await asyncio.wait_for(task, 60)
 
 
 class TestLifecycle:
@@ -166,12 +200,14 @@ class TestCancel:
 
         run(body())
 
-    def test_cancel_running_job_is_refused_and_result_survives(self):
+    @pytest.mark.parametrize("backend", ["local-pool", "fleet"])
+    def test_cancel_running_job_is_refused_and_result_survives(self, backend):
         """Regression: cancelling a job whose worker already started
         used to ``future.cancel()`` the (still pending) asyncio future,
         which "succeeds" even though the pool work is executing — the
         client was told *cancelled* while the worker kept running.  A
-        started job must report ``False`` and keep its real outcome."""
+        started job must report ``False`` and keep its real outcome,
+        whichever backend runs it."""
 
         async def body():
             # big enough that it is still running when the cancel lands
@@ -179,7 +215,7 @@ class TestCancel:
                 n_inputs=16, n_outputs=10, n_gates=150, seed=21
             )
             slow = random_control_network("slowjob", cfg)
-            async with Service(FAST, jobs=1, queue_size=4) as svc:
+            async with serving(backend, queue_size=4) as svc:
                 job_id = await svc.submit(slow)
                 for _ in range(600):  # wait for the dispatcher to start it
                     if svc.job(job_id).state != "queued":
@@ -189,6 +225,33 @@ class TestCancel:
                 assert await svc.cancel(job_id) is False
                 job = await svc.result(job_id, timeout=240)
                 assert job.state == "done" and job.ok  # nothing was lost
+
+        run(body())
+
+    def test_cancel_before_any_fleet_worker_is_refused_and_job_completes(self):
+        """A job the service has handed to a fleet backend is running as
+        far as the service knows, even while no worker is registered to
+        take it: cancel refuses it, and once a worker registers the job
+        completes with the row the flow gives inline."""
+        net = tiny_network()
+        expected = execute_one("network", net, FAST).result.row()
+
+        async def body():
+            coord = Coordinator(port=0, heartbeat_interval_s=0.2)
+            backend = FleetBackend(coord, max_inflight=4)
+            async with Service(FAST, backend=backend, queue_size=4) as svc:
+                job_id = await svc.submit(net)
+                await wait_until(lambda: coord.jobs)
+                assert svc.job(job_id).state == "running"
+                assert [j.state for j in coord.jobs.values()] == ["pending"]
+                assert await svc.cancel(job_id) is False
+                worker = Worker("127.0.0.1", coord.port, slots=1,
+                                worker_id="late")
+                task = asyncio.create_task(worker.run())
+                job = await svc.result(job_id, timeout=240)
+                worker.drain()
+                await asyncio.wait_for(task, 60)
+            assert job.state == "done" and job.result.row() == expected
 
         run(body())
 
